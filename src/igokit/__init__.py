@@ -13,9 +13,6 @@ from .algorithms import (
     AlgorithmConfig,
     Trace,
     TraceStep,
-    cma_rank_mu_step,
-    pbil_step,
-    rpp_step,
     run,
 )
 from .diagnostics import (
@@ -70,7 +67,6 @@ from .updates import (
     igo_step,
     malago_step,
     safeguarded_step,
-    smoothed_ce_step,
 )
 
 __version__ = "0.1.0"

@@ -1,17 +1,19 @@
-"""Named algorithm front-ends and the seeded iteration loop.
+"""Named algorithms and the seeded iteration loop.
 
-The recovered algorithms are thin delegations to the update rules:
+Each named algorithm is one update rule under one weighting, and
+:func:`_prepare_step` is the single place that maps a name to its rule:
 
 * ``pbil`` - rank-weighted natural-gradient step on a product Bernoulli
-  model (exactly :func:`igokit.updates.igo_step`).
+  model (:func:`igokit.updates.igo_step`).
+* ``igo_generic`` - the same natural-gradient step on whichever model the
+  objective lives on.
+* ``ce_ml`` - the smoothed cross-entropy/ML step
+  (:func:`igokit.updates.igo_ml_step`).
 * ``cma_rank_mu`` - the pure rank-mu mean/covariance recombination, i.e. the
   blockwise weighted-ML step with the (cov, mean) decomposition and separate
   learning rates. No evolution paths, no step-size control, no rank-one term.
-* ``ce_ml`` - the smoothed cross-entropy/ML step.
 * ``rpp`` - reward-proportional update; ``dt = 1`` is the classic form
   ``theta <- E[x r(x)] / E[r(x)]``, smaller ``dt`` the smoothed variant.
-* ``igo_generic`` - the natural-gradient step on whichever model the
-  objective lives on.
 
 Runs are deterministic given the seed: the sampling stream is derived as
 ``default_rng([seed, 0])`` and an auxiliary stream (preference estimation)
@@ -24,6 +26,7 @@ reused: only the move shrinks, never the population.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -44,17 +47,15 @@ __all__ = [
     "StepResult",
     "Trace",
     "TraceStep",
-    "pbil_step",
-    "cma_rank_mu_step",
-    "ce_ml_step",
-    "igo_generic_step",
-    "rpp_step",
     "run",
 ]
 
 ALGORITHMS = ("pbil", "cma_rank_mu", "ce_ml", "rpp", "igo_generic")
 _DOMAIN_EXIT_POLICIES = ("halt", "safeguard")
 _MAX_HALVINGS = 30
+# The sample-weighted rule of each rank-based algorithm, named in ``updates``
+# and looked up there at call time, so a replaced module attribute is seen.
+_SAMPLE_RULES = {"pbil": "igo_step", "igo_generic": "igo_step", "ce_ml": "igo_ml_step"}
 
 
 @dataclass(frozen=True)
@@ -191,52 +192,6 @@ class StepResult:
     dt_used: tuple
 
 
-def pbil_step(model, eta, rng, objective, lam, scheme, dt) -> StepResult:
-    """Sample, rank, weight, move: delegates the move to ``igo_step``."""
-    samples = model.sample(model.from_eta(eta), rng, lam)
-    fitness = objective.batch(samples)
-    weights = sample_weights(fitness, scheme)
-    eta_next = updates.igo_step(model, eta, samples, weights, dt)
-    return StepResult(eta_next, samples, fitness, weights, (dt,))
-
-
-igo_generic_step = pbil_step
-
-
-def ce_ml_step(model, eta, rng, objective, lam, scheme, dt) -> StepResult:
-    """Smoothed cross-entropy/ML iteration."""
-    samples = model.sample(model.from_eta(eta), rng, lam)
-    fitness = objective.batch(samples)
-    weights = sample_weights(fitness, scheme)
-    eta_next = updates.smoothed_ce_step(model, eta, samples, weights, dt)
-    return StepResult(eta_next, samples, fitness, weights, (dt,))
-
-
-def cma_rank_mu_step(model, eta, rng, objective, lam, scheme, dt_cov, dt_mean) -> StepResult:
-    """Pure rank-mu recombination: blockwise weighted ML, covariance first."""
-    samples = model.sample(model.from_eta(eta), rng, lam)
-    fitness = objective.batch(samples)
-    weights = sample_weights(fitness, scheme)
-    eta_next = updates.blockwise_igo_ml_step(
-        model, eta, samples, weights,
-        updates.GaussianBlockDecomposition(), (dt_cov, dt_mean),
-    )
-    return StepResult(eta_next, samples, fitness, weights, (dt_cov, dt_mean))
-
-
-def rpp_step(model, eta, objective, dt, rng=None, lam=None, exact=True) -> StepResult:
-    """Reward-proportional update, exact (enumeration) or Monte Carlo."""
-    if exact:
-        dist = enumerate_bernoulli(model.from_eta(eta))
-        rewards = objective.batch(dist.support)
-        eta_next = updates.fitness_proportional_step(model, eta, dist, rewards, dt)
-        return StepResult(eta_next, None, rewards, None, (dt,))
-    samples = model.sample(model.from_eta(eta), rng, lam)
-    rewards = objective.batch(samples)
-    eta_next = updates.fitness_proportional_step(model, eta, samples, rewards, dt)
-    return StepResult(eta_next, samples, rewards, None, (dt,))
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """Per-iteration log entry."""
@@ -275,22 +230,17 @@ def _prepare_step(config, model, eta, scheme, objective, rng) -> Callable[[float
     algo = config.algorithm
     if algo == "rpp":
         if config.rpp_exact:
-            dist = enumerate_bernoulli(model.from_eta(eta))
-            rewards = objective.batch(dist.support)
-
-            def apply(scale: float) -> StepResult:
-                dt = config.dt * scale
-                eta_next = updates.fitness_proportional_step(model, eta, dist, rewards, dt)
-                return StepResult(eta_next, None, rewards, None, (dt,))
-
+            samples = None
+            source = enumerate_bernoulli(model.from_eta(eta))
+            rewards = objective.batch(source.support)
         else:
-            samples = model.sample(model.from_eta(eta), rng, config.lam)
+            samples = source = model.sample(model.from_eta(eta), rng, config.lam)
             rewards = objective.batch(samples)
 
-            def apply(scale: float) -> StepResult:
-                dt = config.dt * scale
-                eta_next = updates.fitness_proportional_step(model, eta, samples, rewards, dt)
-                return StepResult(eta_next, samples, rewards, None, (dt,))
+        def apply(scale: float) -> StepResult:
+            dt = config.dt * scale
+            eta_next = updates.fitness_proportional_step(model, eta, source, rewards, dt)
+            return StepResult(eta_next, samples, rewards, None, (dt,))
 
         return apply
 
@@ -298,21 +248,7 @@ def _prepare_step(config, model, eta, scheme, objective, rng) -> Callable[[float
     fitness = objective.batch(samples)
     weights = sample_weights(fitness, scheme)
 
-    if algo in ("pbil", "igo_generic"):
-
-        def apply(scale: float) -> StepResult:
-            dt = config.dt * scale
-            eta_next = updates.igo_step(model, eta, samples, weights, dt)
-            return StepResult(eta_next, samples, fitness, weights, (dt,))
-
-    elif algo == "ce_ml":
-
-        def apply(scale: float) -> StepResult:
-            dt = config.dt * scale
-            eta_next = updates.smoothed_ce_step(model, eta, samples, weights, dt)
-            return StepResult(eta_next, samples, fitness, weights, (dt,))
-
-    elif algo == "cma_rank_mu":
+    if algo == "cma_rank_mu":
         decomposition = updates.GaussianBlockDecomposition()
 
         def apply(scale: float) -> StepResult:
@@ -323,8 +259,17 @@ def _prepare_step(config, model, eta, scheme, objective, rng) -> Callable[[float
             )
             return StepResult(eta_next, samples, fitness, weights, (dt_cov, dt_mean))
 
-    else:
+        return apply
+
+    if algo not in _SAMPLE_RULES:
         raise InvalidInputError(f"unknown algorithm {algo!r}")
+    rule = getattr(updates, _SAMPLE_RULES[algo])
+
+    def apply(scale: float) -> StepResult:
+        dt = config.dt * scale
+        eta_next = rule(model, eta, samples, weights, dt)
+        return StepResult(eta_next, samples, fitness, weights, (dt,))
+
     return apply
 
 
@@ -362,7 +307,12 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         try:
             applier = _prepare_step(config, model, prev_eta, scheme, objective, rng)
             if config.domain_exit == "safeguard":
-                result = _safeguarded_apply(applier, trace)
+                try:
+                    result, scale = updates.safeguarded_step(applier, 1.0, _MAX_HALVINGS)
+                except DomainExitError:
+                    trace.halvings += _MAX_HALVINGS
+                    raise
+                trace.halvings += round(-math.log2(scale))
             else:
                 result = applier(1.0)
         except DomainExitError:
@@ -410,15 +360,3 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     trace.final_eta = eta.copy()
     return trace
 
-
-def _safeguarded_apply(applier, trace) -> StepResult:
-    scale = 1.0
-    for halvings in range(_MAX_HALVINGS + 1):
-        try:
-            result = applier(scale)
-            trace.halvings += halvings
-            return result
-        except DomainExitError:
-            scale /= 2.0
-    trace.halvings += _MAX_HALVINGS
-    raise DomainExitError(f"step still exits the domain after {_MAX_HALVINGS} halvings")

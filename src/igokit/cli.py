@@ -92,7 +92,12 @@ def _coerce(key: str, raw):
             return None
         if parser is bool:
             return _parse_bool(raw, key)
-        return parser(raw)
+        try:
+            return parser(raw)
+        except ValueError:
+            raise InvalidInputError(
+                f"{key}: expected {parser.__name__}, got {raw!r}"
+            ) from None
     return raw
 
 
@@ -176,7 +181,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, grid=args.grid, seed=args.seed, threads=args.threads)
+    report = run_suite(args.suite, grid=args.grid, seed=args.seed)
     payload = json.dumps(report.to_dict(), indent=2)
     print(payload)
     if args.out:
@@ -216,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", type=str)
     p_verify.add_argument("--grid", type=str, default="small")
     p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.set_defaults(func=_cmd_verify)
     return parser

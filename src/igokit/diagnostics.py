@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DomainExitError, InvalidInputError
 from .models import Bernoulli
 from .oracle import (
     MAX_ENUM_DIM,
+    _sup_quantile_index,
     bernoulli_support,
     enumerate_bernoulli,
     exact_J,
@@ -55,10 +56,7 @@ def empirical_quantile(values, q: float) -> float:
     vals, counts = np.unique(f, return_counts=True)
     lower = np.cumsum(counts) / n
     upper = np.cumsum(counts[::-1])[::-1] / n
-    for k in range(vals.size - 1, -1, -1):
-        if lower[k] >= q and upper[k] >= 1.0 - q:
-            return float(vals[k])
-    return float(vals[-1])  # unreachable for 0 < q < 1
+    return float(vals[_sup_quantile_index(lower, upper, q)])
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,7 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
         for _ in range(n_steps):
             try:
                 result = _prepare_step(config, model, eta, scheme, objective, rng)(1.0)
-            except Exception:
+            except DomainExitError:
                 break
             eta = result.eta
             q_after = exact_q(eta, rng_hold)

@@ -119,6 +119,20 @@ def exact_preference(dist: FiniteDist, fitness, scheme) -> np.ndarray:
     return preference_exact(dist.prob, fitness, scheme)
 
 
+def _sup_quantile_index(lower: np.ndarray, upper: np.ndarray, q: float) -> int:
+    """Index of the sup-form q-quantile among ascending distinct values.
+
+    ``lower[k]`` is the mass at or below value ``k`` and ``upper[k]`` the mass
+    at or above it. Scans in descending order and returns the largest ``k``
+    with ``lower[k] >= q`` and ``upper[k] >= 1 - q``.
+    """
+    for k in range(lower.size - 1, -1, -1):
+        if lower[k] >= q and upper[k] >= 1.0 - q:
+            return k
+    # Unreachable in exact arithmetic; guard against degenerate rounding.
+    return min(int(np.searchsorted(lower, q, side="left")), lower.size - 1)
+
+
 def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     """The q-quantile of ``fitness`` under ``dist``, sup form.
 
@@ -134,15 +148,7 @@ def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     mass = np.bincount(idx, weights=dist.prob, minlength=values.size)
     lower = np.cumsum(mass)
     upper = np.cumsum(mass[::-1])[::-1]
-    qualifying = None
-    for k in range(values.size - 1, -1, -1):
-        if lower[k] >= q and upper[k] >= 1.0 - q:
-            qualifying = k
-            break
-    if qualifying is None:
-        # Unreachable in exact arithmetic; guard against degenerate rounding.
-        qualifying = int(np.searchsorted(lower, q, side="left"))
-        qualifying = min(qualifying, values.size - 1)
+    qualifying = _sup_quantile_index(lower, upper, q)
     return QuantileReport(
         value=float(values[qualifying]),
         lower_mass=float(lower[qualifying]),

@@ -5,9 +5,9 @@ All rules move a flat expectation-parameter vector ``eta``:
 * :func:`igo_step` - finite-sample natural-gradient step,
   ``eta + dt * sum_i w_i (T(x_i) - eta)``.
 * :func:`igo_ml_step` - weighted maximum-likelihood blend,
-  ``(1 - dt) eta + dt * sum_i w_i T(x_i)``.
-* :func:`smoothed_ce_step` - smoothed cross-entropy/ML step: the weighted-ML
-  maximizer is computed first (and must be a valid distribution), then blended.
+  ``(1 - dt) eta + dt * sum_i w_i T(x_i)``. In expectation parameters this
+  is also the smoothed cross-entropy/ML step: the weighted-ML point is the
+  weighted mean of the sufficient statistics, blended into the current state.
 * :func:`blockwise_igo_ml_step` - sequential per-block weighted-ML updates
   with per-block step sizes, reusing one sample across all blocks.
 * :func:`fitness_proportional_step` - natural-gradient step under
@@ -15,11 +15,11 @@ All rules move a flat expectation-parameter vector ``eta``:
 * :func:`malago_step` - expectation-parameter natural-gradient descent on raw
   fitness (minimization).
 
-For exponential families in expectation parameters the first three coincide
-coordinate-wise; they are kept as distinct entry points because their error
-behaviour differs (see each docstring). Domain exits raise; they are never
-projected away. :func:`safeguarded_step` wraps any of these with step-size
-halving for harness use.
+For exponential families in expectation parameters the natural-gradient step
+and the weighted-ML blend coincide coordinate-wise (they differ only in
+floating-point rounding); both validate only the state they return. Domain
+exits raise; they are never projected away. :func:`safeguarded_step` wraps
+any of these with step-size halving for harness use.
 
 Weighted sums reduce in fixed index order (numpy pairwise summation over
 axis 0), so results are bit-reproducible for a given sample size.
@@ -41,7 +41,6 @@ __all__ = [
     "BernoulliBlockDecomposition",
     "igo_step",
     "igo_ml_step",
-    "smoothed_ce_step",
     "blockwise_igo_ml_step",
     "fitness_proportional_step",
     "malago_step",
@@ -149,35 +148,17 @@ def igo_ml_step(model, eta, samples, weights, dt: float) -> np.ndarray:
 
     ``eta' = (1 - dt) eta + dt * sum_i w_i T(x_i)``; this is the maximizer of
     the dt-blend of the cross-entropy with the current distribution and the
-    weighted sample log-likelihood. Only the blended point must be a valid
-    distribution; a degenerate blend raises a domain exit.
+    weighted sample log-likelihood, i.e. the smoothed CE/ML step. Only the
+    blended point must be a valid distribution: a weighted-ML point on the
+    closure boundary (all winners sharing a Bernoulli coordinate) still blends
+    for ``dt < 1``, while at ``dt = 1`` the blend *is* the ML point and a
+    degenerate one (e.g. a single Gaussian sample) raises a domain exit.
     """
     dt = _check_dt(dt)
     eta = np.asarray(eta, dtype=np.float64)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
     eta_next = (1.0 - dt) * eta + dt * np.sum(w[:, None] * stats, axis=0)
-    model.from_eta(eta_next)
-    return eta_next
-
-
-def smoothed_ce_step(model, eta, samples, weights, dt: float) -> np.ndarray:
-    """Smoothed cross-entropy/ML step: blend toward the weighted-ML point.
-
-    The weighted-ML statistic (the weighted mean of the sufficient statistics)
-    is computed first, then mixed into the current state with weight ``dt``.
-    Only the blended state must be a valid distribution; a weighted-ML point
-    on the closure boundary (all winners sharing a Bernoulli coordinate) still
-    blends for ``dt < 1``, while at ``dt = 1`` the blend *is* the ML point and
-    a degenerate one (e.g. a single Gaussian sample) raises. Coincides with
-    :func:`igo_ml_step` in expectation parameters.
-    """
-    dt = _check_dt(dt)
-    eta = np.asarray(eta, dtype=np.float64)
-    stats = model.batch_sufficient_statistics(samples)
-    w = _weight_array(weights, stats.shape[0])
-    target = np.sum(w[:, None] * stats, axis=0)
-    eta_next = (1.0 - dt) * eta + dt * target
     model.from_eta(eta_next)
     return eta_next
 

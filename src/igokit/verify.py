@@ -10,8 +10,10 @@ configurations and reports per-case detail:
   steps with mixed per-block step sizes.
 * ``fitness-improvement``: exact reward-proportional steps never lower the
   expected reward; the full step equals the reward-weighted mean.
-* ``equivalence``: the natural-gradient, weighted-ML and smoothed CE/ML
-  steps coincide coordinate-wise on random instances of both families.
+* ``equivalence``: the natural-gradient step, the weighted-ML blend and an
+  independent smoothed CE/ML reference (the weighted ML point fitted in
+  source parameters, mapped to expectation parameters, then blended)
+  coincide coordinate-wise on random instances of both families.
 * ``cma-recovery``: the blockwise (cov, mean) step equals the rank-mu
   mean/covariance recombination formulas.
 * ``progress-bound``: the expected preference of each executed step beats
@@ -28,14 +30,13 @@ configurations and reports per-case detail:
 Exact dynamics may hit the open-domain boundary in finite float precision
 (mass concentrates on an optimum and a full step lands on a vertex); a grid
 case then stops at the domain exit and its executed steps are what gets
-checked. ``IGO_KIT_THREADS`` bounds the parallelism across cases.
+checked. Cases run sequentially; each draws from its own seed-derived
+stream, so a report depends only on the suite, grid and seed.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,8 @@ from .errors import DomainExitError, InvalidInputError
 from .models import Bernoulli, Gaussian, GaussianParams
 from .objectives import make_objective
 from .oracle import (
-    FiniteDist,
     bernoulli_support,
+    enumerate_bernoulli,
     exact_blockwise_coordinate_step,
     exact_expected_fitness,
     exact_infinite_population_step,
@@ -112,23 +113,6 @@ class SuiteReport:
         }
 
 
-def _threads(threads) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("IGO_KIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_cases(worker, inputs, threads) -> list:
-    n = _threads(threads)
-    if n <= 1 or len(inputs) <= 1:
-        return [worker(x) for x in inputs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(worker, inputs))
-
-
 # ---------------------------------------------------------------------------
 # exact improvement grids
 
@@ -186,12 +170,11 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
                             check_bound: bool) -> CaseResult:
     fvals = _support_fitness(case)
     scheme = TruncationScheme(case.q)
-    support = bernoulli_support(case.d)
     model = Bernoulli(case.d)
     eta = np.array(case.theta0)
 
     def quantile(e):
-        dist = FiniteDist(support, np.prod(np.where(support == 1.0, e, 1.0 - e), axis=1))
+        dist = enumerate_bernoulli(model.from_eta(e))
         return exact_quantile(dist, fvals, case.q), dist
 
     q_before, _ = quantile(eta)
@@ -253,36 +236,30 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
     return CaseResult(name=f"case-{case.index:03d}", passed=passed, detail=detail)
 
 
-def suite_quantile_improvement(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_quantile_improvement(grid="small", seed=1) -> SuiteReport:
     cases = _improvement_grid(seed, _GRID_SIZES[grid])
     t0 = time.monotonic()
-    results = _map_cases(
-        lambda c: _exact_improvement_case(c, 100, blockwise=False, check_bound=False),
-        cases,
-        threads,
-    )
+    results = [
+        _exact_improvement_case(c, 100, blockwise=False, check_bound=False) for c in cases
+    ]
     return SuiteReport("quantile-improvement", grid, seed, results, time.monotonic() - t0)
 
 
-def suite_blockwise_improvement(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_blockwise_improvement(grid="small", seed=1) -> SuiteReport:
     cases = _improvement_grid(seed, _GRID_SIZES[grid])
     t0 = time.monotonic()
-    results = _map_cases(
-        lambda c: _exact_improvement_case(c, 100, blockwise=True, check_bound=False),
-        cases,
-        threads,
-    )
+    results = [
+        _exact_improvement_case(c, 100, blockwise=True, check_bound=False) for c in cases
+    ]
     return SuiteReport("blockwise-improvement", grid, seed, results, time.monotonic() - t0)
 
 
-def suite_progress_bound(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_progress_bound(grid="small", seed=1) -> SuiteReport:
     cases = _improvement_grid(seed, _GRID_SIZES[grid])
     t0 = time.monotonic()
-    results = _map_cases(
-        lambda c: _exact_improvement_case(c, 100, blockwise=False, check_bound=True),
-        cases,
-        threads,
-    )
+    results = [
+        _exact_improvement_case(c, 100, blockwise=False, check_bound=True) for c in cases
+    ]
     results.append(_worked_instance_case())
     return SuiteReport("progress-bound", grid, seed, results, time.monotonic() - t0)
 
@@ -319,13 +296,12 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
     dt = (0.25, 0.5, 1.0)[index % 3]
     theta0 = rng.uniform(0.1, 0.9, d)
     rewards = rng.random(2**d)
-    support = bernoulli_support(d)
     model = Bernoulli(d)
-    dist0 = FiniteDist(support, np.prod(np.where(support == 1.0, theta0, 1.0 - theta0), axis=1))
+    dist0 = enumerate_bernoulli(model.from_eta(theta0))
 
     full_step_err = None
     if dt == 1.0:
-        target = (dist0.prob * rewards) @ support / float(dist0.prob @ rewards)
+        target = (dist0.prob * rewards) @ dist0.support / float(dist0.prob @ rewards)
         try:
             eta1 = updates.fitness_proportional_step(model, theta0, dist0, rewards, 1.0)
             full_step_err = float(np.max(np.abs(eta1 - target)))
@@ -339,7 +315,7 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
     worst_drop = 0.0
     unexplained_equal = 0
     for _ in range(100):
-        dist = FiniteDist(support, np.prod(np.where(support == 1.0, eta, 1.0 - eta), axis=1))
+        dist = enumerate_bernoulli(model.from_eta(eta))
         try:
             eta_next = updates.fitness_proportional_step(model, eta, dist, rewards, dt)
         except DomainExitError:
@@ -368,10 +344,10 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
     return CaseResult(name=f"case-{index:03d}", passed=passed, detail=detail)
 
 
-def suite_fitness_improvement(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_fitness_improvement(grid="small", seed=1) -> SuiteReport:
     size = _GRID_SIZES[grid]
     t0 = time.monotonic()
-    results = _map_cases(lambda i: _fitness_case(i, seed), list(range(size)), threads)
+    results = [_fitness_case(i, seed) for i in range(size)]
     return SuiteReport("fitness-improvement", grid, seed, results, time.monotonic() - t0)
 
 
@@ -401,11 +377,27 @@ def _draw_equivalence_instance(family: str, rng: np.random.Generator):
     return model, eta, samples, weights
 
 
+def _smoothed_ce_reference(model, eta, samples, w, dt) -> np.ndarray:
+    """Smoothed CE/ML step computed independently of ``updates``: fit the
+    weighted ML point in source parameters (Bernoulli ``p = w @ x``; Gaussian
+    ``m = w @ x`` and ``C = sum_i w_i (x_i - m)(x_i - m)^T``), map it to
+    expectation parameters in the packed layout, then blend with weight
+    ``dt``. The Gaussian point is not validated as a distribution, so a
+    rank-deficient scatter still blends for ``dt < 1``."""
+    if isinstance(model, Bernoulli):
+        eta_ml = w @ samples
+    else:
+        m = w @ samples
+        centered = samples - m
+        cov = (w[:, None] * centered).T @ centered
+        cov = (cov + cov.T) / 2.0
+        eta_ml = np.concatenate([m, model.pack_symmetric(cov + np.outer(m, m))])
+    return (1.0 - dt) * eta + dt * eta_ml
+
+
 def _equivalence_case(case) -> CaseResult:
-    """A degenerate weighted-ML statistic (all winners sharing a coordinate,
-    or a rank-deficient scatter) leaves the smoothed CE/ML step undefined, and
-    float rounding can park any of the updates exactly on the boundary; such
-    draws are rejected and redrawn deterministically."""
+    """Float rounding can park either update exactly on the boundary of the
+    domain; such draws are rejected and redrawn deterministically."""
     family, index, seed = case
     rng = np.random.default_rng([seed, 444, index, 0 if family == "bernoulli" else 1])
     dt = (0.1, 0.5, 1.0)[index % 3]
@@ -414,9 +406,9 @@ def _equivalence_case(case) -> CaseResult:
         try:
             a = updates.igo_step(model, eta, samples, weights, dt)
             b = updates.igo_ml_step(model, eta, samples, weights, dt)
-            c = updates.smoothed_ce_step(model, eta, samples, weights, dt)
         except DomainExitError:
             continue
+        c = _smoothed_ce_reference(model, eta, samples, weights.w, dt)
         spread = float(
             max(np.max(np.abs(a - b)), np.max(np.abs(a - c)), np.max(np.abs(b - c)))
         )
@@ -427,12 +419,12 @@ def _equivalence_case(case) -> CaseResult:
     raise RuntimeError("could not draw a non-degenerate equivalence instance")
 
 
-def suite_equivalence(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_equivalence(grid="small", seed=1) -> SuiteReport:
     per_family = _EQUIVALENCE_SIZES[grid]
     inputs = [("bernoulli", i, seed) for i in range(per_family)]
     inputs += [("gaussian", i, seed) for i in range(per_family)]
     t0 = time.monotonic()
-    results = _map_cases(_equivalence_case, inputs, threads)
+    results = [_equivalence_case(c) for c in inputs]
     return SuiteReport("equivalence", grid, seed, results, time.monotonic() - t0)
 
 
@@ -483,10 +475,10 @@ def _cma_case(case) -> CaseResult:
     return CaseResult(name=f"case-{index:03d}", passed=err <= 1e-12, detail=detail)
 
 
-def suite_cma_recovery(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_cma_recovery(grid="small", seed=1) -> SuiteReport:
     size = _CMA_SIZES[grid]
     t0 = time.monotonic()
-    results = _map_cases(_cma_case, [(i, seed) for i in range(size)], threads)
+    results = [_cma_case((i, seed)) for i in range(size)]
     return SuiteReport("cma-recovery", grid, seed, results, time.monotonic() - t0)
 
 
@@ -528,11 +520,11 @@ def _kl_case(case) -> CaseResult:
     return CaseResult(name=f"case-{index:02d}", passed=ratios_ok, detail=detail)
 
 
-def suite_kl_expansion(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_kl_expansion(grid="small", seed=1) -> SuiteReport:
     cases = _kl_committed_set(seed)
     inputs = [(i, *c) for i, c in enumerate(cases)]
     t0 = time.monotonic()
-    results = _map_cases(_kl_case, inputs, threads)
+    results = [_kl_case(c) for c in inputs]
     return SuiteReport("kl-expansion", grid, seed, results, time.monotonic() - t0)
 
 
@@ -562,10 +554,10 @@ def _natural_gradient_case(case) -> CaseResult:
     return CaseResult(name=f"case-{index:03d}", passed=rel <= 1e-5, detail=detail)
 
 
-def suite_natural_gradient(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_natural_gradient(grid="small", seed=1) -> SuiteReport:
     size = 200 if grid == "small" else 500
     t0 = time.monotonic()
-    results = _map_cases(_natural_gradient_case, [(i, seed) for i in range(size)], threads)
+    results = [_natural_gradient_case((i, seed)) for i in range(size)]
     return SuiteReport("natural-gradient", grid, seed, results, time.monotonic() - t0)
 
 
@@ -573,7 +565,7 @@ def suite_natural_gradient(grid="small", seed=1, threads=None) -> SuiteReport:
 # finite population and determinism
 
 
-def suite_finite_population(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_finite_population(grid="small", seed=1) -> SuiteReport:
     t0 = time.monotonic()
     config = AlgorithmConfig(
         algorithm="pbil",
@@ -599,7 +591,7 @@ def suite_finite_population(grid="small", seed=1, threads=None) -> SuiteReport:
     return SuiteReport("finite-population", grid, seed, [case], time.monotonic() - t0)
 
 
-def suite_determinism(grid="small", seed=1, threads=None) -> SuiteReport:
+def suite_determinism(grid="small", seed=1) -> SuiteReport:
     t0 = time.monotonic()
     results = []
     configs = {
@@ -641,11 +633,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, grid: str = "small", seed: int = 1, threads=None) -> SuiteReport:
+def run_suite(name: str, grid: str = "small", seed: int = 1) -> SuiteReport:
     if name not in SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
     if grid not in _GRID_SIZES:
         raise InvalidInputError(f"unknown grid {grid!r}; known: small, large")
-    return SUITES[name](grid=grid, seed=seed, threads=threads)
+    return SUITES[name](grid=grid, seed=seed)

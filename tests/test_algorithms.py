@@ -4,18 +4,33 @@ import pytest
 from igokit import (
     AlgorithmConfig,
     Bernoulli,
+    DomainExitError,
     Gaussian,
     InvalidInputError,
     Objective,
     TruncationScheme,
     blockwise_igo_ml_step,
+    igo_ml_step,
     igo_step,
     make_objective,
     run,
+    updates,
 )
-from igokit.algorithms import cma_rank_mu_step, pbil_step, rpp_step
+from igokit.algorithms import _prepare_step
 from igokit.traceio import render_trace, trace_records
 from igokit.updates import GaussianBlockDecomposition
+
+
+def one_step(config, model, eta, objective, rng=None, scheme=None):
+    """Draw one step's population through the run loop's pipeline and apply
+    the configured step size."""
+    return _prepare_step(config, model, eta, scheme, objective, rng)(1.0)
+
+
+def rpp_step(model, eta, objective, dt, rng=None, lam=None, exact=True):
+    config = AlgorithmConfig(algorithm="rpp", dim=model.dim, lam=lam, dt=dt,
+                             rpp_exact=exact)
+    return one_step(config, model, eta, objective, rng)
 
 
 def reward_one_plus_sum(dim):
@@ -29,12 +44,26 @@ def reward_one_plus_sum(dim):
 
 
 class TestDelegation:
+    @pytest.mark.parametrize("algorithm, rule", [
+        ("igo_generic", igo_step), ("ce_ml", igo_ml_step),
+    ])
+    def test_sample_weighted_rules(self, algorithm, rule):
+        model = Bernoulli(6)
+        eta = np.full(6, 0.5)
+        obj = make_objective("onemax", 6)
+        scheme = TruncationScheme(0.25)
+        config = AlgorithmConfig(algorithm=algorithm, dim=6, lam=40, dt=0.3)
+        result = one_step(config, model, eta, obj, np.random.default_rng(3), scheme)
+        replay = rule(model, eta, result.samples, result.weights, 0.3)
+        assert np.array_equal(result.eta, replay)
+
     def test_pbil_step_is_igo_step(self):
         model = Bernoulli(6)
         eta = np.full(6, 0.5)
         obj = make_objective("onemax", 6)
         scheme = TruncationScheme(0.25)
-        result = pbil_step(model, eta, np.random.default_rng(3), obj, 40, scheme, 0.3)
+        config = AlgorithmConfig(algorithm="pbil", dim=6, lam=40, dt=0.3)
+        result = one_step(config, model, eta, obj, np.random.default_rng(3), scheme)
         replay = igo_step(model, eta, result.samples, result.weights, 0.3)
         assert np.array_equal(result.eta, replay)
 
@@ -43,9 +72,10 @@ class TestDelegation:
         eta = model.to_eta(model.from_eta(np.array([0.0, 0.0, 1.0, 0.0, 1.0])))
         obj = make_objective("sphere", 2)
         scheme = TruncationScheme(0.5)
-        result = cma_rank_mu_step(
-            model, eta, np.random.default_rng(4), obj, 30, scheme, 0.4, 0.9
-        )
+        config = AlgorithmConfig(algorithm="cma_rank_mu", objective="sphere", dim=2,
+                                 lam=30, dt_cov=0.4, dt_mean=0.9)
+        result = one_step(config, model, eta, obj, np.random.default_rng(4), scheme)
+        assert result.dt_used == (0.4, 0.9)
         replay = blockwise_igo_ml_step(
             model, eta, result.samples, result.weights,
             GaussianBlockDecomposition(), (0.4, 0.9),
@@ -137,6 +167,19 @@ class TestRunLoop:
         tr = run(cfg)
         assert len(tr.steps) == 10
         assert tr.halvings >= 10  # every step needs at least one halving
+
+    def test_safeguard_exhaustion_stops_the_run(self, monkeypatch):
+        def always_exits(*args):
+            raise DomainExitError("always outside")
+
+        monkeypatch.setattr(updates, "igo_step", always_exits)
+        cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=3, lam=4,
+                              q=0.5, dt=0.5, max_steps=5, seed=0,
+                              domain_exit="safeguard")
+        tr = run(cfg)
+        assert tr.stop_reason == "domain_exit"
+        assert tr.steps == []
+        assert tr.halvings == 30
 
     def test_pbil_reaches_optimum_on_committed_seeds(self):
         hits = 0

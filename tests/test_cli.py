@@ -173,6 +173,14 @@ class TestConfigFile:
         cfg.write_text("algo pbil\n")
         assert run_cli(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["dim=abc", "dt=fast", "seed=1.5"])
+    def test_malformed_value_is_a_configuration_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        key = line.partition("=")[0]
+        assert f"configuration error: {key}:" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
@@ -192,11 +200,6 @@ class TestVerifyCommand:
         capsys.readouterr()
         report = json.loads(out.read_text())
         assert report["passed"] is True
-
-    def test_thread_env_respected(self, monkeypatch, capsys):
-        monkeypatch.setenv("IGO_KIT_THREADS", "1")
-        assert run_cli(["verify", "natural-gradient"]) == 0
-        capsys.readouterr()
 
     def test_equivalence_suite_reports_discrepancies(self, capsys):
         assert run_cli(["verify", "equivalence", "--seed", "1"]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igokit import (
     AlgorithmConfig,
@@ -23,6 +25,7 @@ from igokit import (
     finite_population_improvement,
     make_objective,
     progress_bound,
+    updates,
 )
 
 
@@ -42,6 +45,23 @@ class TestEmpiricalQuantile:
             empirical_quantile([], 0.5)
         with pytest.raises(InvalidInputError):
             empirical_quantile([1.0], 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+        st.floats(0.01, 0.99),
+    )
+    def test_sup_form_from_integer_counts(self, values, q):
+        f = np.array(values, dtype=np.float64)
+        n = f.size
+        m = empirical_quantile(f, q)
+
+        def qualifies(v):
+            return np.sum(f <= v) / n >= q and np.sum(f >= v) / n >= 1.0 - q
+
+        assert m in f
+        assert qualifies(m)
+        assert not any(qualifies(v) for v in f[f > m])
 
     def test_agrees_with_exact_on_large_samples(self):
         # integer-valued fitness: exact agreement is the bar; 100 seeds
@@ -172,6 +192,16 @@ class TestFinitePopulationImprovement:
                               q=0.25, dt=0.5, max_steps=10, seed=21)
         stats = finite_population_improvement(cfg, n_steps=10, n_seeds=3)
         assert stats.improvement_rate >= 0.9
+
+    def test_only_domain_exits_end_a_seed(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("not a domain exit")
+
+        monkeypatch.setattr(updates, "igo_step", broken)
+        cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4, lam=10,
+                              q=0.5, dt=0.2, max_steps=2, seed=7)
+        with pytest.raises(RuntimeError, match="not a domain exit"):
+            finite_population_improvement(cfg, n_steps=2, n_seeds=1)
 
     def test_gaussian_surrogate_quantile(self):
         # continuous models fall back to a large holdout sample; statistical

@@ -21,8 +21,8 @@ from igokit import (
     malago_step,
     safeguarded_step,
     sample_weights,
-    smoothed_ce_step,
 )
+from igokit.verify import _smoothed_ce_reference
 
 
 def bern(d):
@@ -105,32 +105,39 @@ class TestIgoMlStep:
 
 
 class TestSmoothedCeStep:
+    """In expectation parameters the smoothed CE/ML step is ``igo_ml_step``:
+    the weighted-ML point is the weighted mean of the statistics, blended."""
+
     def test_coincides_with_weighted_ml_blend(self):
         samples = np.array([[0.0], [1.0]])
         w = sample_weights([0.0, 1.0], TruncationScheme(0.5))
-        eta = smoothed_ce_step(bern(1), [0.5], samples, w, 0.5)
-        assert np.allclose(eta, [0.25], atol=1e-15)
+        eta = igo_ml_step(bern(1), [0.5], samples, w, 0.5)
+        assert np.array_equal(
+            eta, _smoothed_ce_reference(bern(1), np.array([0.5]), samples, w.w, 0.5)
+        )
 
     def test_single_gaussian_sample_is_degenerate(self):
         model = Gaussian(1)
         with pytest.raises(DegenerateDistributionError):
-            smoothed_ce_step(model, [0.0, 1.0], np.array([[2.0]]), [1.0], 1.0)
+            igo_ml_step(model, [0.0, 1.0], np.array([[2.0]]), [1.0], 1.0)
 
     def test_boundary_ml_point_still_blends(self):
         # both winners share the coordinate: the weighted-ML point sits on
         # the closure boundary, yet the dt < 1 blend is a valid state
         samples = np.array([[1.0], [1.0], [0.0]])
         w = sample_weights([0.0, 0.0, 5.0], TruncationScheme(0.5))
-        eta = smoothed_ce_step(bern(1), [0.5], samples, w, 0.25)
+        eta = igo_ml_step(bern(1), [0.5], samples, w, 0.25)
         assert eta[0] == pytest.approx(0.625, abs=1e-15)
-        assert np.array_equal(eta, igo_ml_step(bern(1), [0.5], samples, w, 0.25))
         with pytest.raises(DomainExitError):
-            smoothed_ce_step(bern(1), [0.5], samples, w, 1.0)
+            igo_ml_step(bern(1), [0.5], samples, w, 1.0)
 
     def test_dt_zero(self):
-        samples = np.array([[0.0], [1.0]])
+        # a rank-deficient Gaussian ML point (one winner) is inert at dt = 0
+        model = Gaussian(2)
+        eta = model.to_eta(GaussianParams(np.zeros(2), np.eye(2)))
+        samples = np.array([[1.0, 2.0], [3.0, -1.0]])
         w = sample_weights([0.0, 1.0], TruncationScheme(0.5))
-        assert np.array_equal(smoothed_ce_step(bern(1), [0.5], samples, w, 0.0), [0.5])
+        assert np.array_equal(igo_ml_step(model, eta, samples, w, 0.0), eta)
 
 
 class TestThreeWayEquivalence:
@@ -158,9 +165,9 @@ class TestThreeWayEquivalence:
                 try:
                     a1 = igo_step(model, eta, samples, w, dt)
                     a2 = igo_ml_step(model, eta, samples, w, dt)
-                    a3 = smoothed_ce_step(model, eta, samples, w, dt)
                 except DomainExitError:
                     continue
+                a3 = _smoothed_ce_reference(model, eta, samples, w.w, dt)
                 spread = max(
                     np.max(np.abs(a1 - a2)),
                     np.max(np.abs(a1 - a3)),

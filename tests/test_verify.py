@@ -3,7 +3,7 @@ import json
 import pytest
 
 from igokit import InvalidInputError
-from igokit.verify import SUITES, run_suite
+from igokit.verify import SUITES, _cma_case, run_suite
 
 
 def test_unknown_suite_and_grid():
@@ -13,13 +13,14 @@ def test_unknown_suite_and_grid():
         run_suite("cma-recovery", grid="huge")
 
 
-def test_results_do_not_depend_on_thread_count():
-    # per-case streams derive from the case index, not the schedule
-    serial = run_suite("cma-recovery", seed=3, threads=1).to_dict()
-    threaded = run_suite("cma-recovery", seed=3, threads=8).to_dict()
-    serial.pop("elapsed_s")
-    threaded.pop("elapsed_s")
-    assert serial == threaded
+def test_cases_depend_only_on_their_index_and_seed():
+    report = run_suite("cma-recovery", seed=3)
+    assert _cma_case((7, 3)) == report.cases[7]
+    again = run_suite("cma-recovery", seed=3).to_dict()
+    first = report.to_dict()
+    first.pop("elapsed_s")
+    again.pop("elapsed_s")
+    assert first == again
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
