@@ -45,14 +45,12 @@ from .oracle import (
     exact_blockwise_coordinate_step,
     exact_expected_fitness,
     exact_infinite_population_step,
-    exact_preference,
     exact_quantile,
 )
 from .selection import (
     SampleWeights,
     TabulatedScheme,
     TruncationScheme,
-    bar_weights,
     preference_exact,
     rank_bounds,
     sample_weights,

@@ -24,7 +24,7 @@ from .oracle import (
     exact_J,
     exact_quantile,
 )
-from .selection import preference_exact
+from .selection import _tie_average, preference_exact
 
 __all__ = [
     "PreferenceEstimate",
@@ -100,14 +100,7 @@ def estimate_J(model, eta_eval, eta_base, f, scheme, rng, n: int) -> PreferenceE
         f_draws = batch(draws)
         u_minus = np.searchsorted(base_f, f_draws, side="left") / n
         u_plus = np.searchsorted(base_f, f_draws, side="right") / n
-        w_draws = np.empty(n)
-        for i in range(n):
-            if u_minus[i] == u_plus[i]:
-                w_draws[i] = scheme.weight(u_plus[i])
-            else:
-                w_draws[i] = scheme.integral(u_minus[i], u_plus[i]) / (
-                    u_plus[i] - u_minus[i]
-                )
+        w_draws = _tie_average(scheme, u_minus, u_plus, u_plus - u_minus)
     value = float(np.mean(w_draws))
     stderr = float(np.std(w_draws, ddof=1) / np.sqrt(n))
     return PreferenceEstimate(value=value, stderr=stderr, n=n)

@@ -4,7 +4,9 @@ For product Bernoulli models with ``d <= 16`` the full support of ``2^d``
 points is enumerated in a fixed lexicographic order, which makes every
 expectation here an exact finite sum and every run bit-reproducible. These
 functions are the ground truth against which the monotone-improvement
-properties of the update rules are checked.
+properties of the update rules are checked. The exact steps are the shipped
+rules of :mod:`igokit.updates` run on the whole support with weights
+``P(x) W(x)``, so a check of an exact step is a check of the rule itself.
 
 All functions are pure and deterministic; parallel evaluation across
 configurations is safe as long as each task keeps its own arrays.
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import updates
 from .errors import CapacityError, InvalidInputError
 from .models import Bernoulli, BernoulliParams
 from .selection import preference_exact
@@ -27,7 +30,6 @@ __all__ = [
     "QuantileReport",
     "bernoulli_support",
     "enumerate_bernoulli",
-    "exact_preference",
     "exact_quantile",
     "exact_infinite_population_step",
     "exact_blockwise_coordinate_step",
@@ -103,20 +105,21 @@ def bernoulli_support(dim: int) -> np.ndarray:
     return pts
 
 
-def _support_probs(probs: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Exact product probabilities of every support point."""
-    return np.prod(np.where(support == 1.0, probs, 1.0 - probs), axis=1)
+def _state_probs(eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a Bernoulli state; return it, the support and the exact
+    product probability of every support point."""
+    eta = np.asarray(eta, dtype=np.float64)
+    if eta.ndim != 1 or eta.size < 1:
+        raise InvalidInputError("eta must be a non-empty 1-d sequence")
+    Bernoulli(eta.size).from_eta(eta)
+    support = bernoulli_support(eta.size)
+    return eta, support, np.prod(np.where(support == 1.0, eta, 1.0 - eta), axis=1)
 
 
 def enumerate_bernoulli(params: BernoulliParams) -> FiniteDist:
     """The full distribution of a product Bernoulli model, exactly."""
-    support = bernoulli_support(params.dim)
-    return FiniteDist(support, _support_probs(params.probs, support))
-
-
-def exact_preference(dist: FiniteDist, fitness, scheme) -> np.ndarray:
-    """Weighted preference of every support point of ``dist``."""
-    return preference_exact(dist.prob, fitness, scheme)
+    _, support, prob = _state_probs(params.probs)
+    return FiniteDist(support, prob)
 
 
 def _sup_quantile_index(lower: np.ndarray, upper: np.ndarray, q: float) -> int:
@@ -156,59 +159,45 @@ def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     )
 
 
-def _checked_bernoulli(eta: np.ndarray) -> tuple[Bernoulli, np.ndarray]:
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.ndim != 1 or eta.size < 1:
-        raise InvalidInputError("eta must be a non-empty 1-d sequence")
-    model = Bernoulli(eta.size)
-    model.from_eta(eta)
-    return model, eta
-
-
 def exact_infinite_population_step(eta, fitness, scheme, dt: float) -> np.ndarray:
     """One exact natural-gradient step in expectation parameters.
 
     Computes ``eta + dt * E[W(x) (T(x) - eta)]`` with the expectation taken
-    exactly over the enumerated support; ``fitness`` holds the objective value
-    of every support point in the fixed lexicographic order. Raises
-    ``DomainExitError`` if the result leaves the open parameter region.
+    exactly over the enumerated support, by running
+    :func:`~igokit.updates.igo_step` on the support with weights
+    ``P(x) W(x)``; ``fitness`` holds the objective value of every support
+    point in the fixed lexicographic order. Raises ``DomainExitError`` if the
+    result leaves the open parameter region.
     """
-    model, eta = _checked_bernoulli(eta)
-    support = bernoulli_support(model.dim)
-    prob = _support_probs(eta, support)
+    eta, support, prob = _state_probs(eta)
     w = preference_exact(prob, fitness, scheme)
-    step = (prob * w) @ (support - eta)
-    eta_next = eta + dt * step
-    model.from_eta(eta_next)
-    return eta_next
+    return updates.igo_step(Bernoulli(eta.size), eta, support, prob * w, dt)
 
 
 def exact_blockwise_coordinate_step(eta, fitness, scheme, dt_per_block, order=None) -> np.ndarray:
     """Exact coordinate-blocked sequential weighted-ML step.
 
-    Each coordinate is one block, updated in ``order`` (defaults to natural
-    order) toward the preference-weighted mean ``E[W(x) x]`` computed once
-    under the starting parameters, with its own step size. The same preference
-    weights serve every block. Validity is checked after every block.
+    Runs :func:`~igokit.updates.blockwise_igo_ml_step` on the enumerated
+    support with weights ``P(x) W(x)``: each coordinate is one block, updated
+    in ``order`` (defaults to natural order) toward the preference-weighted
+    mean ``E[W(x) x]`` computed once under the starting parameters. Step sizes
+    are indexed by coordinate: ``dt_per_block[j]`` is the rate of coordinate
+    ``j`` wherever ``j`` falls in ``order``. Validity is checked after every
+    block.
     """
-    model, eta = _checked_bernoulli(eta)
+    eta, support, prob = _state_probs(eta)
+    dim = eta.size
     dts = np.asarray(dt_per_block, dtype=np.float64)
-    if order is None:
-        order = np.arange(model.dim)
-    order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(model.dim)):
+    order = np.arange(dim) if order is None else np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(dim)):
         raise InvalidInputError("order must be a permutation of the coordinates")
-    if dts.shape != (model.dim,):
+    if dts.shape != (dim,):
         raise InvalidInputError("dt_per_block must give one step size per block")
-    support = bernoulli_support(model.dim)
-    prob = _support_probs(eta, support)
     w = preference_exact(prob, fitness, scheme)
-    weighted_mean = (prob * w) @ support
-    theta = eta.copy()
-    for j in order:
-        theta[j] = (1.0 - dts[j]) * theta[j] + dts[j] * weighted_mean[j]
-        model.from_eta(theta)
-    return theta
+    decomposition = updates.BernoulliBlockDecomposition(dim, tuple(order.tolist()))
+    return updates.blockwise_igo_ml_step(
+        Bernoulli(dim), eta, support, prob * w, decomposition, dts[order]
+    )
 
 
 def exact_J(eta_eval, eta_base, fitness, scheme) -> float:
@@ -217,26 +206,20 @@ def exact_J(eta_eval, eta_base, fitness, scheme) -> float:
     The preference is computed under ``eta_base``; the average is taken under
     ``eta_eval``. Equals 1 when the two coincide.
     """
-    model, eta_base = _checked_bernoulli(eta_base)
-    _, eta_eval = _checked_bernoulli(eta_eval)
-    if eta_eval.size != eta_base.size:
+    eta_base, _, prob_base = _state_probs(eta_base)
+    if np.shape(eta_eval) != eta_base.shape:
         raise InvalidInputError("states must share the same dimension")
-    support = bernoulli_support(model.dim)
-    prob_base = _support_probs(eta_base, support)
-    w = preference_exact(prob_base, fitness, scheme)
-    prob_eval = _support_probs(eta_eval, support)
-    return float(prob_eval @ w)
+    _, _, prob_eval = _state_probs(eta_eval)
+    return float(prob_eval @ preference_exact(prob_base, fitness, scheme))
 
 
 def exact_H(eta_eval, eta_base, fitness, scheme) -> float:
     """Preference-weighted cross-entropy term: the exact sum of
     ``P_base(x) W(x) ln p_eval(x)`` over the support."""
-    model, eta_base = _checked_bernoulli(eta_base)
-    _, eta_eval = _checked_bernoulli(eta_eval)
-    if eta_eval.size != eta_base.size:
+    eta_base, support, prob_base = _state_probs(eta_base)
+    if np.shape(eta_eval) != eta_base.shape:
         raise InvalidInputError("states must share the same dimension")
-    support = bernoulli_support(model.dim)
-    prob_base = _support_probs(eta_base, support)
+    eta_eval, _, _ = _state_probs(eta_eval)
     w = preference_exact(prob_base, fitness, scheme)
     log_eval = support @ np.log(eta_eval) + (1.0 - support) @ np.log1p(-eta_eval)
     return float((prob_base * w) @ log_eval)
@@ -244,9 +227,8 @@ def exact_H(eta_eval, eta_base, fitness, scheme) -> float:
 
 def exact_expected_fitness(eta, values) -> float:
     """Exact expectation of per-point values under the enumerated model."""
-    model, eta = _checked_bernoulli(eta)
+    _, support, prob = _state_probs(eta)
     values = np.asarray(values, dtype=np.float64)
-    support = bernoulli_support(model.dim)
     if values.shape != (support.shape[0],):
         raise InvalidInputError("values must have one entry per support point")
-    return float(_support_probs(eta, support) @ values)
+    return float(prob @ values)

@@ -4,10 +4,17 @@ and the exact weighted preference for finite distributions.
 A selection scheme is a non-increasing weight function ``w`` on [0, 1] that
 integrates to 1. The truncation scheme ``w(u) = 1[u <= q]/q`` puts uniform
 weight on the best fraction ``q``; arbitrary non-increasing weights enter
-through :class:`TabulatedScheme`. Per-rank weights are integrals of ``w`` over
-the rank cells ``((i-1)/lam, i/lam]`` and are computed analytically (interval
+through :class:`TabulatedScheme`. A scheme's ``weight`` and ``integral`` act
+elementwise on arrays. Per-rank weights are integrals of ``w`` over the rank
+cells ``((i-1)/lam, i/lam]`` and are computed analytically (interval
 overlap), never by numeric quadrature: downstream improvement checks run at
 1e-10 tolerances.
+
+The preference of a fitness level spanning quantiles ``(q-, q+]`` is the
+average of ``w`` over it, ``integral(q-, q+) / (q+ - q-)``, or ``w(q+)`` when
+the level has no mass. That formula is written once, in ``_tie_average``, and
+serves :func:`preference_exact` and the Monte Carlo estimate in
+:func:`igokit.diagnostics.estimate_J`.
 
 Ties compare by exact floating equality, matching the rank definitions; values
 that differ in the last bit are distinct. All functions here are pure over
@@ -26,15 +33,25 @@ __all__ = [
     "TruncationScheme",
     "TabulatedScheme",
     "SampleWeights",
-    "bar_weights",
     "rank_bounds",
     "sample_weights",
     "preference_exact",
 ]
 
 
+class _Scheme:
+    """Per-rank weights shared by the schemes; subclasses give ``integral``."""
+
+    def bar_weights(self, lam: int) -> np.ndarray:
+        """Per-rank weights: the integral of w over each rank cell."""
+        if lam < 1:
+            raise InvalidInputError("lam must be >= 1")
+        edges = np.arange(lam + 1) / lam
+        return self.integral(edges[:-1], edges[1:])
+
+
 @dataclass(frozen=True)
-class TruncationScheme:
+class TruncationScheme(_Scheme):
     """Truncation selection: uniform weight ``1/q`` on quantiles ``u <= q``.
 
     ``q`` must be strictly interior, ``0 < q < 1``.
@@ -48,27 +65,20 @@ class TruncationScheme:
             raise InvalidInputError(f"q must satisfy 0 < q < 1, got {self.q!r}")
         object.__setattr__(self, "q", q)
 
-    def weight(self, u: float) -> float:
-        """Point value w(u)."""
-        return (1.0 / self.q) if u <= self.q else 0.0
+    def weight(self, u):
+        """Point values w(u), elementwise."""
+        return np.where(np.asarray(u) <= self.q, 1.0 / self.q, 0.0)
 
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral of w over [a, b], 0 <= a <= b <= 1."""
-        if b < a:
+    def integral(self, a, b):
+        """Exact integrals of w over [a, b], elementwise, 0 <= a <= b <= 1."""
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if np.any(b < a):
             raise InvalidInputError("integral bounds must satisfy a <= b")
-        return (min(b, self.q) - min(a, self.q)) / self.q
-
-    def bar_weights(self, lam: int) -> np.ndarray:
-        """Per-rank weights: the overlap of each rank cell with [0, q], over q."""
-        if lam < 1:
-            raise InvalidInputError("lam must be >= 1")
-        upper = np.arange(1, lam + 1) / lam
-        lower = np.arange(0, lam) / lam
-        return (np.minimum(upper, self.q) - np.minimum(lower, self.q)) / self.q
+        return (np.minimum(b, self.q) - np.minimum(a, self.q)) / self.q
 
 
 @dataclass(frozen=True)
-class TabulatedScheme:
+class TabulatedScheme(_Scheme):
     """Selection scheme given directly by its per-cell weights.
 
     ``cells`` holds the integrals of ``w`` over ``n`` equal cells of [0, 1];
@@ -97,39 +107,33 @@ class TabulatedScheme:
             raise InvalidInputError("cells must sum to 1 within 1e-12")
         object.__setattr__(self, "cells", cells)
 
-    def weight(self, u: float) -> float:
+    def weight(self, u):
+        """Point values w(u) of the step function, elementwise; w(0) is the
+        first cell's height."""
         n = len(self.cells)
-        if u <= 0.0:
-            return n * self.cells[0]
-        k = min(int(np.ceil(u * n)) - 1, n - 1)
-        return n * self.cells[k]
+        k = np.clip(np.ceil(np.asarray(u, dtype=np.float64) * n) - 1, 0, n - 1)
+        return n * np.array(self.cells)[k.astype(np.int64)]
 
-    def integral(self, a: float, b: float) -> float:
-        if b < a:
+    def integral(self, a, b):
+        """Exact integrals of w over [a, b], elementwise, 0 <= a <= b <= 1."""
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if np.any(b < a):
             raise InvalidInputError("integral bounds must satisfy a <= b")
-        return self._prefix(b) - self._prefix(a)
-
-    def _prefix(self, t: float) -> float:
         n = len(self.cells)
-        t = min(max(t, 0.0), 1.0)
-        k = min(int(np.floor(t * n)), n - 1)
-        head = float(np.sum(self.cells[:k]))
-        return head + (t - k / n) * n * self.cells[k]
+        cells = np.array(self.cells)
+        head = np.concatenate(([0.0], np.cumsum(cells)))
+
+        def prefix(t):
+            t = np.clip(t, 0.0, 1.0)
+            k = np.minimum(np.floor(t * n), n - 1).astype(np.int64)
+            return head[k] + (t - k / n) * n * cells[k]
+
+        return prefix(b) - prefix(a)
 
     def bar_weights(self, lam: int) -> np.ndarray:
-        if lam < 1:
-            raise InvalidInputError("lam must be >= 1")
         if lam == len(self.cells):
             return np.array(self.cells)
-        edges = np.arange(lam + 1) / lam
-        return np.array(
-            [self.integral(edges[i], edges[i + 1]) for i in range(lam)]
-        )
-
-
-def bar_weights(lam: int, scheme) -> np.ndarray:
-    """Per-rank weights of ``scheme`` for population size ``lam``."""
-    return scheme.bar_weights(lam)
+        return super().bar_weights(lam)
 
 
 def rank_bounds(fitness):
@@ -192,6 +196,15 @@ def sample_weights(fitness, scheme) -> SampleWeights:
     return SampleWeights(w)
 
 
+def _tie_average(scheme, lo, hi, mass) -> np.ndarray:
+    """The preference of a level spanning quantiles ``[lo, hi]``, elementwise.
+
+    ``integral(lo, hi) / mass``, the average of ``w`` over the level, or the
+    point value ``w(hi)`` where the level carries no mass.
+    """
+    return np.divide(scheme.integral(lo, hi), mass, out=scheme.weight(hi), where=mass != 0.0)
+
+
 def preference_exact(prob, fitness, scheme) -> np.ndarray:
     """Exact weighted preference on a finite distribution.
 
@@ -219,11 +232,4 @@ def preference_exact(prob, fitness, scheme) -> np.ndarray:
     values, idx = np.unique(f, return_inverse=True)
     mass = np.bincount(idx, weights=p, minlength=values.size)
     q_plus = np.cumsum(mass)
-    q_minus = q_plus - mass
-    w_of_value = np.empty(values.size)
-    for k in range(values.size):
-        if mass[k] == 0.0:
-            w_of_value[k] = scheme.weight(q_plus[k])
-        else:
-            w_of_value[k] = scheme.integral(q_minus[k], q_plus[k]) / mass[k]
-    return w_of_value[idx]
+    return _tie_average(scheme, q_plus - mass, q_plus, mass)[idx]

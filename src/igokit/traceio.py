@@ -124,46 +124,37 @@ def write_trace(records, path, fmt: str = "csv", eta_dim: Optional[int] = None) 
 
 
 def read_trace(path) -> list:
-    """Parse a trace file (either format) back into records, losslessly."""
-    with open(path) as fh:
-        text = fh.read()
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines:
-        return []
-    if lines[0] == TRACE_HEADER:
-        header = lines[1].split(",")
-        eta_cols = [c for c in header if c.startswith("eta_")]
-        records = []
-        for ln in lines[2:]:
-            parts = ln.split(",")
-            row = dict(zip(header, parts))
-            records.append(
-                TraceRecord(
-                    step=int(row["step"]),
-                    eta=tuple(float(row[c]) for c in eta_cols),
-                    best_f=float(row["best_f"]),
-                    emp_quantile_q=float(row["emp_quantile_q"]),
-                    j_estimate=None if row["j_estimate"] == "" else float(row["j_estimate"]),
-                    kl_prev=float(row["kl_prev"]),
-                    elapsed_ns=int(row["elapsed_ns"]),
-                )
-            )
-        return records
-    records = []
-    for ln in lines:
-        obj = json.loads(ln)
-        records.append(
-            TraceRecord(
-                step=int(obj["step"]),
-                eta=tuple(float(v) for v in obj["eta"]),
-                best_f=float(obj["best_f"]),
-                emp_quantile_q=float(obj["emp_quantile_q"]),
-                j_estimate=None if obj["j_estimate"] is None else float(obj["j_estimate"]),
-                kl_prev=float(obj["kl_prev"]),
-                elapsed_ns=int(obj["elapsed_ns"]),
-            )
-        )
-    return records
+    """Parse a trace file (either format) back into records, losslessly.
+
+    Malformed content (an unparsable value, a missing column or key, text
+    that is neither a trace csv nor JSON lines) raises ``InvalidInputError``.
+    """
+    try:
+        with open(path) as fh:
+            lines = [ln for ln in fh.read().split("\n") if ln != ""]
+        if lines and lines[0] == TRACE_HEADER:
+            header = lines[1].split(",")
+            eta_cols = [c for c in header if c.startswith("eta_")]
+            rows = (dict(zip(header, ln.split(","))) for ln in lines[2:])
+            return [_record(row, [row[c] for c in eta_cols], "") for row in rows]
+        return [_record(obj, obj["eta"], None) for obj in map(json.loads, lines)]
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: malformed trace: {exc!r}") from None
+
+
+def _record(row, eta, missing) -> TraceRecord:
+    """One record from a parsed csv row or JSON object; ``missing`` is how
+    the format writes an absent ``j_estimate``."""
+    j_estimate = row["j_estimate"]
+    return TraceRecord(
+        step=int(row["step"]),
+        eta=tuple(float(v) for v in eta),
+        best_f=float(row["best_f"]),
+        emp_quantile_q=float(row["emp_quantile_q"]),
+        j_estimate=None if j_estimate == missing else float(j_estimate),
+        kl_prev=float(row["kl_prev"]),
+        elapsed_ns=int(row["elapsed_ns"]),
+    )
 
 
 def summary_dict(trace) -> dict:

@@ -11,7 +11,8 @@ All rules move a flat expectation-parameter vector ``eta``:
 * :func:`blockwise_igo_ml_step` - sequential per-block weighted-ML updates
   with per-block step sizes, reusing one sample across all blocks.
 * :func:`fitness_proportional_step` - natural-gradient step under
-  reward-proportional weights, exact (finite distribution) or Monte Carlo.
+  reward-proportional weights, exact (finite distribution) or Monte Carlo;
+  it forms the weights and runs :func:`igo_step`.
 * :func:`malago_step` - expectation-parameter natural-gradient descent on raw
   fitness (minimization).
 
@@ -20,6 +21,10 @@ and the weighted-ML blend coincide coordinate-wise (they differ only in
 floating-point rounding); both validate only the state they return. Domain
 exits raise; they are never projected away. :func:`safeguarded_step` wraps
 any of these with step-size halving for harness use.
+
+The weights need not come from a sample: the exact oracle passes the whole
+enumerated support with weights ``P(x) W(x)``, so the infinite-population
+steps it checks are these same functions.
 
 Weighted sums reduce in fixed index order (numpy pairwise summation over
 axis 0), so results are bit-reproducible for a given sample size.
@@ -168,8 +173,11 @@ def blockwise_igo_ml_step(model, eta, samples, weights, decomposition, dt_per_bl
 
     Blocks are updated in the declared order, each solving the restricted
     weighted-ML problem with the other blocks frozen at their current values
-    and its own step size. For the Gaussian cov/mean decomposition the closed
-    forms are
+    and its own step size. Step sizes follow the update order:
+    ``dt_per_block[k]`` belongs to the k-th block of ``decomposition.order``
+    (so ``(dt_mean, dt_cov)`` for the order ``("mean", "cov")``, and for a
+    Bernoulli order ``(2, 0, 1)`` the first rate moves coordinate 2). For the
+    Gaussian cov/mean decomposition the closed forms are
 
     ``C* = C + dt_C * sum_i w_i ((x_i - m)(x_i - m)^T - C)`` (about the
     current mean), then ``m* = m + dt_m * sum_i w_i (x_i - m)``.
@@ -227,10 +235,9 @@ def fitness_proportional_step(model, eta, source, rewards, dt: float) -> np.ndar
     a :class:`~igokit.oracle.FiniteDist` (expectation taken exactly over its
     support) or an ``(n, d)`` sample array (Monte Carlo, uniform 1/n sample
     weights). ``rewards`` holds the per-point rewards, all non-negative with
-    at least one positive.
+    at least one positive. The step itself is :func:`igo_step` with weights
+    ``P(x) r(x) / E[r]`` on the support, or ``r_i / sum r`` on the sample.
     """
-    dt = _check_dt(dt)
-    eta = np.asarray(eta, dtype=np.float64)
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim != 1 or np.any(r < 0.0) or not np.all(np.isfinite(r)):
         raise InvalidInputError("rewards must be finite and non-negative")
@@ -240,18 +247,14 @@ def fitness_proportional_step(model, eta, source, rewards, dt: float) -> np.ndar
     if isinstance(source, FiniteDist):
         if r.size != source.size:
             raise InvalidInputError("one reward per support point required")
-        stats = model.batch_sufficient_statistics(source.support)
-        mean_r = float(source.prob @ r)
-        coef = source.prob * r / mean_r
+        points = source.support
+        coef = source.prob * r / float(source.prob @ r)
     else:
-        stats = model.batch_sufficient_statistics(source)
-        if r.size != stats.shape[0]:
+        points = source
+        if r.size != len(points):
             raise InvalidInputError("one reward per sample required")
         coef = r / float(r.sum())
-
-    eta_next = eta + dt * np.sum(coef[:, None] * (stats - eta), axis=0)
-    model.from_eta(eta_next)
-    return eta_next
+    return igo_step(model, eta, points, coef, dt)
 
 
 def malago_step(model, eta, samples, fitness, dt: float, normalized: bool = True) -> np.ndarray:

@@ -55,7 +55,6 @@ from .oracle import (
     bernoulli_support,
     enumerate_bernoulli,
     exact_blockwise_coordinate_step,
-    exact_expected_fitness,
     exact_infinite_population_step,
     exact_quantile,
 )
@@ -309,20 +308,21 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
             full_step_err = 0.0  # the closed form itself sat on the boundary
 
     eta = theta0.copy()
-    expected = exact_expected_fitness(eta, rewards)
+    dist = dist0
+    expected = float(dist.prob @ rewards)
     executed = 0
     stopped_early = False
     worst_drop = 0.0
     unexplained_equal = 0
     for _ in range(100):
-        dist = enumerate_bernoulli(model.from_eta(eta))
         try:
             eta_next = updates.fitness_proportional_step(model, eta, dist, rewards, dt)
         except DomainExitError:
             stopped_early = True
             break
         executed += 1
-        expected_next = exact_expected_fitness(eta_next, rewards)
+        dist = enumerate_bernoulli(model.from_eta(eta_next))
+        expected_next = float(dist.prob @ rewards)
         worst_drop = max(worst_drop, expected - expected_next)
         move = float(np.max(np.abs(eta_next - eta)))
         if abs(expected_next - expected) <= 1e-12 and move > REWARD_GUARD:

@@ -5,6 +5,7 @@ import pytest
 
 from igokit import (
     Bernoulli,
+    BernoulliBlockDecomposition,
     BernoulliParams,
     CapacityError,
     FiniteDist,
@@ -12,6 +13,7 @@ from igokit import (
     TabulatedScheme,
     TruncationScheme,
     bernoulli_support,
+    blockwise_igo_ml_step,
     enumerate_bernoulli,
     exact_H,
     exact_J,
@@ -20,6 +22,7 @@ from igokit import (
     exact_infinite_population_step,
     exact_quantile,
     make_objective,
+    preference_exact,
 )
 
 UNIFORM = TabulatedScheme((1.0,))
@@ -153,6 +156,42 @@ class TestExactStep:
             eta, f, TruncationScheme(0.5), [0.5, 0.5], order=[1, 0]
         )
         assert np.allclose(a, b, atol=1e-15)  # blocks are independent here
+
+    def test_blockwise_rates_are_indexed_by_coordinate(self):
+        # dt_per_block[j] is coordinate j's rate wherever j falls in the order,
+        # while blockwise_igo_ml_step pairs its k-th rate with the k-th block
+        # of the order; unequal rates tell the two conventions apart
+        d = 3
+        eta = np.array([0.3, 0.5, 0.7])
+        f = make_objective("random-table", d, seed=2).batch(bernoulli_support(d))
+        scheme = TruncationScheme(0.3)
+        dts = np.array([0.2, 0.6, 0.9])
+        order = [2, 0, 1]
+        got = exact_blockwise_coordinate_step(eta, f, scheme, dts, order=order)
+        assert np.array_equal(got, exact_blockwise_coordinate_step(eta, f, scheme, dts))
+        dist = enumerate_bernoulli(BernoulliParams(eta))
+        mean = (dist.prob * preference_exact(dist.prob, f, scheme)) @ dist.support
+        assert np.max(np.abs(got - ((1.0 - dts) * eta + dts * mean))) <= 1e-15
+        shipped = blockwise_igo_ml_step(
+            Bernoulli(d), eta, dist.support, dist.prob * preference_exact(dist.prob, f, scheme),
+            BernoulliBlockDecomposition(d, tuple(order)), dts[order],
+        )
+        assert np.array_equal(got, shipped)
+
+    def test_blockwise_validation(self):
+        eta = np.array([0.4, 0.6])
+        f = sum_fitness(2)
+        scheme = TruncationScheme(0.5)
+        with pytest.raises(InvalidInputError, match="permutation"):
+            exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5], order=[0, 0])
+        with pytest.raises(InvalidInputError, match="one step size per block"):
+            exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5, 0.5])
+        with pytest.raises(InvalidInputError, match="dt"):
+            exact_blockwise_coordinate_step(eta, f, scheme, [0.5, -0.1])
+
+    def test_negative_dt_rejected(self):
+        with pytest.raises(InvalidInputError, match="dt"):
+            exact_infinite_population_step([0.5, 0.5], sum_fitness(2), UNIFORM, -0.5)
 
 
 class TestExactFunctionals:

@@ -12,7 +12,6 @@ from igokit import (
     SampleWeights,
     TabulatedScheme,
     TruncationScheme,
-    bar_weights,
     enumerate_bernoulli,
     exact_quantile,
     make_objective,
@@ -26,6 +25,27 @@ UNIFORM = TabulatedScheme((1.0,))
 fitness_arrays = st.lists(
     st.integers(min_value=-10, max_value=10), min_size=1, max_size=12
 ).map(lambda xs: np.array(xs, dtype=float))
+
+
+# non-increasing tables of up to 12 cells, some of them zero
+tabulated_schemes = st.lists(st.integers(0, 20), min_size=1, max_size=12).filter(any).map(
+    lambda raw: TabulatedScheme(tuple(np.sort(raw)[::-1] / sum(raw)))
+)
+schemes = st.one_of(st.floats(0.01, 0.99).map(TruncationScheme), tabulated_schemes)
+
+
+@st.composite
+def dyadic_tables(draw):
+    """Probabilities in multiples of 1/64 (some zero) with tied fitness values.
+
+    Every partial sum of such masses is exact, so a level's quantile range is
+    the same however the masses are summed.
+    """
+    n = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, 64), min_size=n - 1, max_size=n - 1)))
+    prob = np.diff([0, *cuts, 64]) / 64.0
+    fitness = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return prob, np.array(fitness, dtype=float)
 
 
 class TestSchemes:
@@ -48,6 +68,26 @@ class TestSchemes:
         assert s.integral(0.0, 0.15) == pytest.approx(0.5, abs=1e-15)
         assert s.integral(0.3, 0.9) == 0.0
 
+    @given(tabulated_schemes)
+    @settings(max_examples=200, deadline=None)
+    def test_tabulated_weight_at_the_ends(self, scheme):
+        n = len(scheme.cells)
+        assert scheme.weight(0.0) == n * scheme.cells[0]
+        assert scheme.weight(1.0) == n * scheme.cells[-1]
+        assert np.array_equal(
+            scheme.weight(np.array([0.0, 1.0])), [n * scheme.cells[0], n * scheme.cells[-1]]
+        )
+
+    @given(schemes, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_array_values_match_pointwise(self, scheme, us):
+        u = np.sort(np.array(us))
+        assert np.array_equal(scheme.weight(u), [scheme.weight(x) for x in u])
+        lo, hi = u[: u.size // 2], u[u.size - u.size // 2 :]
+        assert np.array_equal(
+            scheme.integral(lo, hi), [scheme.integral(a, b) for a, b in zip(lo, hi)]
+        )
+
     def test_tabulated_resampling(self):
         s = TabulatedScheme((0.6, 0.4))
         assert np.allclose(s.bar_weights(4), [0.3, 0.3, 0.2, 0.2], atol=1e-15)
@@ -57,22 +97,22 @@ class TestSchemes:
 class TestBarWeights:
     def test_lambda4_q_half(self):
         assert np.array_equal(
-            bar_weights(4, TruncationScheme(0.5)), [0.5, 0.5, 0.0, 0.0]
+            TruncationScheme(0.5).bar_weights(4), [0.5, 0.5, 0.0, 0.0]
         )
 
     def test_lambda3_q_half(self):
         # interval (1/3, 1/2] contributes (1/2 - 1/3) / (1/2) = 1/3
         expected = [Fraction(2, 3), Fraction(1, 3), Fraction(0)]
-        got = bar_weights(3, TruncationScheme(0.5))
+        got = TruncationScheme(0.5).bar_weights(3)
         assert np.allclose(got, [float(e) for e in expected], atol=1e-15)
 
     def test_uniform_scheme(self):
-        assert np.array_equal(bar_weights(2, UNIFORM), [0.5, 0.5])
+        assert np.array_equal(UNIFORM.bar_weights(2), [0.5, 0.5])
 
     @given(lam=st.integers(1, 40), q=st.floats(0.01, 0.99))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, lam, q):
-        bw = bar_weights(lam, TruncationScheme(q))
+        bw = TruncationScheme(q).bar_weights(lam)
         assert np.all(bw >= 0.0)
         assert abs(bw.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(bw) <= 1e-15)  # non-increasing
@@ -205,6 +245,26 @@ class TestPreferenceExact:
             got = preference_exact(p, f, scheme)
             assert np.allclose(got, brute_force_preference(p, f, scheme), atol=1e-12)
             assert np.dot(p, got) == pytest.approx(1.0, abs=1e-10)
+
+    @given(dyadic_tables(), schemes)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_on_drawn_tables(self, table, scheme):
+        prob, f = table
+        got = preference_exact(prob, f, scheme)
+        assert np.allclose(got, brute_force_preference(prob, f, scheme), rtol=0, atol=1e-12)
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(lambda p: sum(p) > 0.01),
+        st.data(),
+        schemes,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_expectation_is_one(self, raw, data, scheme):
+        prob = np.array(raw) / np.sum(raw)
+        f = np.array(data.draw(st.lists(
+            st.integers(-4, 4), min_size=prob.size, max_size=prob.size
+        )), dtype=float)
+        assert abs(prob @ preference_exact(prob, f, scheme) - 1.0) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -285,6 +285,16 @@ class TestBlockwise:
         assert out[0] == pytest.approx(0.75, abs=1e-15)
         assert out[1] == pytest.approx(0.05, abs=1e-15)
 
+    def test_bernoulli_rates_follow_the_order(self):
+        # the k-th rate belongs to the k-th block of the order: here the first
+        # rate moves coordinate 2, the second coordinate 0, the third coordinate 1
+        samples = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        out = blockwise_igo_ml_step(
+            bern(3), [0.5, 0.5, 0.5], samples, [1.0, 0.0],
+            BernoulliBlockDecomposition(3, order=(2, 0, 1)), (0.1, 0.2, 0.4),
+        )
+        assert np.allclose(out, [0.6, 0.7, 0.55], rtol=0, atol=1e-15)
+
     def test_bernoulli_block_boundary_exit(self):
         model = bern(2)
         samples = np.array([[1.0, 0.0], [0.0, 1.0]])
