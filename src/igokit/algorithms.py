@@ -21,7 +21,13 @@ as ``default_rng([seed, 1])``, so optional diagnostics never perturb the
 trajectory. Stop conditions (step budget, target fitness, domain-exit policy)
 are harness plumbing; none of the recovered algorithms defines its own.
 When the safeguard policy halves a step size, the already-drawn sample is
-reused: only the move shrinks, never the population.
+reused: only the move shrinks, never the population. A run records why it
+stopped: ``max_steps``, ``target``, ``domain_exit``, or ``zero_reward`` when
+a sampled rpp step draws no positive reward and so has no update.
+
+An exact rpp run enumerates the support once per step: the distribution
+that logs the new state's exact summaries is the next step's source, and the
+reward table on the support is evaluated once per run.
 """
 
 from __future__ import annotations
@@ -225,17 +231,32 @@ class Trace:
         return max(values) if direction == "max" else min(values)
 
 
-def _prepare_step(config, model, eta, scheme, objective, rng) -> Callable[[float], StepResult]:
-    """Draw the step's population once; return an applier over a dt scale."""
+class _ZeroRewardSample(InvalidInputError):
+    """A sampled reward step drew no positive reward, so it has no weights."""
+
+
+def _prepare_step(
+    config, model, eta, scheme, objective, rng, exact=None
+) -> Callable[[float], StepResult]:
+    """Draw the step's population once; return an applier over a dt scale.
+
+    ``exact`` is the ``(FiniteDist, rewards)`` pair of ``eta`` for an exact
+    rpp step when the caller carries it from the previous step; without it
+    the support is enumerated and the rewards evaluated here.
+    """
     algo = config.algorithm
     if algo == "rpp":
         if config.rpp_exact:
             samples = None
-            source = enumerate_bernoulli(model.from_eta(eta))
-            rewards = objective.batch(source.support)
+            if exact is None:
+                source = enumerate_bernoulli(model.from_eta(eta))
+                exact = (source, objective.batch(source.support))
+            source, rewards = exact
         else:
             samples = source = model.sample(model.from_eta(eta), rng, config.lam)
             rewards = objective.batch(samples)
+            if not np.any(rewards > 0.0):
+                raise _ZeroRewardSample("rewards must not be all zero")
 
         def apply(scale: float) -> StepResult:
             dt = config.dt * scale
@@ -274,11 +295,15 @@ def _prepare_step(config, model, eta, scheme, objective, rng) -> Callable[[float
 
 
 def _reward_trace_fields(model, eta, rewards_on_support, q):
-    """Exact-reward runs carry no sample: log exact summaries instead."""
+    """Exact-reward runs carry no sample: log exact summaries instead.
+
+    Returns the new state's ``(FiniteDist, rewards)`` pair too, so the next
+    step starts from it instead of enumerating the support again.
+    """
     dist = enumerate_bernoulli(model.from_eta(eta))
     expected = float(dist.prob @ rewards_on_support)
     report = exact_quantile(dist, rewards_on_support, q)
-    return expected, report.value
+    return (dist, rewards_on_support), expected, report.value
 
 
 def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace:
@@ -301,11 +326,12 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     q_for_trace = float(config.q) if config.q is not None else 0.5
 
     trace = Trace(config=config)
+    exact = None
     t0 = time.monotonic_ns()
     for step_index in range(config.max_steps):
         prev_eta = eta
         try:
-            applier = _prepare_step(config, model, prev_eta, scheme, objective, rng)
+            applier = _prepare_step(config, model, prev_eta, scheme, objective, rng, exact)
             if config.domain_exit == "safeguard":
                 try:
                     result, scale = updates.safeguarded_step(applier, 1.0, _MAX_HALVINGS)
@@ -318,13 +344,18 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         except DomainExitError:
             trace.stop_reason = "domain_exit"
             break
+        except _ZeroRewardSample:
+            trace.stop_reason = "zero_reward"
+            break
         eta = result.eta
 
         if config.algorithm == "rpp":
             coef = result.fitness / float(np.sum(result.fitness))
             entropy = float(-np.sum(coef[coef > 0.0] * np.log(coef[coef > 0.0])))
             if result.samples is None:
-                best_f, emp_q = _reward_trace_fields(model, eta, result.fitness, q_for_trace)
+                exact, best_f, emp_q = _reward_trace_fields(
+                    model, eta, result.fitness, q_for_trace
+                )
             else:
                 best_f = float(np.max(result.fitness))
                 emp_q = empirical_quantile(result.fitness, q_for_trace)

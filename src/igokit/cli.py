@@ -10,8 +10,9 @@ Configuration precedence: defaults, then ``--config`` file keys, then
 command-line flags. Config files are flat ``key=value`` lines with ``#``
 comments; unknown keys are rejected.
 
-Exit codes: 0 success; 2 configuration error (including unknown suites);
-3 a run halted on a domain exit; 1 a verify suite with failing cases.
+Exit codes: 0 success (a run stopped by ``zero_reward`` included); 2
+configuration error (including unknown suites); 3 a run halted on a domain
+exit, or another igo-kit error; 1 a verify suite with failing cases.
 """
 
 from __future__ import annotations

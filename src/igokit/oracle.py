@@ -8,6 +8,12 @@ properties of the update rules are checked. The exact steps are the shipped
 rules of :mod:`igokit.updates` run on the whole support with weights
 ``P(x) W(x)``, so a check of an exact step is a check of the rule itself.
 
+The support is built once per dimension and shared, read-only, by every
+:class:`FiniteDist` over it. A state's probabilities cost ``O(2^d)``: they
+are a Kronecker product of the per-coordinate factors ``(1 - p_j, p_j)``,
+which multiplies the same factors in the same order as a row-wise product
+over the support and so gives the same bits.
+
 All functions are pure and deterministic; parallel evaluation across
 configurations is safe as long as each task keeps its own arrays.
 """
@@ -42,21 +48,38 @@ __all__ = [
 MAX_ENUM_DIM = 16
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 array with the values of ``a`` that no one else
+    can write through: ``a`` itself when it is already such an array and owns
+    its data (the cached support), else a frozen copy."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and not a.flags.writeable
+    ):
+        return a
+    out = np.array(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDist:
     """An exact finite distribution: support points with probabilities.
 
     Probabilities are non-negative and sum to 1 within 1e-12; the support is
     kept in the order given (enumeration uses the fixed lexicographic order of
-    ``{0,1}^d``).
+    ``{0,1}^d``). Both arrays are read-only; an input that is a read-only
+    float64 array owning its data is kept as is, anything else is copied.
     """
 
     support: np.ndarray
     prob: np.ndarray
 
     def __post_init__(self):
-        support = np.array(self.support, dtype=np.float64)
-        prob = np.array(self.prob, dtype=np.float64)
+        support = _frozen(self.support)
+        prob = _frozen(self.prob)
         if support.ndim != 2 or support.shape[0] < 1:
             raise InvalidInputError("support must be a non-empty (n, d) array")
         if prob.shape != (support.shape[0],):
@@ -65,8 +88,6 @@ class FiniteDist:
             raise InvalidInputError("probabilities must be finite and non-negative")
         if abs(float(prob.sum()) - 1.0) > 1e-12:
             raise InvalidInputError("probabilities must sum to 1 within 1e-12")
-        support.setflags(write=False)
-        prob.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "prob", prob)
 
@@ -107,13 +128,17 @@ def bernoulli_support(dim: int) -> np.ndarray:
 
 def _state_probs(eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate a Bernoulli state; return it, the support and the exact
-    product probability of every support point."""
+    product probability of every support point, built coordinate by
+    coordinate in ``O(2^d)``."""
     eta = np.asarray(eta, dtype=np.float64)
     if eta.ndim != 1 or eta.size < 1:
         raise InvalidInputError("eta must be a non-empty 1-d sequence")
     Bernoulli(eta.size).from_eta(eta)
     support = bernoulli_support(eta.size)
-    return eta, support, np.prod(np.where(support == 1.0, eta, 1.0 - eta), axis=1)
+    prob = np.ones(1)
+    for e in eta:
+        prob = np.multiply.outer(prob, (1.0 - e, e)).ravel()
+    return eta, support, prob
 
 
 def enumerate_bernoulli(params: BernoulliParams) -> FiniteDist:
@@ -126,12 +151,12 @@ def _sup_quantile_index(lower: np.ndarray, upper: np.ndarray, q: float) -> int:
     """Index of the sup-form q-quantile among ascending distinct values.
 
     ``lower[k]`` is the mass at or below value ``k`` and ``upper[k]`` the mass
-    at or above it. Scans in descending order and returns the largest ``k``
-    with ``lower[k] >= q`` and ``upper[k] >= 1 - q``.
+    at or above it. Returns the largest ``k`` with ``lower[k] >= q`` and
+    ``upper[k] >= 1 - q``.
     """
-    for k in range(lower.size - 1, -1, -1):
-        if lower[k] >= q and upper[k] >= 1.0 - q:
-            return k
+    qualifying = np.flatnonzero((lower >= q) & (upper >= 1.0 - q))
+    if qualifying.size:
+        return int(qualifying[-1])
     # Unreachable in exact arithmetic; guard against degenerate rounding.
     return min(int(np.searchsorted(lower, q, side="left")), lower.size - 1)
 
@@ -139,8 +164,8 @@ def _sup_quantile_index(lower: np.ndarray, upper: np.ndarray, q: float) -> int:
 def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     """The q-quantile of ``fitness`` under ``dist``, sup form.
 
-    Scans the distinct fitness values in descending order and returns the
-    largest value ``m`` with ``P[f <= m] >= q`` and ``P[f >= m] >= 1 - q``.
+    Returns the largest distinct fitness value ``m`` with ``P[f <= m] >= q``
+    and ``P[f >= m] >= 1 - q``.
     """
     if not (0.0 < q < 1.0):
         raise InvalidInputError("q must satisfy 0 < q < 1")

@@ -184,7 +184,8 @@ def blockwise_igo_ml_step(model, eta, samples, weights, decomposition, dt_per_bl
 
     With all block step sizes equal this is *not* the same map as
     :func:`igo_ml_step`. Any invalid intermediate block output raises a domain
-    exit.
+    exit, and so does a Gaussian result whose covariance loses positive
+    definiteness in the round trip to expectation parameters.
     """
     eta = np.asarray(eta, dtype=np.float64)
     dts = tuple(_check_dt(v) for v in dt_per_block)
@@ -210,7 +211,9 @@ def blockwise_igo_ml_step(model, eta, samples, weights, decomposition, dt_per_bl
             else:
                 m = m + dt_b * np.sum(w[:, None] * (samples - m), axis=0)
                 params = GaussianParams(m, cov)
-        return model.to_eta(params)
+        eta_next = model.to_eta(params)
+        model.from_eta(eta_next)
+        return eta_next
 
     if isinstance(decomposition, BernoulliBlockDecomposition):
         if decomposition.dim != model.dim:

@@ -9,13 +9,17 @@ from igokit import (
     InvalidInputError,
     Objective,
     TruncationScheme,
+    bernoulli_support,
     blockwise_igo_ml_step,
+    enumerate_bernoulli,
+    exact_quantile,
     igo_ml_step,
     igo_step,
     make_objective,
     run,
     updates,
 )
+from igokit import algorithms
 from igokit.algorithms import _prepare_step
 from igokit.traceio import render_trace, trace_records
 from igokit.updates import GaussianBlockDecomposition
@@ -254,6 +258,84 @@ class TestRpp:
         tr = run(cfg)
         rewards = [s.best_f for s in tr.steps]  # exact expected reward per step
         assert all(b >= a - 1e-12 for a, b in zip(rewards, rewards[1:]))
+
+
+class TestExactRppEnumeration:
+    CONFIG = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=6, dt=0.5,
+                             max_steps=12, seed=3, objective_seed=5)
+
+    def test_one_enumeration_per_step_and_one_reward_table(self, monkeypatch):
+        enumerations = []
+        tables = []
+        real_enumerate = algorithms.enumerate_bernoulli
+        base = self.CONFIG.make_objective()
+
+        def counting_enumerate(params):
+            enumerations.append(params)
+            return real_enumerate(params)
+
+        def counting_rewards(points):
+            tables.append(len(points))
+            return base.fn(points)
+
+        monkeypatch.setattr(algorithms, "enumerate_bernoulli", counting_enumerate)
+        objective = Objective(name=base.name, dim=base.dim, space=base.space,
+                              direction=base.direction, fn=counting_rewards)
+        trace = run(self.CONFIG, objective=objective)
+        assert len(trace.steps) == self.CONFIG.max_steps
+        assert len(enumerations) == len(trace.steps) + 1
+        assert tables == [2**self.CONFIG.dim]
+
+    def test_trace_matches_fresh_enumeration_per_state(self):
+        config = self.CONFIG
+        model = Bernoulli(config.dim)
+        rewards = config.make_objective().batch(bernoulli_support(config.dim))
+        trace = run(config)
+        eta = model.to_eta(config.initial_params())
+        for step in trace.steps:
+            dist = enumerate_bernoulli(model.from_eta(eta))
+            eta_next = updates.fitness_proportional_step(model, eta, dist, rewards, config.dt)
+            after = enumerate_bernoulli(model.from_eta(eta_next))
+            assert step.eta.tobytes() == eta_next.tobytes()
+            assert step.best_f == float(after.prob @ rewards)
+            assert step.emp_quantile == exact_quantile(after, rewards, config.q).value
+            assert step.kl_prev == model.kl_divergence(model.from_eta(eta),
+                                                       model.from_eta(eta_next))
+            eta = eta_next
+        assert trace.final_eta.tobytes() == eta.tobytes()
+
+
+class TestGaussianRoundTrip:
+    """A covariance that is positive definite as built can lose that property
+    in the round trip to expectation parameters; the blockwise step must
+    report it as a domain exit, inside the step."""
+
+    @staticmethod
+    def config(policy):
+        return AlgorithmConfig(algorithm="cma_rank_mu", objective="sphere", dim=3, lam=8,
+                               dt=1.0, max_steps=60, seed=1, domain_exit=policy)
+
+    def test_safeguard_completes_every_step(self):
+        trace = run(self.config("safeguard"))
+        assert len(trace.steps) == 60
+        assert trace.stop_reason == "max_steps"
+        assert trace.halvings > 0
+
+    def test_halt_stops_on_a_domain_exit(self):
+        trace = run(self.config("halt"))
+        assert trace.stop_reason == "domain_exit"
+        assert len(trace.steps) < 60
+
+
+class TestZeroRewardSample:
+    CONFIG = AlgorithmConfig(algorithm="rpp", objective="count-reward", dim=2, lam=1,
+                             rpp_exact=False, bernoulli_init=0.05, max_steps=20)
+
+    def test_run_stops_with_zero_reward(self):
+        trace = run(self.CONFIG)
+        assert trace.stop_reason == "zero_reward"
+        assert len(trace.steps) < self.CONFIG.max_steps
+        assert trace.final_eta is not None
 
 
 class TestConfigValidation:

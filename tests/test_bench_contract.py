@@ -2,18 +2,21 @@
 
 ``bench/tracer.py`` lists them in ``TRACED`` as (module, attribute path)
 pairs. A renamed or deleted function would only surface in a traced
-benchmark run; this test makes it fail here instead. The tracer source is
+benchmark run; these tests make it fail here instead. The tracer source is
 executed into a fresh namespace, so nothing under ``bench/`` is imported as
-a package or written to.
+a package; the slow test runs one short traced benchmark in a subprocess.
 """
 
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -35,3 +38,14 @@ def test_traced_name_resolves(module, path):
         assert hasattr(target, part), f"igokit.{module}.{path} is gone"
         target = getattr(target, part)
     assert callable(target)
+
+
+@pytest.mark.slow
+def test_traced_exact_d16_run_exits_zero():
+    """One short traced benchmark run: its layer-intent and output checks,
+    and the tracer's reading of traced arguments, fail here too. It writes
+    only into the ignored ``bench/out/``."""
+    argv = [sys.executable, "bench/run.py", "--workload", "exact-d16", "--seed", "1",
+            "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

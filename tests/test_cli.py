@@ -94,6 +94,17 @@ class TestRunCommand:
         assert len(lines) == 2  # version comment + column header
         assert read_trace(out) == []
 
+    def test_zero_reward_sample_is_a_stop_reason(self, tmp_path, capsys):
+        config = tmp_path / "zero.cfg"
+        config.write_text("algo=rpp\nobjective=count-reward\ndim=2\nlambda=1\n"
+                          "rpp_exact=false\nbernoulli_init=0.05\nsteps=20\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert "stop=zero_reward" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "t.summary.json").read_text())
+        assert summary["stop_reason"] == "zero_reward"
+        assert len(read_trace(out)) == summary["steps"] < 20
+
     def test_capacity_errors_are_config_errors(self, tmp_path, capsys):
         argv = trace_args(tmp_path / "t.csv",
                           **{"--objective": "random-table", "--dim": "20"})

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igokit import (
     Bernoulli,
     BernoulliBlockDecomposition,
     BernoulliParams,
     CapacityError,
+    DomainExitError,
     FiniteDist,
     InvalidInputError,
     TabulatedScheme,
@@ -24,6 +27,7 @@ from igokit import (
     make_objective,
     preference_exact,
 )
+from igokit.oracle import _state_probs, _sup_quantile_index
 
 UNIFORM = TabulatedScheme((1.0,))
 
@@ -59,6 +63,58 @@ class TestEnumerate:
             FiniteDist(np.zeros((2, 1)), [0.6, 0.3])
         with pytest.raises(InvalidInputError):
             FiniteDist(np.zeros((2, 1)), [1.2, -0.2])
+
+
+def row_product_probs(eta):
+    """Reference: each support point's probability as a row-wise product."""
+    support = bernoulli_support(eta.size)
+    return np.prod(np.where(support == 1.0, eta, 1.0 - eta), axis=1)
+
+
+class TestSupportProbabilities:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1, max_size=12))
+    def test_kronecker_build_matches_row_products_bit_for_bit(self, eta):
+        eta = np.array(eta)
+        _, _, prob = _state_probs(eta)
+        assert prob.tobytes() == row_product_probs(eta).tobytes()
+
+    def test_kronecker_build_matches_row_products_at_d16(self):
+        eta = np.random.default_rng(16).uniform(0.01, 0.99, 16)
+        _, support, prob = _state_probs(eta)
+        assert support is bernoulli_support(16)
+        assert prob.tobytes() == row_product_probs(eta).tobytes()
+
+
+class TestFiniteDistStorage:
+    def test_cached_support_is_shared_not_copied(self):
+        dist = enumerate_bernoulli(BernoulliParams([0.3, 0.6, 0.1]))
+        assert dist.support is bernoulli_support(3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.booleans(),
+        st.floats(-10.0, 10.0),
+    )
+    def test_mutating_an_input_leaves_the_distribution_unchanged(self, d, via_view, junk):
+        support = np.array(bernoulli_support(d))
+        prob = np.full(2**d, 1.0 / 2**d)
+        expected_support, expected_prob = support.copy(), prob.copy()
+        if via_view:
+            # read-only views whose writable bases stay with the caller
+            support_in, prob_in = support[:], prob.view()
+            support_in.setflags(write=False)
+            prob_in.setflags(write=False)
+        else:
+            support_in, prob_in = support, prob
+        dist = FiniteDist(support_in, prob_in)
+        support[...] = junk
+        prob[...] = junk
+        assert np.array_equal(dist.support, expected_support)
+        assert np.array_equal(dist.prob, expected_prob)
+        assert not dist.support.flags.writeable
+        assert not dist.prob.flags.writeable
 
 
 def brute_force_quantile(prob, fitness, q):
@@ -106,6 +162,43 @@ class TestExactQuantile:
         dist = enumerate_bernoulli(BernoulliParams([0.5]))
         with pytest.raises(InvalidInputError):
             exact_quantile(dist, [0.0, 1.0], 1.0)
+
+
+def descending_quantile_scan(lower, upper, q):
+    """Reference: the scalar scan from the top level down."""
+    for k in range(lower.size - 1, -1, -1):
+        if lower[k] >= q and upper[k] >= 1.0 - q:
+            return k
+    return min(int(np.searchsorted(lower, q, side="left")), lower.size - 1)
+
+
+# Masses in multiples of 1/64 (exact in binary), so a level's cumulative mass
+# can equal q exactly; zero counts give levels without mass.
+_counts = st.lists(st.integers(0, 8), min_size=1, max_size=8).filter(lambda c: sum(c) > 0)
+_q = st.one_of(st.integers(1, 63).map(lambda k: k / 64.0), st.floats(0.001, 0.999))
+
+
+class TestQuantileIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(_counts, _q)
+    def test_matches_descending_scan(self, counts, q):
+        mass = np.array(counts, dtype=np.float64) / 64.0
+        mass[-1] += 1.0 - mass.sum()
+        lower = np.cumsum(mass)
+        upper = np.cumsum(mass[::-1])[::-1]
+        assert _sup_quantile_index(lower, upper, q) == descending_quantile_scan(lower, upper, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        _q,
+    )
+    def test_matches_descending_scan_without_a_qualifier(self, lower, upper, q):
+        # arbitrary masses, where the searchsorted fallback can be taken
+        lower = np.sort(np.array(lower))
+        upper = np.array(upper[: lower.size])
+        assert _sup_quantile_index(lower, upper, q) == descending_quantile_scan(lower, upper, q)
 
 
 class TestExactStep:
@@ -274,3 +367,24 @@ class TestImprovementMiniRun:
                 # stalls on a discrete space must leave mass at the level
                 assert dist.prob[f == q_prev].sum() > 0.0
             q_prev = q_now
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from((0.1, 0.25, 0.5, 0.75)),
+        st.sampled_from((0.1, 0.5, 1.0)),
+        st.booleans(),
+        st.data(),
+    )
+    def test_exact_step_never_raises_the_quantile(self, d, q, dt, ties, data):
+        eta = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d)))
+        values = st.integers(0, 4).map(float) if ties else st.floats(-10.0, 10.0)
+        f = np.array(data.draw(st.lists(values, min_size=2**d, max_size=2**d)))
+        model = Bernoulli(d)
+        before = exact_quantile(enumerate_bernoulli(model.from_eta(eta)), f, q).value
+        try:
+            eta_next = exact_infinite_population_step(eta, f, TruncationScheme(q), dt)
+        except DomainExitError:
+            return  # the full step landed on a vertex: nothing to compare
+        after = exact_quantile(enumerate_bernoulli(model.from_eta(eta_next)), f, q).value
+        assert after <= before + 1e-12

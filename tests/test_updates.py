@@ -348,6 +348,8 @@ class TestFitnessProportional:
             fitness_proportional_step(model, [0.5], dist, [0.0, 0.0], 1.0)
         with pytest.raises(InvalidInputError):
             fitness_proportional_step(model, [0.5], dist, [0.5, -0.1], 1.0)
+        with pytest.raises(InvalidInputError, match="all zero"):
+            fitness_proportional_step(model, [0.5], np.zeros((1, 1)), [0.0], 1.0)
 
     def test_monte_carlo_mode(self):
         # sample weights are 1/n: the update reduces to reward-share averages
