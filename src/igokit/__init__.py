@@ -40,10 +40,8 @@ from .oracle import (
     QuantileReport,
     bernoulli_support,
     enumerate_bernoulli,
-    exact_H,
     exact_J,
     exact_blockwise_coordinate_step,
-    exact_expected_fitness,
     exact_infinite_population_step,
     exact_quantile,
 )
@@ -63,7 +61,6 @@ from .updates import (
     fitness_proportional_step,
     igo_ml_step,
     igo_step,
-    malago_step,
     safeguarded_step,
 )
 

@@ -2,7 +2,7 @@
 
 Everything here cross-checks the core machinery from an independent angle:
 empirical quantiles against exact ones, Monte Carlo preference means against
-exact sums, the quadratic KL expansion against closed-form divergences, and
+exact sums, the cubic KL expansion against closed-form divergences, and
 finite-population improvement frequencies against the infinite-population
 guarantee. Monte Carlo assertions elsewhere in the suite run on fixed seed
 sets so CI stays deterministic.
@@ -24,7 +24,7 @@ from .oracle import (
     exact_J,
     exact_quantile,
 )
-from .selection import _tie_average, preference_exact
+from .selection import _tie_average
 
 __all__ = [
     "PreferenceEstimate",
@@ -75,32 +75,23 @@ def _batch_fn(f):
 def estimate_J(model, eta_eval, eta_base, f, scheme, rng, n: int) -> PreferenceEstimate:
     """Monte Carlo estimate of the expected base-preference under ``eta_eval``.
 
-    On enumerable Bernoulli models the preference of each draw is exact
-    (computed once per support point); otherwise the quantile structure of the
-    base state is estimated from an equally large holdout sample, which makes
-    the result statistical on both sides. Draws are taken from ``eta_eval``
-    and the standard error of their preference mean is reported.
+    The quantile structure of the base state is estimated from a holdout
+    sample of ``n`` draws from ``eta_base``, and the preference of each of
+    ``n`` draws from ``eta_eval`` is its tie-averaged weight against that
+    holdout, so the result is statistical on both sides. The reported
+    standard error covers the evaluation draws only. For the exact value on
+    enumerable models see :func:`~igokit.oracle.exact_J`.
     """
     if n < 100:
         raise InvalidInputError("n must be >= 100")
     batch = _batch_fn(f)
-    eta_eval = np.asarray(eta_eval, dtype=np.float64)
-    eta_base = np.asarray(eta_base, dtype=np.float64)
-
-    if isinstance(model, Bernoulli) and model.dim <= MAX_ENUM_DIM:
-        dist = enumerate_bernoulli(model.from_eta(eta_base))
-        w_table = preference_exact(dist.prob, batch(dist.support), scheme)
-        draws = model.sample(model.from_eta(eta_eval), rng, n)
-        codes = 2.0 ** np.arange(model.dim - 1, -1, -1)
-        w_draws = w_table[(draws @ codes).astype(np.int64)]
-    else:
-        holdout = model.sample(model.from_eta(eta_base), rng, n)
-        base_f = np.sort(batch(holdout))
-        draws = model.sample(model.from_eta(eta_eval), rng, n)
-        f_draws = batch(draws)
-        u_minus = np.searchsorted(base_f, f_draws, side="left") / n
-        u_plus = np.searchsorted(base_f, f_draws, side="right") / n
-        w_draws = _tie_average(scheme, u_minus, u_plus, u_plus - u_minus)
+    holdout = model.sample(model.from_eta(eta_base), rng, n)
+    base_f = np.sort(batch(holdout))
+    draws = model.sample(model.from_eta(eta_eval), rng, n)
+    f_draws = batch(draws)
+    u_minus = np.searchsorted(base_f, f_draws, side="left") / n
+    u_plus = np.searchsorted(base_f, f_draws, side="right") / n
+    w_draws = _tie_average(scheme, u_minus, u_plus, u_plus - u_minus)
     value = float(np.mean(w_draws))
     stderr = float(np.std(w_draws, ddof=1) / np.sqrt(n))
     return PreferenceEstimate(value=value, stderr=stderr, n=n)
@@ -230,12 +221,16 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
 
 
 def check_kl_expansion(model, eta, delta, halvings: int) -> np.ndarray:
-    """Quadratic-expansion errors of the KL divergence under halved steps.
+    """Cubic-corrected expansion errors of the KL divergence under halved steps.
 
-    Returns ``err_k = |KL(eta || eta + delta/2^k) - 0.5 d_k^T F(eta) d_k|``
-    for ``k = 0 .. halvings`` with ``d_k = delta / 2^k``; the remainder is
-    cubic or better, so each halving should shrink the error by at least 4x.
-    Raises a domain exit if ``eta + delta`` is not a valid state.
+    In expectation parameters the KL divergence is the Bregman divergence of
+    the negative entropy ``phi``, so
+    ``KL(eta || eta + d) = 0.5 d^T F(eta) d + D^3 phi(eta)[d, d, d] / 3 + O(d^4)``.
+    Returns ``err_k = |KL(eta || eta + d_k) - 0.5 d_k^T F(eta) d_k
+    - D^3 phi(eta)[d_k, d_k, d_k] / 3|`` for ``k = 0 .. halvings`` with
+    ``d_k = delta / 2^k``; the remainder is quartic, so each halving should
+    shrink the error by about 16x. Raises a domain exit if ``eta + delta`` is
+    not a valid state.
     """
     if halvings < 0:
         raise InvalidInputError("halvings must be >= 0")
@@ -250,5 +245,6 @@ def check_kl_expansion(model, eta, delta, halvings: int) -> np.ndarray:
     for k in range(halvings + 1):
         d = delta / (2.0**k)
         kl = model.kl_divergence(base, model.from_eta(eta + d))
-        errs[k] = abs(kl - 0.5 * float(d @ fim @ d))
+        cubic = model._negentropy_third_derivative(eta, d) / 3.0
+        errs[k] = abs(kl - 0.5 * float(d @ fim @ d) - cubic)
     return errs

@@ -65,11 +65,12 @@ class BernoulliParams:
         probs = _frozen_array(self.probs)
         if probs.ndim != 1 or probs.size < 1:
             raise InvalidInputError("probs must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidInputError("probs must be finite")
-        if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        # One predicate for the whole domain: NaN and +-inf fail it too.
+        outside = ~((probs > 0.0) & (probs < 1.0))
+        if outside.any():
+            bad = int(outside.argmax())
             raise InvalidInputError(
-                "probs must lie strictly inside (0, 1); boundary values are rejected"
+                f"coordinate {bad} = {float(probs[bad])!r} left the open interval (0, 1)"
             )
         object.__setattr__(self, "probs", probs)
 
@@ -186,14 +187,10 @@ class Bernoulli:
         """Inverse conversion. Raises ``DomainExitError`` if any coordinate
         left the open interval (0, 1)."""
         eta = self._check_eta(eta)
-        if not np.all(np.isfinite(eta)):
-            raise DomainExitError("eta has non-finite coordinates")
-        if np.any(eta <= 0.0) or np.any(eta >= 1.0):
-            bad = int(np.argmax((eta <= 0.0) | (eta >= 1.0)))
-            raise DomainExitError(
-                f"coordinate {bad} = {eta[bad]!r} left the open interval (0, 1)"
-            )
-        return BernoulliParams(eta)
+        try:
+            return BernoulliParams(eta)
+        except InvalidInputError as exc:
+            raise DomainExitError(str(exc)) from None
 
     # -- densities and sampling -----------------------------------------
 
@@ -236,6 +233,14 @@ class Bernoulli:
         params = self.from_eta(eta)
         p = params.probs
         return np.diag(1.0 / (p * (1.0 - p)))
+
+    def _negentropy_third_derivative(self, eta, delta) -> float:
+        """``D^3 phi(eta)[delta, delta, delta]`` for the negative entropy
+        ``phi``, the cubic term of the KL expansion:
+        ``sum_i (-1/p_i^2 + 1/(1 - p_i)^2) delta_i^3``."""
+        p = self.from_eta(eta).probs
+        delta = self._check_eta(delta)
+        return float(np.sum((1.0 / (1.0 - p) ** 2 - 1.0 / p**2) * delta**3))
 
 
 class Gaussian:
@@ -323,16 +328,20 @@ class Gaussian:
         """Recover ``(mean, cov)`` with ``cov = M2 - mean mean^T``.
 
         Raises ``DegenerateDistributionError`` when the implied covariance is
-        not positive definite.
+        not positive definite and ``DomainExitError`` when ``eta`` is not
+        finite.
         """
         eta = self._check_eta(eta)
-        if not np.all(np.isfinite(eta)):
-            raise DomainExitError("eta has non-finite coordinates")
         m = eta[: self.dim]
         second = self.unpack_symmetric(eta[self.dim :])
-        cov = second - np.outer(m, m)
-        cov = (cov + cov.T) / 2.0
-        return GaussianParams(m, cov)
+        # inf - inf may appear here; GaussianParams rejects the result.
+        with np.errstate(invalid="ignore"):
+            cov = second - np.outer(m, m)
+            cov = (cov + cov.T) / 2.0
+        try:
+            return GaussianParams(m, cov)
+        except InvalidInputError as exc:
+            raise DomainExitError(str(exc)) from None
 
     # -- densities and sampling --------------------------------------------
 
@@ -422,3 +431,21 @@ class Gaussian:
                 f"condition estimate {cond}"
             ) from None
         return fim
+
+    def _negentropy_third_derivative(self, eta, delta) -> float:
+        """``D^3 phi(eta)[delta, delta, delta]`` for the negative entropy
+        ``phi = -ln det(C) / 2 + const`` with ``C = S - m m^T``.
+
+        Along ``eta + t delta`` the covariance moves with
+        ``C' = dS - dm m^T - m dm^T`` and ``C'' = -2 dm dm^T``; with
+        ``A = C^-1`` and ``X = A C'`` the third derivative is
+        ``-(2 tr X^3 - 3 tr(X A C'')) / 2``.
+        """
+        params = self.from_eta(eta)
+        delta = self._check_eta(delta)
+        m, dm = params.mean, delta[: self.dim]
+        c1 = self.unpack_symmetric(delta[self.dim :]) - np.outer(dm, m) - np.outer(m, dm)
+        c2 = -2.0 * np.outer(dm, dm)
+        x = np.linalg.solve(params.cov, c1)
+        y = np.linalg.solve(params.cov, c2)
+        return float(-0.5 * (2.0 * np.trace(x @ x @ x) - 3.0 * np.trace(x @ y)))

@@ -40,8 +40,6 @@ __all__ = [
     "exact_infinite_population_step",
     "exact_blockwise_coordinate_step",
     "exact_J",
-    "exact_H",
-    "exact_expected_fitness",
 ]
 
 # 2^16 = 65536 support points keeps the whole verification grid in seconds.
@@ -126,25 +124,29 @@ def bernoulli_support(dim: int) -> np.ndarray:
     return pts
 
 
+def _support_probs(probs: np.ndarray) -> np.ndarray:
+    """The exact product probability of every support point of a valid
+    state, built coordinate by coordinate in ``O(2^d)``."""
+    prob = np.ones(1)
+    for e in probs:
+        prob = np.multiply.outer(prob, (1.0 - e, e)).ravel()
+    return prob
+
+
 def _state_probs(eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate a Bernoulli state; return it, the support and the exact
-    product probability of every support point, built coordinate by
-    coordinate in ``O(2^d)``."""
+    """Validate a raw Bernoulli state; return it, the support and the exact
+    probability of every support point."""
     eta = np.asarray(eta, dtype=np.float64)
     if eta.ndim != 1 or eta.size < 1:
         raise InvalidInputError("eta must be a non-empty 1-d sequence")
     Bernoulli(eta.size).from_eta(eta)
-    support = bernoulli_support(eta.size)
-    prob = np.ones(1)
-    for e in eta:
-        prob = np.multiply.outer(prob, (1.0 - e, e)).ravel()
-    return eta, support, prob
+    return eta, bernoulli_support(eta.size), _support_probs(eta)
 
 
 def enumerate_bernoulli(params: BernoulliParams) -> FiniteDist:
-    """The full distribution of a product Bernoulli model, exactly."""
-    _, support, prob = _state_probs(params.probs)
-    return FiniteDist(support, prob)
+    """The full distribution of a product Bernoulli model, exactly. The
+    parameters were validated when they were built, so they are trusted."""
+    return FiniteDist(bernoulli_support(params.dim), _support_probs(params.probs))
 
 
 def _sup_quantile_index(lower: np.ndarray, upper: np.ndarray, q: float) -> int:
@@ -237,23 +239,3 @@ def exact_J(eta_eval, eta_base, fitness, scheme) -> float:
     _, _, prob_eval = _state_probs(eta_eval)
     return float(prob_eval @ preference_exact(prob_base, fitness, scheme))
 
-
-def exact_H(eta_eval, eta_base, fitness, scheme) -> float:
-    """Preference-weighted cross-entropy term: the exact sum of
-    ``P_base(x) W(x) ln p_eval(x)`` over the support."""
-    eta_base, support, prob_base = _state_probs(eta_base)
-    if np.shape(eta_eval) != eta_base.shape:
-        raise InvalidInputError("states must share the same dimension")
-    eta_eval, _, _ = _state_probs(eta_eval)
-    w = preference_exact(prob_base, fitness, scheme)
-    log_eval = support @ np.log(eta_eval) + (1.0 - support) @ np.log1p(-eta_eval)
-    return float((prob_base * w) @ log_eval)
-
-
-def exact_expected_fitness(eta, values) -> float:
-    """Exact expectation of per-point values under the enumerated model."""
-    _, support, prob = _state_probs(eta)
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (support.shape[0],):
-        raise InvalidInputError("values must have one entry per support point")
-    return float(prob @ values)

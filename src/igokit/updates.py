@@ -13,8 +13,6 @@ All rules move a flat expectation-parameter vector ``eta``:
 * :func:`fitness_proportional_step` - natural-gradient step under
   reward-proportional weights, exact (finite distribution) or Monte Carlo;
   it forms the weights and runs :func:`igo_step`.
-* :func:`malago_step` - expectation-parameter natural-gradient descent on raw
-  fitness (minimization).
 
 For exponential families in expectation parameters the natural-gradient step
 and the weighted-ML blend coincide coordinate-wise (they differ only in
@@ -37,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExitError, InvalidInputError
+from .models import GaussianParams
 from .oracle import FiniteDist
 from .selection import SampleWeights
 
@@ -48,7 +47,6 @@ __all__ = [
     "igo_ml_step",
     "blockwise_igo_ml_step",
     "fitness_proportional_step",
-    "malago_step",
     "safeguarded_step",
 ]
 
@@ -199,8 +197,6 @@ def blockwise_igo_ml_step(model, eta, samples, weights, decomposition, dt_per_bl
         params = model.from_eta(eta)
         m = params.mean.copy()
         cov = params.cov.copy()
-        from .models import GaussianParams
-
         for name, dt_b in zip(decomposition.order, dts):
             if name == "cov":
                 centered = samples - m
@@ -258,28 +254,6 @@ def fitness_proportional_step(model, eta, source, rewards, dt: float) -> np.ndar
             raise InvalidInputError("one reward per sample required")
         coef = r / float(r.sum())
     return igo_step(model, eta, points, coef, dt)
-
-
-def malago_step(model, eta, samples, fitness, dt: float, normalized: bool = True) -> np.ndarray:
-    """Expectation-parameter natural-gradient descent on raw fitness values.
-
-    ``eta' = eta - dt * (1/n) sum_i f(x_i) (T(x_i) - eta)`` for minimization.
-    ``normalized=False`` drops the 1/n factor (the verbatim summed form, whose
-    magnitude grows with the sample size); the normalized default is the
-    consistent estimator of the infinite-population drift.
-    """
-    dt = _check_dt(dt)
-    eta = np.asarray(eta, dtype=np.float64)
-    f = np.asarray(fitness, dtype=np.float64)
-    stats = model.batch_sufficient_statistics(samples)
-    if f.shape != (stats.shape[0],):
-        raise InvalidInputError("one fitness value per sample required")
-    if not np.all(np.isfinite(f)):
-        raise InvalidInputError("fitness values must be finite")
-    scale = 1.0 / stats.shape[0] if normalized else 1.0
-    eta_next = eta - dt * scale * np.sum(f[:, None] * (stats - eta), axis=0)
-    model.from_eta(eta_next)
-    return eta_next
 
 
 def safeguarded_step(step, dt: float, max_halvings: int = 30):

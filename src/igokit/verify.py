@@ -19,8 +19,8 @@ configurations and reports per-case detail:
 * ``progress-bound``: the expected preference of each executed step beats
   ``exp(((1 - dt)/dt) KL)`` strictly away from fixed points, and the worked
   two-bit instance reproduces j = 1.25 against a bound of 16/15.
-* ``kl-expansion``: halving a displacement shrinks the quadratic-expansion
-  error of the KL divergence by at least 4x on a committed point set.
+* ``kl-expansion``: halving a displacement shrinks the error of the cubic
+  expansion of the KL divergence by at least 8x on a committed point set.
 * ``natural-gradient``: the inverse Fisher matrix times a finite-difference
   log-density gradient matches ``T(x) - eta``.
 * ``finite-population``: large-population runs improve the exact quantile in
@@ -513,9 +513,9 @@ def _kl_case(case) -> CaseResult:
     index, family, d, eta, delta = case
     model = Bernoulli(d) if family == "bernoulli" else Gaussian(d)
     errs = check_kl_expansion(model, eta, delta, halvings=6)
-    ratios_ok = all(
-        errs[k + 1] <= errs[k] / 4.0 + 1e-12 for k in range(len(errs) - 1)
-    )
+    # The remainder is quartic (ideal ratio 16); no absolute slack, since
+    # the residuals themselves reach 1e-14 at k = 6.
+    ratios_ok = all(errs[k + 1] * 8.0 <= errs[k] for k in range(len(errs) - 1))
     detail = {"family": family, "dim": d, "errs": [float(e) for e in errs]}
     return CaseResult(name=f"case-{index:02d}", passed=ratios_ok, detail=detail)
 

@@ -40,12 +40,23 @@ def test_traced_name_resolves(module, path):
     assert callable(target)
 
 
+def _traced_run(workload):
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 @pytest.mark.slow
 def test_traced_exact_d16_run_exits_zero():
     """One short traced benchmark run: its layer-intent and output checks,
     and the tracer's reading of traced arguments, fail here too. It writes
     only into the ignored ``bench/out/``."""
-    argv = [sys.executable, "bench/run.py", "--workload", "exact-d16", "--seed", "1",
-            "--seconds", "1", "--trace", "1"]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    _traced_run("exact-d16")
+
+
+@pytest.mark.slow
+def test_traced_verify_exact_run_exits_zero():
+    """The same for ``verify-exact``, whose layer checks require calls such
+    as ``models.from_eta`` that move when the oracle's callers change."""
+    _traced_run("verify-exact")

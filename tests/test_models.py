@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,85 @@ class TestParams:
         p = BernoulliParams([0.5])
         with pytest.raises(ValueError):
             p.probs[0] = 0.7
+
+
+VALID_PROB = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+OUT_OF_DOMAIN = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0]),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.floats(min_value=1.0, allow_nan=False),
+)
+
+
+class TestDomainPredicate:
+    """One domain check per family, held by its params constructor:
+    ``from_eta`` is a shape check plus that constructor, with the error
+    class translated to a domain exit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(VALID_PROB, min_size=1, max_size=12), st.data())
+    def test_bernoulli_names_the_first_bad_coordinate(self, probs, data):
+        probs = np.array(probs)
+        first = data.draw(st.integers(0, probs.size - 1))
+        later = data.draw(st.lists(st.integers(first, probs.size - 1), max_size=3))
+        for index in [first, *later]:
+            probs[index] = data.draw(OUT_OF_DOMAIN)
+        message = re.escape(f"coordinate {first} = {float(probs[first])!r}")
+        with pytest.raises(InvalidInputError, match=message):
+            BernoulliParams(probs)
+        with pytest.raises(DomainExitError, match=message):
+            Bernoulli(probs.size).from_eta(probs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(VALID_PROB, min_size=1, max_size=12))
+    def test_bernoulli_valid_eta_round_trips_bit_for_bit(self, probs):
+        eta = np.array(probs)
+        model = Bernoulli(eta.size)
+        params = model.from_eta(eta)
+        assert params.probs.tobytes() == eta.tobytes()
+        assert model.to_eta(params).tobytes() == eta.tobytes()
+        assert BernoulliParams(eta).probs.tobytes() == eta.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.data(),
+    )
+    def test_gaussian_non_finite(self, d, seed, value, data):
+        rng = np.random.default_rng(seed)
+        model = Gaussian(d)
+        mean, cov = rng.normal(size=d), random_spd(rng, d, 10.0)
+        eta = model.to_eta(GaussianParams(mean, cov))
+        eta[data.draw(st.integers(0, eta.size - 1))] = value
+        with pytest.raises(DomainExitError) as exit_info:
+            model.from_eta(eta)
+        assert not isinstance(exit_info.value, DegenerateDistributionError)
+        bad_mean, bad_cov = mean.copy(), cov.copy()
+        if data.draw(st.booleans()):
+            bad_mean[data.draw(st.integers(0, d - 1))] = value
+        else:
+            i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+            bad_cov[i, j] = bad_cov[j, i] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            GaussianParams(bad_mean, bad_cov)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(-2.0, 0.0))
+    def test_gaussian_non_pd_covariance(self, d, seed, smallest):
+        rng = np.random.default_rng(seed)
+        model = Gaussian(d)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        eigs = np.concatenate([[smallest - 0.1], rng.uniform(0.5, 2.0, d - 1)])
+        cov = (q * eigs) @ q.T
+        cov = (cov + cov.T) / 2.0
+        mean = rng.normal(size=d)
+        with pytest.raises(DegenerateDistributionError):
+            GaussianParams(mean, cov)
+        eta = np.concatenate([mean, model.pack_symmetric(cov + np.outer(mean, mean))])
+        with pytest.raises(DegenerateDistributionError):
+            model.from_eta(eta)
 
 
 class TestSufficientStatistics:

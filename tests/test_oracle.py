@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +16,8 @@ from igokit import (
     bernoulli_support,
     blockwise_igo_ml_step,
     enumerate_bernoulli,
-    exact_H,
     exact_J,
     exact_blockwise_coordinate_step,
-    exact_expected_fitness,
     exact_infinite_population_step,
     exact_quantile,
     make_objective,
@@ -84,6 +80,32 @@ class TestSupportProbabilities:
         _, support, prob = _state_probs(eta)
         assert support is bernoulli_support(16)
         assert prob.tobytes() == row_product_probs(eta).tobytes()
+
+
+class TestEnumerationTrustsParams:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 16).flatmap(
+            lambda d: st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=d, max_size=d)
+        )
+    )
+    def test_no_revalidation_and_the_same_bits(self, probs):
+        # the params were validated when built; enumeration must not prove
+        # it again, and must give the probabilities of the raw-state path
+        params = BernoulliParams(probs)
+        calls = []
+        from_eta = Bernoulli.from_eta
+
+        def counting(self, eta):
+            calls.append(eta)
+            return from_eta(self, eta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Bernoulli, "from_eta", counting)
+            dist = enumerate_bernoulli(params)
+        assert calls == []
+        assert dist.prob.tobytes() == _state_probs(params.probs)[2].tobytes()
+        assert dist.support is bernoulli_support(params.dim)
 
 
 class TestFiniteDistStorage:
@@ -310,42 +332,6 @@ class TestExactFunctionals:
             [eps, eps], [0.5, 0.5], sum_fitness(2), TruncationScheme(0.5)
         )
         assert j == pytest.approx(2.0, abs=1e-5)
-
-    def test_h_reduces_to_negative_entropy_under_uniform_weights(self):
-        eta = np.array([0.25])
-        h = exact_H(eta, eta, np.array([0.0, 1.0]), UNIFORM)
-        expected = 0.75 * math.log(0.75) + 0.25 * math.log(0.25)
-        assert h == pytest.approx(expected, abs=1e-14)
-
-    def test_h_single_term(self):
-        h = exact_H([0.25], [0.5], np.array([0.0, 1.0]), TruncationScheme(0.5))
-        assert h == pytest.approx(math.log(0.75), abs=1e-14)
-
-    def test_jensen_bound(self):
-        # ln J >= H(next) - H(base) on random instances
-        rng = np.random.default_rng(51)
-        scheme_pool = [TruncationScheme(q) for q in (0.1, 0.3, 0.5, 0.8)]
-        for _ in range(30):
-            d = int(rng.integers(1, 7))
-            base = rng.uniform(0.15, 0.85, d)
-            other = rng.uniform(0.15, 0.85, d)
-            f = rng.integers(0, 5, 2**d).astype(float)
-            scheme = scheme_pool[int(rng.integers(0, len(scheme_pool)))]
-            lhs = math.log(exact_J(other, base, f, scheme))
-            rhs = exact_H(other, base, f, scheme) - exact_H(base, base, f, scheme)
-            assert lhs >= rhs - 1e-10
-
-    def test_expected_fitness(self):
-        assert exact_expected_fitness([0.5, 0.5], sum_fitness(2)) == pytest.approx(
-            1.0, abs=1e-15
-        )
-        assert exact_expected_fitness([0.25, 0.25], sum_fitness(2)) == pytest.approx(
-            0.5, abs=1e-15
-        )
-        # reward r(x) = 1 + x on one bit
-        assert exact_expected_fitness([0.5], np.array([1.0, 2.0])) == pytest.approx(
-            1.5, abs=1e-15
-        )
 
 
 class TestImprovementMiniRun:

@@ -14,11 +14,9 @@ from igokit import (
     TruncationScheme,
     blockwise_igo_ml_step,
     enumerate_bernoulli,
-    exact_expected_fitness,
     fitness_proportional_step,
     igo_ml_step,
     igo_step,
-    malago_step,
     safeguarded_step,
     sample_weights,
 )
@@ -330,8 +328,8 @@ class TestFitnessProportional:
         rewards = 1.0 + dist.support[:, 0]
         eta = fitness_proportional_step(model, [0.5], dist, rewards, 1.0)
         assert eta[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
-        before = exact_expected_fitness([0.5], rewards)
-        after = exact_expected_fitness(eta, rewards)
+        before = float(dist.prob @ rewards)
+        after = float(enumerate_bernoulli(model.from_eta(eta)).prob @ rewards)
         assert before == pytest.approx(1.5, abs=1e-15)
         assert after == pytest.approx(5.0 / 3.0, abs=1e-14)
 
@@ -359,37 +357,6 @@ class TestFitnessProportional:
         eta = fitness_proportional_step(model, [0.5], samples, rewards, 1.0)
         expected = 0.5 + np.sum((rewards / rewards.sum())[:, None] * (samples - 0.5))
         assert eta[0] == pytest.approx(expected, abs=1e-15)
-
-
-class TestMalagoStep:
-    def test_direct_evaluation(self):
-        model = bern(1)
-        samples = np.array([[0.0], [1.0]])
-        eta = malago_step(model, [0.5], samples, [0.0, 1.0], 1.0)
-        assert eta[0] == pytest.approx(0.25, abs=1e-15)
-
-    def test_zero_fitness_is_inert(self):
-        model = bern(2)
-        samples = np.array([[0.0, 1.0], [1.0, 0.0]])
-        eta = malago_step(model, [0.4, 0.6], samples, [0.0, 0.0], 1.0)
-        assert np.array_equal(eta, [0.4, 0.6])
-
-    def test_constant_fitness_centered_drift(self):
-        # with f constant the drift is c * (mean(x) - eta); vanishing only in
-        # expectation, so check the exact enumeration version by hand
-        model = bern(1)
-        samples = np.array([[0.0], [1.0]])
-        eta = malago_step(model, [0.5], samples, [2.0, 2.0], 0.25)
-        # (1/2)(2(0-0.5) + 2(1-0.5)) = 0
-        assert eta[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_unnormalized_variant(self):
-        model = bern(1)
-        samples = np.array([[0.0], [1.0]])
-        normalized = malago_step(model, [0.5], samples, [0.0, 1.0], 0.25)
-        raw = malago_step(model, [0.5], samples, [0.0, 1.0], 0.25, normalized=False)
-        assert normalized[0] == pytest.approx(0.4375, abs=1e-15)
-        assert raw[0] == pytest.approx(0.375, abs=1e-15)
 
 
 class TestSafeguard:

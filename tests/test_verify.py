@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from igokit import InvalidInputError
+from igokit import Bernoulli, Gaussian, InvalidInputError
 from igokit.verify import SUITES, _cma_case, run_suite
 
 
@@ -39,3 +39,37 @@ def test_heavy_reports_serialize_to_json():
     report = run_suite("fitness-improvement", seed=5)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["passed"] is True
+
+
+KL_SEEDS = range(1, 41)
+# method of both families -> factor on its result
+KL_MUTANTS = {
+    "fisher-scaled": ("fisher_information", 1.0 + 1e-3),
+    "cubic-sign-flipped": ("_negentropy_third_derivative", -1.0),
+    "cubic-factor-one-half": ("_negentropy_third_derivative", 1.5),
+    "cubic-dropped": ("_negentropy_third_derivative", 0.0),
+}
+
+
+@pytest.mark.slow
+def test_kl_expansion_passes_on_seeds_1_to_40():
+    failed = [s for s in KL_SEEDS if not run_suite("kl-expansion", seed=s).passed]
+    assert failed == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutant", sorted(KL_MUTANTS))
+def test_kl_expansion_mutants_fail_on_every_seed(mutant, monkeypatch):
+    """The 8x criterion pins the Fisher term and the cubic coefficient: a
+    0.1 % error in F, a flipped cubic sign, a factor 1/2 in place of 1/3 or
+    a dropped cubic term each leave a residual that shrinks too slowly."""
+    name, factor = KL_MUTANTS[mutant]
+    for family in (Bernoulli, Gaussian):
+        original = getattr(family, name)
+
+        def scaled(self, *args, _original=original):
+            return factor * _original(self, *args)
+
+        monkeypatch.setattr(family, name, scaled)
+    passed = [s for s in KL_SEEDS if run_suite("kl-expansion", seed=s).passed]
+    assert passed == []
