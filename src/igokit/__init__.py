@@ -34,7 +34,7 @@ from .errors import (
     InvalidInputError,
 )
 from .models import Bernoulli, BernoulliParams, Gaussian, GaussianParams
-from .objectives import OBJECTIVE_NAMES, Objective, evaluate, make_objective
+from .objectives import OBJECTIVE_NAMES, Objective, make_objective
 from .oracle import (
     FiniteDist,
     QuantileReport,

@@ -25,8 +25,10 @@ reused: only the move shrinks, never the population. A run records why it
 stopped: ``max_steps``, ``target``, ``domain_exit``, or ``zero_reward`` when
 a sampled rpp step draws no positive reward and so has no update.
 
-An exact rpp run enumerates the support once per step: the distribution
-that logs the new state's exact summaries is the next step's source, and the
+Each new state is converted once with ``model.from_eta``; those params feed
+sampling, enumeration, the KL divergence and the expected preference. An
+exact rpp run enumerates the support once per step: the distribution that
+logs the new state's exact summaries is the next step's source, and the
 reward table on the support is evaluated once per run.
 """
 
@@ -103,6 +105,10 @@ class AlgorithmConfig:
             raise InvalidInputError(
                 f"steps: must be a non-negative integer, got {self.max_steps!r}"
             )
+        for key in ("seed", "objective_seed"):
+            value = getattr(self, key)
+            if int(value) != value or value < 0:
+                raise InvalidInputError(f"{key}: must be a non-negative integer, got {value!r}")
         if self.domain_exit not in _DOMAIN_EXIT_POLICIES:
             raise InvalidInputError(
                 f"domain-exit: must be one of {_DOMAIN_EXIT_POLICIES}, got {self.domain_exit!r}"
@@ -236,11 +242,13 @@ class _ZeroRewardSample(InvalidInputError):
 
 
 def _prepare_step(
-    config, model, eta, scheme, objective, rng, exact=None
+    config, model, eta, params, scheme, objective, rng, exact=None
 ) -> Callable[[float], StepResult]:
     """Draw the step's population once; return an applier over a dt scale.
 
-    ``exact`` is the ``(FiniteDist, rewards)`` pair of ``eta`` for an exact
+    The rule moves ``eta``; the population is drawn from (or the support
+    enumerated under) ``params``, the same state already validated.
+    ``exact`` is the ``(FiniteDist, rewards)`` pair of the state for an exact
     rpp step when the caller carries it from the previous step; without it
     the support is enumerated and the rewards evaluated here.
     """
@@ -249,11 +257,11 @@ def _prepare_step(
         if config.rpp_exact:
             samples = None
             if exact is None:
-                source = enumerate_bernoulli(model.from_eta(eta))
+                source = enumerate_bernoulli(params)
                 exact = (source, objective.batch(source.support))
             source, rewards = exact
         else:
-            samples = source = model.sample(model.from_eta(eta), rng, config.lam)
+            samples = source = model.sample(params, rng, config.lam)
             rewards = objective.batch(samples)
             if not np.any(rewards > 0.0):
                 raise _ZeroRewardSample("rewards must not be all zero")
@@ -265,7 +273,7 @@ def _prepare_step(
 
         return apply
 
-    samples = model.sample(model.from_eta(eta), rng, config.lam)
+    samples = model.sample(params, rng, config.lam)
     fitness = objective.batch(samples)
     weights = sample_weights(fitness, scheme)
 
@@ -294,13 +302,13 @@ def _prepare_step(
     return apply
 
 
-def _reward_trace_fields(model, eta, rewards_on_support, q):
-    """Exact-reward runs carry no sample: log exact summaries instead.
+def _reward_trace_fields(params, rewards_on_support, q):
+    """Exact-reward runs carry no sample: log exact summaries of ``params``.
 
     Returns the new state's ``(FiniteDist, rewards)`` pair too, so the next
     step starts from it instead of enumerating the support again.
     """
-    dist = enumerate_bernoulli(model.from_eta(eta))
+    dist = enumerate_bernoulli(params)
     expected = float(dist.prob @ rewards_on_support)
     report = exact_quantile(dist, rewards_on_support, q)
     return (dist, rewards_on_support), expected, report.value
@@ -321,6 +329,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     model = config.make_model()
     scheme = config.make_scheme() if config.algorithm != "rpp" else None
     eta = model.to_eta(config.initial_params())
+    params = model.from_eta(eta)
     rng = np.random.default_rng([config.seed, 0])
     rng_aux = np.random.default_rng([config.seed, 1])
     q_for_trace = float(config.q) if config.q is not None else 0.5
@@ -329,9 +338,9 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     exact = None
     t0 = time.monotonic_ns()
     for step_index in range(config.max_steps):
-        prev_eta = eta
+        prev_params = params
         try:
-            applier = _prepare_step(config, model, prev_eta, scheme, objective, rng, exact)
+            applier = _prepare_step(config, model, eta, params, scheme, objective, rng, exact)
             if config.domain_exit == "safeguard":
                 try:
                     result, scale = updates.safeguarded_step(applier, 1.0, _MAX_HALVINGS)
@@ -348,14 +357,13 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
             trace.stop_reason = "zero_reward"
             break
         eta = result.eta
+        params = model.from_eta(eta)
 
         if config.algorithm == "rpp":
             coef = result.fitness / float(np.sum(result.fitness))
             entropy = float(-np.sum(coef[coef > 0.0] * np.log(coef[coef > 0.0])))
             if result.samples is None:
-                exact, best_f, emp_q = _reward_trace_fields(
-                    model, eta, result.fitness, q_for_trace
-                )
+                exact, best_f, emp_q = _reward_trace_fields(params, result.fitness, q_for_trace)
             else:
                 best_f = float(np.max(result.fitness))
                 emp_q = empirical_quantile(result.fitness, q_for_trace)
@@ -363,10 +371,10 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
             best_f = float(np.min(result.fitness))
             emp_q = empirical_quantile(result.fitness, q_for_trace)
             entropy = result.weights.entropy()
-        kl_prev = model.kl_divergence(model.from_eta(prev_eta), model.from_eta(eta))
+        kl_prev = model.kl_divergence(prev_params, params)
         j_est = None
         if config.estimate_j and scheme is not None:
-            j_est = estimate_preference_mean(model, eta, prev_eta, objective, scheme, rng_aux)
+            j_est = estimate_preference_mean(model, params, prev_params, objective, scheme, rng_aux)
         trace.steps.append(
             TraceStep(
                 step=step_index,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExitError, InvalidInputError
-from .models import Bernoulli
+from .models import Bernoulli, BernoulliParams
 from .oracle import (
     MAX_ENUM_DIM,
     _sup_quantile_index,
@@ -72,12 +72,12 @@ def _batch_fn(f):
     return f.batch if hasattr(f, "batch") else f
 
 
-def estimate_J(model, eta_eval, eta_base, f, scheme, rng, n: int) -> PreferenceEstimate:
-    """Monte Carlo estimate of the expected base-preference under ``eta_eval``.
+def estimate_J(model, params_eval, params_base, f, scheme, rng, n: int) -> PreferenceEstimate:
+    """Monte Carlo estimate of the expected base-preference under ``params_eval``.
 
     The quantile structure of the base state is estimated from a holdout
-    sample of ``n`` draws from ``eta_base``, and the preference of each of
-    ``n`` draws from ``eta_eval`` is its tie-averaged weight against that
+    sample of ``n`` draws from ``params_base``, and the preference of each of
+    ``n`` draws from ``params_eval`` is its tie-averaged weight against that
     holdout, so the result is statistical on both sides. The reported
     standard error covers the evaluation draws only. For the exact value on
     enumerable models see :func:`~igokit.oracle.exact_J`.
@@ -85,9 +85,9 @@ def estimate_J(model, eta_eval, eta_base, f, scheme, rng, n: int) -> PreferenceE
     if n < 100:
         raise InvalidInputError("n must be >= 100")
     batch = _batch_fn(f)
-    holdout = model.sample(model.from_eta(eta_base), rng, n)
+    holdout = model.sample(params_base, rng, n)
     base_f = np.sort(batch(holdout))
-    draws = model.sample(model.from_eta(eta_eval), rng, n)
+    draws = model.sample(params_eval, rng, n)
     f_draws = batch(draws)
     u_minus = np.searchsorted(base_f, f_draws, side="left") / n
     u_plus = np.searchsorted(base_f, f_draws, side="right") / n
@@ -97,12 +97,13 @@ def estimate_J(model, eta_eval, eta_base, f, scheme, rng, n: int) -> PreferenceE
     return PreferenceEstimate(value=value, stderr=stderr, n=n)
 
 
-def estimate_preference_mean(model, eta_eval, eta_base, objective, scheme, rng, n: int = 2000) -> float:
+def estimate_preference_mean(model, params_eval, params_base, objective, scheme, rng,
+                             n: int = 2000) -> float:
     """Trace helper: exact expected preference when enumerable, else Monte Carlo."""
     if isinstance(model, Bernoulli) and model.dim <= MAX_ENUM_DIM:
         support = bernoulli_support(model.dim)
-        return exact_J(eta_eval, eta_base, objective.batch(support), scheme)
-    return estimate_J(model, eta_eval, eta_base, objective, scheme, rng, n).value
+        return exact_J(params_eval, params_base, objective.batch(support), scheme)
+    return estimate_J(model, params_eval, params_base, objective, scheme, rng, n).value
 
 
 @dataclass(frozen=True)
@@ -122,18 +123,17 @@ class BoundReport:
     fixed_point: bool
 
 
-def progress_bound(eta_t, eta_next, fitness, scheme, dt: float) -> BoundReport:
-    """Exact progress report for one Bernoulli step (enumerable dimensions)."""
-    eta_t = np.asarray(eta_t, dtype=np.float64)
-    eta_next = np.asarray(eta_next, dtype=np.float64)
-    model = Bernoulli(eta_t.size)
-    j_value = exact_J(eta_next, eta_t, fitness, scheme)
-    kl_value = model.kl_divergence(model.from_eta(eta_t), model.from_eta(eta_next))
+def progress_bound(params_t: BernoulliParams, params_next: BernoulliParams, fitness, scheme,
+                   dt: float) -> BoundReport:
+    """Exact progress report for one Bernoulli step (enumerable dimensions),
+    read from the validated states before and after it; neither is converted."""
+    j_value = exact_J(params_next, params_t, fitness, scheme)
+    kl_value = Bernoulli(params_t.dim).kl_divergence(params_t, params_next)
     if dt == 1.0:
         bound = 1.0
     else:
         bound = float(np.exp(((1.0 - dt) / dt) * kl_value))
-    fixed_point = bool(np.max(np.abs(eta_next - eta_t)) <= 1e-12)
+    fixed_point = bool(np.max(np.abs(params_next.probs - params_t.probs)) <= 1e-12)
     return BoundReport(
         j_value=j_value,
         kl_value=kl_value,
@@ -189,11 +189,11 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
     if gaussian and holdout < 100_000:
         raise InvalidInputError("Gaussian surrogate quantiles need holdout >= 1e5")
 
-    def exact_q(eta, rng_hold):
+    def exact_q(params, rng_hold):
         if gaussian:
-            pts = model.sample(model.from_eta(eta), rng_hold, holdout)
+            pts = model.sample(params, rng_hold, holdout)
             return empirical_quantile(objective.batch(pts), q)
-        dist = enumerate_bernoulli(model.from_eta(eta))
+        dist = enumerate_bernoulli(params)
         return exact_quantile(dist, objective.batch(dist.support), q).value
 
     improved = equal = worsened = total = 0
@@ -201,14 +201,16 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
         rng = np.random.default_rng([config.seed, seed_index, 0])
         rng_hold = np.random.default_rng([config.seed, seed_index, 1])
         eta = model.to_eta(config.initial_params())
-        q_before = exact_q(eta, rng_hold)
+        params = model.from_eta(eta)
+        q_before = exact_q(params, rng_hold)
         for _ in range(n_steps):
             try:
-                result = _prepare_step(config, model, eta, scheme, objective, rng)(1.0)
+                result = _prepare_step(config, model, eta, params, scheme, objective, rng)(1.0)
             except DomainExitError:
                 break
             eta = result.eta
-            q_after = exact_q(eta, rng_hold)
+            params = model.from_eta(eta)
+            q_after = exact_q(params, rng_hold)
             total += 1
             if q_after < q_before - tol:
                 improved += 1

@@ -165,7 +165,9 @@ class Bernoulli:
         return self._check_point(x).copy()
 
     def batch_sufficient_statistics(self, points) -> np.ndarray:
-        """Stack of T(x) rows for an ``(n, d)`` array of points."""
+        """Stack of T(x) rows for an ``(n, d)`` array of points. Since
+        ``T(x) = x`` this is the checked points array itself, not a copy:
+        callers read it and never write to it."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InvalidInputError(
@@ -173,7 +175,7 @@ class Bernoulli:
             )
         if not np.all((pts == 0.0) | (pts == 1.0)):
             raise InvalidInputError("Bernoulli points must be 0/1 valued")
-        return pts.copy()
+        return pts
 
     # -- parameter conversions ------------------------------------------
 

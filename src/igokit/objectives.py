@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapacityError, InvalidInputError
 from .oracle import MAX_ENUM_DIM, bernoulli_support
 
-__all__ = ["Objective", "OBJECTIVE_NAMES", "make_objective", "evaluate"]
+__all__ = ["Objective", "OBJECTIVE_NAMES", "make_objective"]
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,3 @@ def make_objective(name: str, dim: int, seed: int = 1) -> Objective:
         raise InvalidInputError("dim must be a positive integer")
     return _FACTORIES[name](int(dim), seed)
 
-
-def evaluate(objective: Objective, x) -> float:
-    """Objective value of one point; validates the dimension."""
-    return objective(x)

@@ -14,6 +14,10 @@ are a Kronecker product of the per-coordinate factors ``(1 - p_j, p_j)``,
 which multiplies the same factors in the same order as a row-wise product
 over the support and so gives the same bits.
 
+A state comes in as trusted :class:`~igokit.models.BernoulliParams`; the
+exact steps return raw expectation parameters, as the update rules do, and
+the caller converts each new state once with ``Bernoulli.from_eta``.
+
 All functions are pure and deterministic; parallel evaluation across
 configurations is safe as long as each task keeps its own arrays.
 """
@@ -133,16 +137,6 @@ def _support_probs(probs: np.ndarray) -> np.ndarray:
     return prob
 
 
-def _state_probs(eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate a raw Bernoulli state; return it, the support and the exact
-    probability of every support point."""
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.ndim != 1 or eta.size < 1:
-        raise InvalidInputError("eta must be a non-empty 1-d sequence")
-    Bernoulli(eta.size).from_eta(eta)
-    return eta, bernoulli_support(eta.size), _support_probs(eta)
-
-
 def enumerate_bernoulli(params: BernoulliParams) -> FiniteDist:
     """The full distribution of a product Bernoulli model, exactly. The
     parameters were validated when they were built, so they are trusted."""
@@ -186,8 +180,10 @@ def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     )
 
 
-def exact_infinite_population_step(eta, fitness, scheme, dt: float) -> np.ndarray:
-    """One exact natural-gradient step in expectation parameters.
+def exact_infinite_population_step(params: BernoulliParams, fitness, scheme,
+                                   dt: float) -> np.ndarray:
+    """One exact natural-gradient step from ``params``, returned as
+    expectation parameters.
 
     Computes ``eta + dt * E[W(x) (T(x) - eta)]`` with the expectation taken
     exactly over the enumerated support, by running
@@ -196,13 +192,17 @@ def exact_infinite_population_step(eta, fitness, scheme, dt: float) -> np.ndarra
     point in the fixed lexicographic order. Raises ``DomainExitError`` if the
     result leaves the open parameter region.
     """
-    eta, support, prob = _state_probs(eta)
+    prob = _support_probs(params.probs)
     w = preference_exact(prob, fitness, scheme)
-    return updates.igo_step(Bernoulli(eta.size), eta, support, prob * w, dt)
+    return updates.igo_step(
+        Bernoulli(params.dim), params.probs, bernoulli_support(params.dim), prob * w, dt
+    )
 
 
-def exact_blockwise_coordinate_step(eta, fitness, scheme, dt_per_block, order=None) -> np.ndarray:
-    """Exact coordinate-blocked sequential weighted-ML step.
+def exact_blockwise_coordinate_step(params: BernoulliParams, fitness, scheme, dt_per_block,
+                                    order=None) -> np.ndarray:
+    """Exact coordinate-blocked sequential weighted-ML step from ``params``,
+    returned as expectation parameters.
 
     Runs :func:`~igokit.updates.blockwise_igo_ml_step` on the enumerated
     support with weights ``P(x) W(x)``: each coordinate is one block, updated
@@ -212,30 +212,27 @@ def exact_blockwise_coordinate_step(eta, fitness, scheme, dt_per_block, order=No
     ``j`` wherever ``j`` falls in ``order``. Validity is checked after every
     block.
     """
-    eta, support, prob = _state_probs(eta)
-    dim = eta.size
+    dim = params.dim
     dts = np.asarray(dt_per_block, dtype=np.float64)
-    order = np.arange(dim) if order is None else np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(dim)):
-        raise InvalidInputError("order must be a permutation of the coordinates")
     if dts.shape != (dim,):
         raise InvalidInputError("dt_per_block must give one step size per block")
+    decomposition = updates.BernoulliBlockDecomposition(dim, () if order is None else tuple(order))
+    prob = _support_probs(params.probs)
     w = preference_exact(prob, fitness, scheme)
-    decomposition = updates.BernoulliBlockDecomposition(dim, tuple(order.tolist()))
     return updates.blockwise_igo_ml_step(
-        Bernoulli(dim), eta, support, prob * w, decomposition, dts[order]
+        Bernoulli(dim), params.probs, bernoulli_support(dim), prob * w, decomposition,
+        dts[list(decomposition.order)],
     )
 
 
-def exact_J(eta_eval, eta_base, fitness, scheme) -> float:
+def exact_J(params_eval: BernoulliParams, params_base: BernoulliParams, fitness, scheme) -> float:
     """Expected base-preference of a draw from the evaluation distribution.
 
-    The preference is computed under ``eta_base``; the average is taken under
-    ``eta_eval``. Equals 1 when the two coincide.
+    The preference is computed under ``params_base``; the average is taken
+    under ``params_eval``. Equals 1 when the two coincide.
     """
-    eta_base, _, prob_base = _state_probs(eta_base)
-    if np.shape(eta_eval) != eta_base.shape:
+    if params_eval.dim != params_base.dim:
         raise InvalidInputError("states must share the same dimension")
-    _, _, prob_eval = _state_probs(eta_eval)
+    prob_base = _support_probs(params_base.probs)
+    prob_eval = _support_probs(params_eval.probs)
     return float(prob_eval @ preference_exact(prob_base, fitness, scheme))
-

@@ -31,7 +31,9 @@ Exact dynamics may hit the open-domain boundary in finite float precision
 (mass concentrates on an optimum and a full step lands on a vertex); a grid
 case then stops at the domain exit and its executed steps are what gets
 checked. Cases run sequentially; each draws from its own seed-derived
-stream, so a report depends only on the suite, grid and seed.
+stream, so a report depends only on the suite, grid and seed. Each suite
+function returns its list of cases; :func:`run_suite` times the call and
+builds the report.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .diagnostics import (
     progress_bound,
 )
 from .errors import DomainExitError, InvalidInputError
-from .models import Bernoulli, Gaussian, GaussianParams
+from .models import Bernoulli, BernoulliParams, Gaussian, GaussianParams
 from .objectives import make_objective
 from .oracle import (
     bernoulli_support,
@@ -170,13 +172,13 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
     fvals = _support_fitness(case)
     scheme = TruncationScheme(case.q)
     model = Bernoulli(case.d)
-    eta = np.array(case.theta0)
+    params = BernoulliParams(case.theta0)
 
-    def quantile(e):
-        dist = enumerate_bernoulli(model.from_eta(e))
+    def quantile(p):
+        dist = enumerate_bernoulli(p)
         return exact_quantile(dist, fvals, case.q), dist
 
-    q_before, _ = quantile(eta)
+    q_before, _ = quantile(params)
     executed = 0
     stopped_early = False
     max_increase = 0.0
@@ -187,27 +189,26 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
         try:
             if blockwise:
                 eta_next = exact_blockwise_coordinate_step(
-                    eta, fvals, scheme, case.dt_blocks
+                    params, fvals, scheme, case.dt_blocks
                 )
             else:
-                eta_next = exact_infinite_population_step(eta, fvals, scheme, case.dt)
+                eta_next = exact_infinite_population_step(params, fvals, scheme, case.dt)
         except DomainExitError:
             stopped_early = True
             break
         executed += 1
-        q_after, dist_after = quantile(eta_next)
+        params_next = model.from_eta(eta_next)
+        q_after, dist_after = quantile(params_next)
         increase = q_after.value - q_before.value
         max_increase = max(max_increase, increase)
-        if abs(increase) <= QUANTILE_TOL:
-            moved = float(np.max(np.abs(eta_next - eta))) > 1e-12
-            if moved:
-                mass_at_level = float(dist_after.prob[fvals == q_before.value].sum())
-                if not mass_at_level > 0.0:
-                    unexplained += 1
+        move = float(np.max(np.abs(eta_next - params.probs)))
+        if abs(increase) <= QUANTILE_TOL and move > 1e-12:
+            mass_at_level = float(dist_after.prob[fvals == q_before.value].sum())
+            if not mass_at_level > 0.0:
+                unexplained += 1
         if check_bound:
-            move = float(np.max(np.abs(eta_next - eta)))
             if move > 1e-12:
-                report = progress_bound(eta, eta_next, fvals, scheme, case.dt)
+                report = progress_bound(params, params_next, fvals, scheme, case.dt)
                 margin = report.j_value - report.bound
                 min_margin = min(min_margin, margin)
                 if move > FIXED_POINT_GUARD:
@@ -215,7 +216,7 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
                         bound_violations += 1
                 elif margin < -QUANTILE_TOL:
                     bound_violations += 1
-        eta = eta_next
+        params = params_next
         q_before = q_after
     detail = {
         "d": case.d,
@@ -235,41 +236,34 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
     return CaseResult(name=f"case-{case.index:03d}", passed=passed, detail=detail)
 
 
-def suite_quantile_improvement(grid="small", seed=1) -> SuiteReport:
-    cases = _improvement_grid(seed, _GRID_SIZES[grid])
-    t0 = time.monotonic()
-    results = [
-        _exact_improvement_case(c, 100, blockwise=False, check_bound=False) for c in cases
+def suite_quantile_improvement(grid, seed) -> list:
+    return [
+        _exact_improvement_case(c, 100, blockwise=False, check_bound=False)
+        for c in _improvement_grid(seed, _GRID_SIZES[grid])
     ]
-    return SuiteReport("quantile-improvement", grid, seed, results, time.monotonic() - t0)
 
 
-def suite_blockwise_improvement(grid="small", seed=1) -> SuiteReport:
-    cases = _improvement_grid(seed, _GRID_SIZES[grid])
-    t0 = time.monotonic()
-    results = [
-        _exact_improvement_case(c, 100, blockwise=True, check_bound=False) for c in cases
+def suite_blockwise_improvement(grid, seed) -> list:
+    return [
+        _exact_improvement_case(c, 100, blockwise=True, check_bound=False)
+        for c in _improvement_grid(seed, _GRID_SIZES[grid])
     ]
-    return SuiteReport("blockwise-improvement", grid, seed, results, time.monotonic() - t0)
 
 
-def suite_progress_bound(grid="small", seed=1) -> SuiteReport:
-    cases = _improvement_grid(seed, _GRID_SIZES[grid])
-    t0 = time.monotonic()
-    results = [
-        _exact_improvement_case(c, 100, blockwise=False, check_bound=True) for c in cases
-    ]
-    results.append(_worked_instance_case())
-    return SuiteReport("progress-bound", grid, seed, results, time.monotonic() - t0)
+def suite_progress_bound(grid, seed) -> list:
+    return [
+        _exact_improvement_case(c, 100, blockwise=False, check_bound=True)
+        for c in _improvement_grid(seed, _GRID_SIZES[grid])
+    ] + [_worked_instance_case()]
 
 
 def _worked_instance_case() -> CaseResult:
     support = bernoulli_support(2)
     fvals = support.sum(axis=1)
     scheme = TruncationScheme(0.5)
-    eta = np.array([0.5, 0.5])
-    eta_next = exact_infinite_population_step(eta, fvals, scheme, 0.5)
-    report = progress_bound(eta, eta_next, fvals, scheme, 0.5)
+    params = BernoulliParams([0.5, 0.5])
+    eta_next = exact_infinite_population_step(params, fvals, scheme, 0.5)
+    report = progress_bound(params, Bernoulli(2).from_eta(eta_next), fvals, scheme, 0.5)
     detail = {
         "eta_next": [float(v) for v in eta_next],
         "j_value": report.j_value,
@@ -344,11 +338,8 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
     return CaseResult(name=f"case-{index:03d}", passed=passed, detail=detail)
 
 
-def suite_fitness_improvement(grid="small", seed=1) -> SuiteReport:
-    size = _GRID_SIZES[grid]
-    t0 = time.monotonic()
-    results = [_fitness_case(i, seed) for i in range(size)]
-    return SuiteReport("fitness-improvement", grid, seed, results, time.monotonic() - t0)
+def suite_fitness_improvement(grid, seed) -> list:
+    return [_fitness_case(i, seed) for i in range(_GRID_SIZES[grid])]
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +410,13 @@ def _equivalence_case(case) -> CaseResult:
     raise RuntimeError("could not draw a non-degenerate equivalence instance")
 
 
-def suite_equivalence(grid="small", seed=1) -> SuiteReport:
+def suite_equivalence(grid, seed) -> list:
     per_family = _EQUIVALENCE_SIZES[grid]
-    inputs = [("bernoulli", i, seed) for i in range(per_family)]
-    inputs += [("gaussian", i, seed) for i in range(per_family)]
-    t0 = time.monotonic()
-    results = [_equivalence_case(c) for c in inputs]
-    return SuiteReport("equivalence", grid, seed, results, time.monotonic() - t0)
+    return [
+        _equivalence_case((family, i, seed))
+        for family in ("bernoulli", "gaussian")
+        for i in range(per_family)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +466,8 @@ def _cma_case(case) -> CaseResult:
     return CaseResult(name=f"case-{index:03d}", passed=err <= 1e-12, detail=detail)
 
 
-def suite_cma_recovery(grid="small", seed=1) -> SuiteReport:
-    size = _CMA_SIZES[grid]
-    t0 = time.monotonic()
-    results = [_cma_case((i, seed)) for i in range(size)]
-    return SuiteReport("cma-recovery", grid, seed, results, time.monotonic() - t0)
+def suite_cma_recovery(grid, seed) -> list:
+    return [_cma_case((i, seed)) for i in range(_CMA_SIZES[grid])]
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +508,8 @@ def _kl_case(case) -> CaseResult:
     return CaseResult(name=f"case-{index:02d}", passed=ratios_ok, detail=detail)
 
 
-def suite_kl_expansion(grid="small", seed=1) -> SuiteReport:
-    cases = _kl_committed_set(seed)
-    inputs = [(i, *c) for i, c in enumerate(cases)]
-    t0 = time.monotonic()
-    results = [_kl_case(c) for c in inputs]
-    return SuiteReport("kl-expansion", grid, seed, results, time.monotonic() - t0)
+def suite_kl_expansion(grid, seed) -> list:
+    return [_kl_case((i, *c)) for i, c in enumerate(_kl_committed_set(seed))]
 
 
 def _natural_gradient_case(case) -> CaseResult:
@@ -554,19 +538,16 @@ def _natural_gradient_case(case) -> CaseResult:
     return CaseResult(name=f"case-{index:03d}", passed=rel <= 1e-5, detail=detail)
 
 
-def suite_natural_gradient(grid="small", seed=1) -> SuiteReport:
+def suite_natural_gradient(grid, seed) -> list:
     size = 200 if grid == "small" else 500
-    t0 = time.monotonic()
-    results = [_natural_gradient_case((i, seed)) for i in range(size)]
-    return SuiteReport("natural-gradient", grid, seed, results, time.monotonic() - t0)
+    return [_natural_gradient_case((i, seed)) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
 # finite population and determinism
 
 
-def suite_finite_population(grid="small", seed=1) -> SuiteReport:
-    t0 = time.monotonic()
+def suite_finite_population(grid, seed) -> list:
     config = AlgorithmConfig(
         algorithm="pbil",
         objective="onemax",
@@ -585,14 +566,14 @@ def suite_finite_population(grid="small", seed=1) -> SuiteReport:
         "steps_worsened": stats.steps_worsened,
         "improvement_rate": stats.improvement_rate,
     }
-    case = CaseResult(
-        name="onemax-d8-lam10000", passed=stats.improvement_rate >= 0.9, detail=detail
-    )
-    return SuiteReport("finite-population", grid, seed, [case], time.monotonic() - t0)
+    return [
+        CaseResult(
+            name="onemax-d8-lam10000", passed=stats.improvement_rate >= 0.9, detail=detail
+        )
+    ]
 
 
-def suite_determinism(grid="small", seed=1) -> SuiteReport:
-    t0 = time.monotonic()
+def suite_determinism(grid, seed) -> list:
     results = []
     configs = {
         "pbil-csv": (
@@ -616,7 +597,7 @@ def suite_determinism(grid="small", seed=1) -> SuiteReport:
                 detail={"bytes": len(first), "identical": first == second},
             )
         )
-    return SuiteReport("determinism", grid, seed, results, time.monotonic() - t0)
+    return results
 
 
 SUITES = {
@@ -634,10 +615,15 @@ SUITES = {
 
 
 def run_suite(name: str, grid: str = "small", seed: int = 1) -> SuiteReport:
+    """Run one suite and report its cases with the wall time they took."""
     if name not in SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
     if grid not in _GRID_SIZES:
         raise InvalidInputError(f"unknown grid {grid!r}; known: small, large")
-    return SUITES[name](grid=grid, seed=seed)
+    if int(seed) != seed or seed < 0:
+        raise InvalidInputError(f"seed: must be a non-negative integer, got {seed!r}")
+    t0 = time.monotonic()
+    cases = SUITES[name](grid, seed)
+    return SuiteReport(name, grid, seed, cases, time.monotonic() - t0)

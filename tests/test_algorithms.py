@@ -28,7 +28,7 @@ from igokit.updates import GaussianBlockDecomposition
 def one_step(config, model, eta, objective, rng=None, scheme=None):
     """Draw one step's population through the run loop's pipeline and apply
     the configured step size."""
-    return _prepare_step(config, model, eta, scheme, objective, rng)(1.0)
+    return _prepare_step(config, model, eta, model.from_eta(eta), scheme, objective, rng)(1.0)
 
 
 def rpp_step(model, eta, objective, dt, rng=None, lam=None, exact=True):
@@ -184,6 +184,15 @@ class TestRunLoop:
         assert tr.stop_reason == "domain_exit"
         assert tr.steps == []
         assert tr.halvings == 30
+
+    def test_each_state_is_converted_once(self, from_eta_calls):
+        # one conversion of the initial state, then per step the rule's check
+        # of the state it returns and the loop's one conversion of it
+        config = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=8, lam=40,
+                                 q=0.25, dt=0.3, max_steps=6, seed=1, domain_exit="halt")
+        trace = run(config)
+        assert len(trace.steps) == config.max_steps
+        assert len(from_eta_calls) == 2 * config.max_steps + 1
 
     def test_pbil_reaches_optimum_on_committed_seeds(self):
         hits = 0

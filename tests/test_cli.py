@@ -105,6 +105,20 @@ class TestRunCommand:
         assert summary["stop_reason"] == "zero_reward"
         assert len(read_trace(out)) == summary["steps"] < 20
 
+    def test_negative_seed_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli(trace_args(out, **{"--seed": "-1"})) == 2
+        assert "configuration error: seed:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_objective_seed_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("objective=random-table\ndim=6\nobjective_seed=-3\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error: objective_seed:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_capacity_errors_are_config_errors(self, tmp_path, capsys):
         argv = trace_args(tmp_path / "t.csv",
                           **{"--objective": "random-table", "--dim": "20"})
@@ -197,6 +211,12 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert run_cli(["verify", "nonsense"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "kl-expansion", "--seed", "-1", "--out", str(out)]) == 2
+        assert "configuration error: seed:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kl_expansion_suite_passes(self, capsys):
         assert run_cli(["verify", "kl-expansion", "--seed", "1"]) == 0

@@ -375,7 +375,8 @@ class TestFisherInformation:
             model.fisher_information(eta)
 
     def test_kl_expansion_contract(self):
-        # the quadratic form must explain KL up to a cubic-or-better remainder
+        # the quadratic form plus the exact cubic term must explain KL up to
+        # a quartic remainder: one halving shrinks the residual at least 8x
         rng = np.random.default_rng(2718)
         for family in ("bernoulli", "gaussian"):
             for _ in range(5):
@@ -396,6 +397,7 @@ class TestFisherInformation:
 
                 def err(dlt):
                     kl = m.kl_divergence(base, m.from_eta(eta + dlt))
-                    return abs(kl - 0.5 * float(dlt @ fim @ dlt))
+                    cubic = m._negentropy_third_derivative(eta, dlt) / 3.0
+                    return abs(kl - 0.5 * float(dlt @ fim @ dlt) - cubic)
 
-                assert err(delta / 2) <= err(delta) / 4 + 1e-12
+                assert err(delta / 2) * 8.0 <= err(delta)

@@ -5,40 +5,39 @@ from igokit import (
     CapacityError,
     InvalidInputError,
     OBJECTIVE_NAMES,
-    evaluate,
     make_objective,
 )
 
 
 def test_onemax_optimum():
     obj = make_objective("onemax", 4)
-    assert evaluate(obj, [1, 1, 1, 1]) == 0.0
-    assert evaluate(obj, [0, 0, 0, 0]) == 4.0
+    assert obj([1, 1, 1, 1]) == 0.0
+    assert obj([0, 0, 0, 0]) == 4.0
 
 
 def test_binval_weights():
     obj = make_objective("binval", 3)
-    assert evaluate(obj, [0, 1, 0]) == 5.0  # 2^0 + 2^2
-    assert evaluate(obj, [1, 1, 1]) == 0.0
-    assert evaluate(obj, [0, 0, 0]) == 7.0
+    assert obj([0, 1, 0]) == 5.0  # 2^0 + 2^2
+    assert obj([1, 1, 1]) == 0.0
+    assert obj([0, 0, 0]) == 7.0
 
 
 def test_leadingones():
     obj = make_objective("leadingones", 5)
-    assert evaluate(obj, [1, 1, 0, 1, 1]) == 3.0
-    assert evaluate(obj, [0, 1, 1, 1, 1]) == 5.0
-    assert evaluate(obj, [1, 1, 1, 1, 1]) == 0.0
+    assert obj([1, 1, 0, 1, 1]) == 3.0
+    assert obj([0, 1, 1, 1, 1]) == 5.0
+    assert obj([1, 1, 1, 1, 1]) == 0.0
 
 
 def test_sphere():
     obj = make_objective("sphere", 2)
-    assert evaluate(obj, [3.0, 4.0]) == 25.0
+    assert obj([3.0, 4.0]) == 25.0
 
 
 def test_ellipsoid_scaling():
     obj = make_objective("ellipsoid", 3)
-    assert evaluate(obj, [1.0, 0.0, 0.0]) == pytest.approx(1.0)
-    assert evaluate(obj, [0.0, 0.0, 1.0]) == pytest.approx(1e6)
+    assert obj([1.0, 0.0, 0.0]) == pytest.approx(1.0)
+    assert obj([0.0, 0.0, 1.0]) == pytest.approx(1e6)
     assert make_objective("ellipsoid", 1)([2.0]) == pytest.approx(4.0)
 
 
@@ -47,7 +46,7 @@ def test_registry_optima_attained():
         obj = make_objective(name, 4, seed=3)
         if obj.optimizer is None:
             continue
-        assert evaluate(obj, obj.optimizer) == obj.optimum
+        assert obj(obj.optimizer) == obj.optimum
 
 
 def test_random_table_reproducible():
@@ -73,7 +72,7 @@ def test_reward_direction():
 def test_dimension_mismatch():
     obj = make_objective("onemax", 4)
     with pytest.raises(InvalidInputError):
-        evaluate(obj, [1, 0])
+        obj([1, 0])
     with pytest.raises(InvalidInputError):
         obj.batch(np.zeros((3, 5)))
 

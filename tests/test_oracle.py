@@ -23,7 +23,7 @@ from igokit import (
     make_objective,
     preference_exact,
 )
-from igokit.oracle import _state_probs, _sup_quantile_index
+from igokit.oracle import _support_probs, _sup_quantile_index
 
 UNIFORM = TabulatedScheme((1.0,))
 
@@ -72,14 +72,11 @@ class TestSupportProbabilities:
     @given(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1, max_size=12))
     def test_kronecker_build_matches_row_products_bit_for_bit(self, eta):
         eta = np.array(eta)
-        _, _, prob = _state_probs(eta)
-        assert prob.tobytes() == row_product_probs(eta).tobytes()
+        assert _support_probs(eta).tobytes() == row_product_probs(eta).tobytes()
 
     def test_kronecker_build_matches_row_products_at_d16(self):
         eta = np.random.default_rng(16).uniform(0.01, 0.99, 16)
-        _, support, prob = _state_probs(eta)
-        assert support is bernoulli_support(16)
-        assert prob.tobytes() == row_product_probs(eta).tobytes()
+        assert _support_probs(eta).tobytes() == row_product_probs(eta).tobytes()
 
 
 class TestEnumerationTrustsParams:
@@ -91,7 +88,7 @@ class TestEnumerationTrustsParams:
     )
     def test_no_revalidation_and_the_same_bits(self, probs):
         # the params were validated when built; enumeration must not prove
-        # it again, and must give the probabilities of the raw-state path
+        # it again, and must give the row-product probabilities bit for bit
         params = BernoulliParams(probs)
         calls = []
         from_eta = Bernoulli.from_eta
@@ -104,7 +101,7 @@ class TestEnumerationTrustsParams:
             mp.setattr(Bernoulli, "from_eta", counting)
             dist = enumerate_bernoulli(params)
         assert calls == []
-        assert dist.prob.tobytes() == _state_probs(params.probs)[2].tobytes()
+        assert dist.prob.tobytes() == row_product_probs(params.probs).tobytes()
         assert dist.support is bernoulli_support(params.dim)
 
 
@@ -226,21 +223,32 @@ class TestQuantileIndex:
 class TestExactStep:
     def test_full_step(self):
         eta = exact_infinite_population_step(
-            [0.5, 0.5], sum_fitness(2), TruncationScheme(0.5), 1.0
+            BernoulliParams([0.5, 0.5]), sum_fitness(2), TruncationScheme(0.5), 1.0
         )
         assert np.allclose(eta, [0.25, 0.25], atol=1e-15)
 
     def test_half_step(self):
         eta = exact_infinite_population_step(
-            [0.5, 0.5], sum_fitness(2), TruncationScheme(0.5), 0.5
+            BernoulliParams([0.5, 0.5]), sum_fitness(2), TruncationScheme(0.5), 0.5
         )
         assert np.allclose(eta, [0.375, 0.375], atol=1e-15)
 
     def test_uniform_scheme_is_stationary(self):
         start = np.array([0.3, 0.6])
         for dt in (0.1, 1.0):
-            eta = exact_infinite_population_step(start, sum_fitness(2), UNIFORM, dt)
+            eta = exact_infinite_population_step(
+                BernoulliParams(start), sum_fitness(2), UNIFORM, dt
+            )
             assert np.max(np.abs(eta - start)) <= 1e-15
+
+    def test_only_the_rule_checks_the_new_state(self, from_eta_calls):
+        # the given params are trusted; the one conversion is igo_step's
+        # check of the state it returns
+        params = BernoulliParams([0.3, 0.6, 0.5])
+        f = make_objective("random-table", 3, seed=4).batch(bernoulli_support(3))
+        eta_next = exact_infinite_population_step(params, f, TruncationScheme(0.25), 0.5)
+        assert len(from_eta_calls) == 1
+        assert from_eta_calls[0].tobytes() == eta_next.tobytes()
 
     def test_blockwise_equal_rates_match_joint_step(self):
         # coordinate blocks do not interact: equal per-block rates reproduce
@@ -252,23 +260,24 @@ class TestExactStep:
             f = make_objective("random-table", d, seed=5).batch(bernoulli_support(d))
             scheme = TruncationScheme(0.25)
             dt = float(rng.uniform(0.1, 1.0))
-            joint = exact_infinite_population_step(eta, f, scheme, dt)
-            blocked = exact_blockwise_coordinate_step(eta, f, scheme, np.full(d, dt))
+            params = BernoulliParams(eta)
+            joint = exact_infinite_population_step(params, f, scheme, dt)
+            blocked = exact_blockwise_coordinate_step(params, f, scheme, np.full(d, dt))
             assert np.max(np.abs(joint - blocked)) <= 1e-14
 
     def test_blockwise_zero_rates(self):
         eta = np.array([0.4, 0.6])
         out = exact_blockwise_coordinate_step(
-            eta, sum_fitness(2), TruncationScheme(0.5), [0.0, 0.0]
+            BernoulliParams(eta), sum_fitness(2), TruncationScheme(0.5), [0.0, 0.0]
         )
         assert np.array_equal(out, eta)
 
     def test_blockwise_respects_order_arg(self):
-        eta = np.array([0.4, 0.6])
+        params = BernoulliParams([0.4, 0.6])
         f = sum_fitness(2)
-        a = exact_blockwise_coordinate_step(eta, f, TruncationScheme(0.5), [0.5, 0.5])
+        a = exact_blockwise_coordinate_step(params, f, TruncationScheme(0.5), [0.5, 0.5])
         b = exact_blockwise_coordinate_step(
-            eta, f, TruncationScheme(0.5), [0.5, 0.5], order=[1, 0]
+            params, f, TruncationScheme(0.5), [0.5, 0.5], order=[1, 0]
         )
         assert np.allclose(a, b, atol=1e-15)  # blocks are independent here
 
@@ -282,9 +291,10 @@ class TestExactStep:
         scheme = TruncationScheme(0.3)
         dts = np.array([0.2, 0.6, 0.9])
         order = [2, 0, 1]
-        got = exact_blockwise_coordinate_step(eta, f, scheme, dts, order=order)
-        assert np.array_equal(got, exact_blockwise_coordinate_step(eta, f, scheme, dts))
-        dist = enumerate_bernoulli(BernoulliParams(eta))
+        params = BernoulliParams(eta)
+        got = exact_blockwise_coordinate_step(params, f, scheme, dts, order=order)
+        assert np.array_equal(got, exact_blockwise_coordinate_step(params, f, scheme, dts))
+        dist = enumerate_bernoulli(params)
         mean = (dist.prob * preference_exact(dist.prob, f, scheme)) @ dist.support
         assert np.max(np.abs(got - ((1.0 - dts) * eta + dts * mean))) <= 1e-15
         shipped = blockwise_igo_ml_step(
@@ -294,7 +304,7 @@ class TestExactStep:
         assert np.array_equal(got, shipped)
 
     def test_blockwise_validation(self):
-        eta = np.array([0.4, 0.6])
+        eta = BernoulliParams([0.4, 0.6])
         f = sum_fitness(2)
         scheme = TruncationScheme(0.5)
         with pytest.raises(InvalidInputError, match="permutation"):
@@ -306,7 +316,9 @@ class TestExactStep:
 
     def test_negative_dt_rejected(self):
         with pytest.raises(InvalidInputError, match="dt"):
-            exact_infinite_population_step([0.5, 0.5], sum_fitness(2), UNIFORM, -0.5)
+            exact_infinite_population_step(
+                BernoulliParams([0.5, 0.5]), sum_fitness(2), UNIFORM, -0.5
+            )
 
 
 class TestExactFunctionals:
@@ -314,22 +326,24 @@ class TestExactFunctionals:
         rng = np.random.default_rng(9)
         for _ in range(10):
             d = int(rng.integers(1, 8))
-            eta = rng.uniform(0.1, 0.9, d)
+            params = BernoulliParams(rng.uniform(0.1, 0.9, d))
             f = rng.integers(0, 4, 2**d).astype(float)
             q = float(rng.uniform(0.1, 0.9))
-            assert exact_J(eta, eta, f, TruncationScheme(q)) == pytest.approx(
+            assert exact_J(params, params, f, TruncationScheme(q)) == pytest.approx(
                 1.0, abs=1e-12
             )
 
     def test_j_worked_instance(self):
-        j = exact_J([0.375, 0.375], [0.5, 0.5], sum_fitness(2), TruncationScheme(0.5))
+        j = exact_J(BernoulliParams([0.375, 0.375]), BernoulliParams([0.5, 0.5]),
+                    sum_fitness(2), TruncationScheme(0.5))
         assert j == pytest.approx(2 * 0.390625 + 0.46875, abs=1e-15)
         assert j == pytest.approx(1.25, abs=1e-15)
 
     def test_j_concentrated_near_best(self):
         eps = 1e-6
         j = exact_J(
-            [eps, eps], [0.5, 0.5], sum_fitness(2), TruncationScheme(0.5)
+            BernoulliParams([eps, eps]), BernoulliParams([0.5, 0.5]), sum_fitness(2),
+            TruncationScheme(0.5),
         )
         assert j == pytest.approx(2.0, abs=1e-5)
 
@@ -342,11 +356,11 @@ class TestImprovementMiniRun:
         f = obj.batch(bernoulli_support(6))
         scheme = TruncationScheme(0.25)
         model = Bernoulli(6)
-        dist = enumerate_bernoulli(model.from_eta(eta))
-        q_prev = exact_quantile(dist, f, 0.25).value
+        params = model.from_eta(eta)
+        q_prev = exact_quantile(enumerate_bernoulli(params), f, 0.25).value
         for _ in range(30):
-            eta = exact_infinite_population_step(eta, f, scheme, 0.5)
-            dist = enumerate_bernoulli(model.from_eta(eta))
+            params = model.from_eta(exact_infinite_population_step(params, f, scheme, 0.5))
+            dist = enumerate_bernoulli(params)
             q_now = exact_quantile(dist, f, 0.25).value
             assert q_now <= q_prev + 1e-12
             if abs(q_now - q_prev) <= 1e-12:
@@ -367,9 +381,10 @@ class TestImprovementMiniRun:
         values = st.integers(0, 4).map(float) if ties else st.floats(-10.0, 10.0)
         f = np.array(data.draw(st.lists(values, min_size=2**d, max_size=2**d)))
         model = Bernoulli(d)
-        before = exact_quantile(enumerate_bernoulli(model.from_eta(eta)), f, q).value
+        params = model.from_eta(eta)
+        before = exact_quantile(enumerate_bernoulli(params), f, q).value
         try:
-            eta_next = exact_infinite_population_step(eta, f, TruncationScheme(q), dt)
+            eta_next = exact_infinite_population_step(params, f, TruncationScheme(q), dt)
         except DomainExitError:
             return  # the full step landed on a vertex: nothing to compare
         after = exact_quantile(enumerate_bernoulli(model.from_eta(eta_next)), f, q).value
