@@ -29,7 +29,8 @@ Each new state is converted once with ``model.from_eta``; those params feed
 sampling, enumeration, the KL divergence and the expected preference. An
 exact rpp run enumerates the support once per step: the distribution that
 logs the new state's exact summaries is the next step's source, and the
-reward table on the support is evaluated once per run.
+reward table on the support is the objective's ``support_values``, evaluated
+once per objective.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ _MAX_HALVINGS = 30
 _SAMPLE_RULES = {"pbil": "igo_step", "igo_generic": "igo_step", "ce_ml": "igo_ml_step"}
 
 
+def _check_integer(key: str, value, minimum: int, requirement: str) -> None:
+    """Raise ``InvalidInputError`` naming ``key`` unless ``value`` is a whole
+    number no smaller than ``minimum``; a ``None`` or a non-number is refused
+    the same way, never as a raw ``TypeError`` or ``ValueError``."""
+    try:
+        valid = int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"{key}: {requirement}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Everything a seeded run needs; validated before any work starts."""
@@ -99,34 +112,23 @@ class AlgorithmConfig:
             raise InvalidInputError(
                 f"objective: unknown {self.objective!r}; known: {', '.join(OBJECTIVE_NAMES)}"
             )
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise InvalidInputError(f"dim: must be a positive integer, got {self.dim!r}")
-        if int(self.max_steps) != self.max_steps or self.max_steps < 0:
-            raise InvalidInputError(
-                f"steps: must be a non-negative integer, got {self.max_steps!r}"
-            )
+        _check_integer("dim", self.dim, 1, "must be a positive integer")
+        _check_integer("steps", self.max_steps, 0, "must be a non-negative integer")
         for key in ("seed", "objective_seed"):
-            value = getattr(self, key)
-            if int(value) != value or value < 0:
-                raise InvalidInputError(f"{key}: must be a non-negative integer, got {value!r}")
+            _check_integer(key, getattr(self, key), 0, "must be a non-negative integer")
         if self.domain_exit not in _DOMAIN_EXIT_POLICIES:
             raise InvalidInputError(
                 f"domain-exit: must be one of {_DOMAIN_EXIT_POLICIES}, got {self.domain_exit!r}"
             )
         rank_based = self.algorithm != "rpp"
         if rank_based:
-            if int(self.lam) != self.lam or self.lam < 2:
-                raise InvalidInputError(
-                    f"lambda: rank-based schemes need an integer >= 2, got {self.lam!r}"
-                )
+            _check_integer("lambda", self.lam, 2, "rank-based schemes need an integer >= 2")
             if self.weights_table is None and (
                 self.q is None or not (0.0 < float(self.q) < 1.0)
             ):
                 raise InvalidInputError(f"q: must satisfy 0 < q < 1, got {self.q!r}")
-        elif not self.rpp_exact and (int(self.lam) != self.lam or self.lam < 1):
-            raise InvalidInputError(
-                f"lambda: sampled reward updates need an integer >= 1, got {self.lam!r}"
-            )
+        elif not self.rpp_exact:
+            _check_integer("lambda", self.lam, 1, "sampled reward updates need an integer >= 1")
         per_block = ()
         if self.algorithm == "cma_rank_mu":
             per_block = (self.resolved_dt_cov(), self.resolved_dt_mean())
@@ -248,18 +250,17 @@ def _prepare_step(
 
     The rule moves ``eta``; the population is drawn from (or the support
     enumerated under) ``params``, the same state already validated.
-    ``exact`` is the ``(FiniteDist, rewards)`` pair of the state for an exact
+    ``exact`` is the state's :class:`~igokit.oracle.FiniteDist` for an exact
     rpp step when the caller carries it from the previous step; without it
-    the support is enumerated and the rewards evaluated here.
+    the support is enumerated here. The rewards on the support are the
+    objective's ``support_values``, evaluated once per objective.
     """
     algo = config.algorithm
     if algo == "rpp":
         if config.rpp_exact:
             samples = None
-            if exact is None:
-                source = enumerate_bernoulli(params)
-                exact = (source, objective.batch(source.support))
-            source, rewards = exact
+            source = enumerate_bernoulli(params) if exact is None else exact
+            rewards = objective.support_values
         else:
             samples = source = model.sample(params, rng, config.lam)
             rewards = objective.batch(samples)
@@ -305,13 +306,13 @@ def _prepare_step(
 def _reward_trace_fields(params, rewards_on_support, q):
     """Exact-reward runs carry no sample: log exact summaries of ``params``.
 
-    Returns the new state's ``(FiniteDist, rewards)`` pair too, so the next
-    step starts from it instead of enumerating the support again.
+    Returns the new state's :class:`~igokit.oracle.FiniteDist` too, so the
+    next step starts from it instead of enumerating the support again.
     """
     dist = enumerate_bernoulli(params)
     expected = float(dist.prob @ rewards_on_support)
     report = exact_quantile(dist, rewards_on_support, q)
-    return (dist, rewards_on_support), expected, report.value
+    return dist, expected, report.value
 
 
 def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace:

@@ -19,7 +19,6 @@ from .models import Bernoulli, BernoulliParams
 from .oracle import (
     MAX_ENUM_DIM,
     _sup_quantile_index,
-    bernoulli_support,
     enumerate_bernoulli,
     exact_J,
     exact_quantile,
@@ -99,10 +98,14 @@ def estimate_J(model, params_eval, params_base, f, scheme, rng, n: int) -> Prefe
 
 def estimate_preference_mean(model, params_eval, params_base, objective, scheme, rng,
                              n: int = 2000) -> float:
-    """Trace helper: exact expected preference when enumerable, else Monte Carlo."""
+    """Trace helper: exact expected preference when enumerable, else Monte Carlo.
+
+    The exact branch reads ``objective.support_values``, so a run evaluates
+    the objective on the support once, not once per step, and the ranking of
+    that fixed table is shared by every call.
+    """
     if isinstance(model, Bernoulli) and model.dim <= MAX_ENUM_DIM:
-        support = bernoulli_support(model.dim)
-        return exact_J(params_eval, params_base, objective.batch(support), scheme)
+        return exact_J(params_eval, params_base, objective.support_values, scheme)
     return estimate_J(model, params_eval, params_base, objective, scheme, rng, n).value
 
 
@@ -193,8 +196,7 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
         if gaussian:
             pts = model.sample(params, rng_hold, holdout)
             return empirical_quantile(objective.batch(pts), q)
-        dist = enumerate_bernoulli(params)
-        return exact_quantile(dist, objective.batch(dist.support), q).value
+        return exact_quantile(enumerate_bernoulli(params), objective.support_values, q).value
 
     improved = equal = worsened = total = 0
     for seed_index in range(n_seeds):

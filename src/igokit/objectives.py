@@ -4,17 +4,22 @@ Binary objectives take 0/1 rows, continuous ones real rows. Reward objectives
 (direction ``"max"``, non-negative values) exist for the reward-proportional
 update path, which maximizes; everything else is minimized. Random tables are
 reproducible from ``(seed, dim)`` alone.
+
+A binary objective of enumerable dimension evaluates its whole support once,
+on first use of :attr:`Objective.support_values`; every exact computation
+that reads the fitness of all of ``{0,1}^d`` shares that one read-only table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .oracle import MAX_ENUM_DIM, bernoulli_support
+from .oracle import MAX_ENUM_DIM, _frozen, bernoulli_support
 
 __all__ = ["Objective", "OBJECTIVE_NAMES", "make_objective"]
 
@@ -39,6 +44,21 @@ class Objective:
                 f"points must have shape (n, {self.dim}), got {pts.shape}"
             )
         return np.asarray(self.fn(pts), dtype=np.float64)
+
+    @cached_property
+    def support_values(self) -> np.ndarray:
+        """Objective values of every point of ``{0,1}^dim`` in the oracle's
+        lexicographic order: ``batch(bernoulli_support(dim))``, evaluated on
+        first use and then kept, read-only.
+
+        Raises ``InvalidInputError`` for a continuous objective and
+        ``CapacityError`` when ``dim > MAX_ENUM_DIM``.
+        """
+        if self.space != "binary":
+            raise InvalidInputError(
+                f"support values need a binary objective, {self.name!r} is {self.space}"
+            )
+        return _frozen(self.batch(bernoulli_support(self.dim)))
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)

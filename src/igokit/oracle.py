@@ -9,17 +9,22 @@ rules of :mod:`igokit.updates` run on the whole support with weights
 ``P(x) W(x)``, so a check of an exact step is a check of the rule itself.
 
 The support is built once per dimension and shared, read-only, by every
-:class:`FiniteDist` over it. A state's probabilities cost ``O(2^d)``: they
-are a Kronecker product of the per-coordinate factors ``(1 - p_j, p_j)``,
-which multiplies the same factors in the same order as a row-wise product
-over the support and so gives the same bits.
+:class:`FiniteDist` over it. A fixed fitness table over it (an objective's
+``support_values``) is ranked once: :func:`exact_quantile` and
+:func:`~igokit.selection.preference_exact` share the ranking that
+``selection._levels`` keeps for the last read-only table it saw. A state's
+probabilities cost ``O(2^d)``: they are a Kronecker product of the
+per-coordinate factors ``(1 - p_j, p_j)``, which multiplies the same factors
+in the same order as a row-wise product over the support and so gives the
+same bits.
 
 A state comes in as trusted :class:`~igokit.models.BernoulliParams`; the
 exact steps return raw expectation parameters, as the update rules do, and
 the caller converts each new state once with ``Bernoulli.from_eta``.
 
-All functions are pure and deterministic; parallel evaluation across
-configurations is safe as long as each task keeps its own arrays.
+All functions are deterministic and, apart from that one kept ranking,
+pure; parallel evaluation across configurations is safe as long as each task
+keeps its own arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from . import updates
 from .errors import CapacityError, InvalidInputError
 from .models import Bernoulli, BernoulliParams
-from .selection import preference_exact
+from .selection import _levels, _owns_frozen, preference_exact
 
 __all__ = [
     "MAX_ENUM_DIM",
@@ -54,12 +59,7 @@ def _frozen(a) -> np.ndarray:
     """A read-only float64 array with the values of ``a`` that no one else
     can write through: ``a`` itself when it is already such an array and owns
     its data (the cached support), else a frozen copy."""
-    if (
-        isinstance(a, np.ndarray)
-        and a.dtype == np.float64
-        and a.flags.owndata
-        and not a.flags.writeable
-    ):
+    if _owns_frozen(a):
         return a
     out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
@@ -168,7 +168,7 @@ def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     f = np.asarray(fitness, dtype=np.float64)
     if f.shape != (dist.size,):
         raise InvalidInputError("fitness must have one value per support point")
-    values, idx = np.unique(f, return_inverse=True)
+    values, idx = _levels(f)
     mass = np.bincount(idx, weights=dist.prob, minlength=values.size)
     lower = np.cumsum(mass)
     upper = np.cumsum(mass[::-1])[::-1]
@@ -216,7 +216,7 @@ def exact_blockwise_coordinate_step(params: BernoulliParams, fitness, scheme, dt
     dts = np.asarray(dt_per_block, dtype=np.float64)
     if dts.shape != (dim,):
         raise InvalidInputError("dt_per_block must give one step size per block")
-    decomposition = updates.BernoulliBlockDecomposition(dim, () if order is None else tuple(order))
+    decomposition = updates.BernoulliBlockDecomposition(dim, order)
     prob = _support_probs(params.probs)
     w = preference_exact(prob, fitness, scheme)
     return updates.blockwise_igo_ml_step(

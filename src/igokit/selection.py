@@ -17,8 +17,16 @@ serves :func:`preference_exact` and the Monte Carlo estimate in
 :func:`igokit.diagnostics.estimate_J`.
 
 Ties compare by exact floating equality, matching the rank definitions; values
-that differ in the last bit are distinct. All functions here are pure over
-immutable inputs and safe for arbitrary parallel use.
+that differ in the last bit are distinct. The levels of a fitness table (its
+distinct values and each point's level index) come from :func:`_levels`, which
+keeps the ranking of the last read-only table it saw: the exact oracle asks
+for the same fixed support table on every step. That one-entry cache holds
+only read-only float64 tables that own their data, which no view can write
+through (only a caller that turns writing back on could, and nothing here
+does), so a hit returns what a fresh ranking would. It is replaced by a single assignment of a
+``(table, levels)`` tuple, so a thread reads either the old entry or the new
+one, never a mix. Every function here is otherwise pure over immutable inputs
+and safe for parallel use.
 """
 
 from __future__ import annotations
@@ -205,6 +213,43 @@ def _tie_average(scheme, lo, hi, mass) -> np.ndarray:
     return np.divide(scheme.integral(lo, hi), mass, out=scheme.weight(hi), where=mass != 0.0)
 
 
+def _owns_frozen(a) -> bool:
+    """Whether ``a`` is a read-only float64 array that owns its data, so that
+    no view elsewhere can change its values (the fixed tables of the exact
+    oracle: the cached support and :attr:`Objective.support_values`)."""
+    return (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and not a.flags.writeable
+    )
+
+
+# The last read-only table ranked by ``_levels`` and its levels; replaced
+# whole, by one assignment.
+_last_levels = (None, None)
+
+
+def _levels(f: np.ndarray):
+    """``np.unique(f, return_inverse=True)``: the ascending distinct values
+    of a 1-d fitness table and each entry's index among them.
+
+    The result for a read-only table that owns its data is kept (read-only)
+    and returned again while the same table object comes back; any other
+    table is ranked afresh on every call.
+    """
+    global _last_levels
+    table, levels = _last_levels
+    if f is table:
+        return levels
+    levels = np.unique(f, return_inverse=True)
+    if _owns_frozen(f):
+        for a in levels:
+            a.setflags(write=False)
+        _last_levels = (f, levels)
+    return levels
+
+
 def preference_exact(prob, fitness, scheme) -> np.ndarray:
     """Exact weighted preference on a finite distribution.
 
@@ -229,7 +274,7 @@ def preference_exact(prob, fitness, scheme) -> np.ndarray:
     if not np.all(np.isfinite(f)):
         raise InvalidInputError("fitness values must be finite")
 
-    values, idx = np.unique(f, return_inverse=True)
+    values, idx = _levels(f)
     mass = np.bincount(idx, weights=p, minlength=values.size)
     q_plus = np.cumsum(mass)
     return _tie_average(scheme, q_plus - mass, q_plus, mass)[idx]

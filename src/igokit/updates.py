@@ -24,13 +24,17 @@ The weights need not come from a sample: the exact oracle passes the whole
 enumerated support with weights ``P(x) W(x)``, so the infinite-population
 steps it checks are these same functions.
 
-Weighted sums reduce in fixed index order (numpy pairwise summation over
-axis 0), so results are bit-reproducible for a given sample size.
+Weighted sums reduce over axis 0 of a C-contiguous ``(n, k)`` array, which
+numpy does by adding the rows one after another in index order (a
+single-column array, ``k = 1``, is summed pairwise instead). Results are
+therefore bit-reproducible for a given sample, and tier-1 tests pin
+:func:`igo_step` and :func:`igo_ml_step` to a row-by-row reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -100,15 +104,16 @@ class GaussianBlockDecomposition:
 
 @dataclass(frozen=True)
 class BernoulliBlockDecomposition:
-    """Coordinate-wise Bernoulli decomposition: one block per coordinate."""
+    """Coordinate-wise Bernoulli decomposition: one block per coordinate,
+    updated in ``order`` (natural order when ``order`` is None)."""
 
     dim: int
-    order: tuple = ()
+    order: Optional[tuple] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidInputError("dim must be >= 1")
-        order = tuple(self.order) if self.order else tuple(range(self.dim))
+        order = tuple(range(self.dim)) if self.order is None else tuple(self.order)
         if sorted(order) != list(range(self.dim)):
             raise InvalidInputError("order must be a permutation of the coordinates")
         object.__setattr__(self, "order", order)
@@ -141,7 +146,11 @@ def igo_step(model, eta, samples, weights, dt: float) -> np.ndarray:
     eta = np.asarray(eta, dtype=np.float64)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
-    eta_next = eta + dt * np.sum(w[:, None] * (stats - eta), axis=0)
+    # One (n, k) temporary, its products formed in place; TestSummationOrder
+    # pins the bits of the row-order sum.
+    delta = stats - eta
+    delta *= w[:, None]
+    eta_next = eta + dt * delta.sum(axis=0)
     model.from_eta(eta_next)
     return eta_next
 

@@ -162,14 +162,9 @@ def _improvement_grid(seed: int, size: int, d_max: int = 10) -> list:
     return cases
 
 
-def _support_fitness(case: _GridCase) -> np.ndarray:
-    obj = make_objective(case.objective, case.d, seed=case.objective_seed)
-    return obj.batch(bernoulli_support(case.d))
-
-
 def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
                             check_bound: bool) -> CaseResult:
-    fvals = _support_fitness(case)
+    fvals = make_objective(case.objective, case.d, seed=case.objective_seed).support_values
     scheme = TruncationScheme(case.q)
     model = Bernoulli(case.d)
     params = BernoulliParams(case.theta0)

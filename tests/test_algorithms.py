@@ -194,6 +194,23 @@ class TestRunLoop:
         assert len(trace.steps) == config.max_steps
         assert len(from_eta_calls) == 2 * config.max_steps + 1
 
+    def test_estimate_j_evaluates_the_support_once(self, monkeypatch):
+        # a pbil run's exact expected preferences read one support table:
+        # n * lam sampled rows plus 2^d, not n * (lam + 2^d)
+        config = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=8, lam=20, q=0.25,
+                                 dt=0.2, max_steps=6, seed=1, estimate_j=True)
+        rows = []
+        batch = Objective.batch
+
+        def counting(self, points):
+            rows.append(len(points))
+            return batch(self, points)
+
+        monkeypatch.setattr(Objective, "batch", counting)
+        trace = run(config)
+        assert len(trace.steps) == config.max_steps
+        assert sum(rows) == config.max_steps * config.lam + 2**config.dim
+
     def test_pbil_reaches_optimum_on_committed_seeds(self):
         hits = 0
         for seed in range(20):
@@ -376,3 +393,12 @@ class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(InvalidInputError, match="algorithm"):
             AlgorithmConfig(algorithm="cmaes").validate()
+
+    @pytest.mark.parametrize("value", [None, "x", 2.5])
+    @pytest.mark.parametrize("key, label", [
+        ("dim", "dim"), ("max_steps", "steps"), ("lam", "lambda"), ("seed", "seed"),
+        ("objective_seed", "objective_seed"),
+    ])
+    def test_integer_fields_refuse_non_integers(self, key, label, value):
+        with pytest.raises(InvalidInputError, match=f"^{label}: "):
+            AlgorithmConfig(**{key: value}).validate()

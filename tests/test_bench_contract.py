@@ -8,6 +8,7 @@ a package; the slow test runs one short traced benchmark in a subprocess.
 """
 
 import importlib
+import json
 import subprocess
 import sys
 import types
@@ -41,18 +42,29 @@ def test_traced_name_resolves(module, path):
 
 
 def _traced_run(workload):
+    """Run one traced round of ``workload`` (seed 1); return its JSON line."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.slow
 def test_traced_exact_d16_run_exits_zero():
     """One short traced benchmark run: its layer-intent and output checks,
     and the tracer's reading of traced arguments, fail here too. It writes
-    only into the ignored ``bench/out/``."""
-    _traced_run("exact-d16")
+    only into the ignored ``bench/out/``.
+
+    The round evaluates the objective on 100 safeguarded pbil steps of
+    lambda = 200 samples (20 000 rows), plus the 2^16 = 65 536-row support
+    once per run for each of its two configs: exact rpp reads its reward
+    table and pbil's ``estimate_j`` its exact preferences from
+    ``Objective.support_values``. 20 000 + 2 * 65 536 = 151 072. Evaluating
+    the support on every ``estimate_j`` step instead would add 99 * 65 536.
+    """
+    metrics = _traced_run("exact-d16")["metrics"]
+    assert metrics["objectives.batch.rows"]["value"] == 20_000 + 2 * 2**16
 
 
 @pytest.mark.slow

@@ -5,8 +5,10 @@ from igokit import (
     CapacityError,
     InvalidInputError,
     OBJECTIVE_NAMES,
+    bernoulli_support,
     make_objective,
 )
+from igokit.oracle import MAX_ENUM_DIM
 
 
 def test_onemax_optimum():
@@ -80,3 +82,26 @@ def test_dimension_mismatch():
 def test_unknown_name():
     with pytest.raises(InvalidInputError):
         make_objective("nope", 4)
+
+
+@pytest.mark.parametrize(
+    "name", ["onemax", "binval", "leadingones", "random-table", "random-reward", "count-reward"]
+)
+def test_support_values_are_one_read_only_table(name):
+    obj = make_objective(name, 5, seed=3)
+    values = obj.support_values
+    assert values.tobytes() == obj.batch(bernoulli_support(5)).tobytes()
+    assert not values.flags.writeable and values.flags.owndata
+    assert obj.support_values is values
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+
+
+def test_support_values_need_a_binary_objective():
+    with pytest.raises(InvalidInputError, match="binary"):
+        make_objective("sphere", 3).support_values
+
+
+def test_support_values_need_an_enumerable_dimension():
+    with pytest.raises(CapacityError):
+        make_objective("onemax", MAX_ENUM_DIM + 1).support_values

@@ -309,6 +309,9 @@ class TestExactStep:
         scheme = TruncationScheme(0.5)
         with pytest.raises(InvalidInputError, match="permutation"):
             exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5], order=[0, 0])
+        # an empty order is not the natural order's default
+        with pytest.raises(InvalidInputError, match="permutation"):
+            exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5], order=[])
         with pytest.raises(InvalidInputError, match="one step size per block"):
             exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5, 0.5])
         with pytest.raises(InvalidInputError, match="dt"):

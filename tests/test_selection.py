@@ -1,3 +1,6 @@
+import sys
+import threading
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from igokit import (
     Bernoulli,
     BernoulliParams,
+    FiniteDist,
     InvalidInputError,
     SampleWeights,
     TabulatedScheme,
@@ -19,6 +23,7 @@ from igokit import (
     rank_bounds,
     sample_weights,
 )
+from igokit.selection import _levels
 
 UNIFORM = TabulatedScheme((1.0,))
 
@@ -286,6 +291,106 @@ class TestPreferenceExact:
             assert np.all(w <= 1.0 / q + 1e-12)
             cutoff = exact_quantile(dist, f, q).value
             assert np.all(w[f > cutoff] == 0.0)
+
+
+def frozen(a):
+    out = np.array(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+def quantile_bits(report):
+    return [float(x).hex() for x in astuple(report)]
+
+
+def assert_unique_levels(got, f):
+    values, idx = np.unique(f, return_inverse=True)
+    assert got[0].tobytes() == values.tobytes()
+    assert got[1].tobytes() == idx.tobytes()
+
+
+class TestLevels:
+    """One ranking per fixed table: ``_levels`` keeps the last read-only table's
+    levels and ranks every other table afresh."""
+
+    def test_equals_unique(self):
+        f = np.array([3.0, 1.0, 3.0, -2.0, 1.0])
+        assert_unique_levels(_levels(f), f)
+        assert_unique_levels(_levels(frozen(f)), f)
+
+    def test_frozen_table_is_ranked_once(self):
+        f = frozen(np.random.default_rng(1).integers(0, 9, 64))
+        assert _levels(f) is _levels(f)
+
+    def test_writable_table_is_never_reused(self):
+        f = np.array([2.0, 0.0, 1.0, 0.0])
+        first = _levels(f)
+        assert_unique_levels(first, [2.0, 0.0, 1.0, 0.0])
+        f[1] = 5.0
+        second = _levels(f)
+        assert second is not first
+        assert_unique_levels(second, [2.0, 5.0, 1.0, 0.0])
+
+    def test_read_only_view_is_never_reused(self):
+        # a read-only view of a writable base can still change under it
+        base = np.array([2.0, 0.0, 1.0])
+        view = base[:]
+        view.setflags(write=False)
+        first = _levels(view)
+        base[0] = -1.0
+        assert _levels(view) is not first
+        assert_unique_levels(_levels(view), [-1.0, 0.0, 1.0])
+
+    def test_alternating_frozen_tables(self):
+        a = frozen([1.0, 1.0, 0.0, 4.0])
+        b = frozen([7.0, 2.0, 2.0])
+        for f in (a, b, a, b, a):
+            assert_unique_levels(_levels(f), f)
+
+    def test_threads_sharing_the_kept_entry_get_their_own_levels(self):
+        # more threads than cores, each with its own frozen tables, switching
+        # often: a torn read of the one-entry cache would pair one thread's
+        # table with another's levels
+        tables = [frozen(np.random.default_rng(i).integers(0, 5 + i, 40 + i)) for i in range(8)]
+        expected = [np.unique(t, return_inverse=True) for t in tables]
+        errors = []
+
+        def work(k):
+            for i in range(400):
+                j = (k + i) % len(tables)
+                values, idx = _levels(tables[j])
+                if not (np.array_equal(values, expected[j][0])
+                        and np.array_equal(idx, expected[j][1])):
+                    errors.append((k, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_kept_levels_are_read_only(self):
+        values, idx = _levels(frozen([0.0, 2.0, 0.0]))
+        assert not values.flags.writeable and not idx.flags.writeable
+
+    @given(dyadic_tables(), schemes, st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_frozen_and_writable_tables_give_the_same_bits(self, table, scheme, q):
+        prob, f = table
+        dist = FiniteDist(np.zeros((prob.size, 1)), prob)
+        f_frozen = frozen(f)
+        for _ in range(2):  # the second call reads the kept ranking
+            assert (preference_exact(prob, f_frozen, scheme).tobytes()
+                    == preference_exact(prob, f.copy(), scheme).tobytes())
+            assert (quantile_bits(exact_quantile(dist, f_frozen, q))
+                    == quantile_bits(exact_quantile(dist, f.copy(), q)))
 
 
 class TestConsistency:

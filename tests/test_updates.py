@@ -8,6 +8,7 @@ from igokit import (
     DomainExitError,
     Gaussian,
     GaussianBlockDecomposition,
+    BernoulliParams,
     GaussianParams,
     InvalidInputError,
     StepConfig,
@@ -15,6 +16,7 @@ from igokit import (
     blockwise_igo_ml_step,
     enumerate_bernoulli,
     fitness_proportional_step,
+    make_objective,
     igo_ml_step,
     igo_step,
     safeguarded_step,
@@ -61,6 +63,71 @@ class TestIgoStep:
             got = igo_step(model, theta, samples, w, dt)
             reference = theta + dt * np.sum(w.w[:, None] * (samples - theta), axis=0)
             assert np.array_equal(got, reference)
+
+
+def sequential_sum(rows):
+    """Rows added one after another in index order: ``acc = r0``, then
+    ``acc = acc + r_i``. The reference for the axis-0 sums of the rules."""
+    acc = rows[0]
+    for row in rows[1:]:
+        acc = acc + row
+    return acc
+
+
+def rpp_support_case():
+    # the 2^16 x 16 support with reward-proportional weights P(x) r(x) / E[r]
+    d = 16
+    eta = np.linspace(0.1, 0.9, d)
+    dist = enumerate_bernoulli(BernoulliParams(eta))
+    rewards = make_objective("random-reward", d, seed=4).support_values
+    return bern(d), dist.prob * rewards / float(dist.prob @ rewards), dist.support, eta
+
+
+def pbil_sample_case():
+    # a 1000 x 1000 0/1 sample under truncation at q = 1/4: 3/4 zero weights
+    d = lam = 1000
+    rng = np.random.default_rng(9)
+    model = bern(d)
+    samples = model.sample(BernoulliParams(np.full(d, 0.5)), rng, lam)
+    w = sample_weights(d - samples.sum(axis=1), TruncationScheme(0.25)).w
+    assert np.count_nonzero(w == 0.0) >= lam // 2
+    return model, w, samples, np.full(d, 0.5)
+
+
+def gaussian_case():
+    d = 5
+    model = Gaussian(d)
+    params = GaussianParams(np.zeros(d), np.eye(d))
+    samples = model.sample(params, np.random.default_rng(2), 200)
+    w = sample_weights(np.sum(samples * samples, axis=1), TruncationScheme(0.3)).w
+    return model, w, samples, model.to_eta(params)
+
+
+SUM_ORDER_CASES = [rpp_support_case, pbil_sample_case, gaussian_case]
+
+
+class TestSummationOrder:
+    """The rules' weighted sums add the rows in index order, bit for bit.
+
+    A rewrite of the sums that moves a result bit, such as the matrix-vector
+    product ``w @ stats - w.sum() * eta``, fails here, before it moves where
+    a seeded run exits the domain."""
+
+    @pytest.mark.parametrize("case", SUM_ORDER_CASES)
+    def test_igo_step_is_sequential(self, case):
+        model, w, samples, eta = case()
+        stats = model.batch_sufficient_statistics(samples)
+        dt = 0.5
+        expected = eta + dt * sequential_sum([w[i] * (stats[i] - eta) for i in range(w.size)])
+        assert igo_step(model, eta, samples, w, dt).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", SUM_ORDER_CASES)
+    def test_igo_ml_step_is_sequential(self, case):
+        model, w, samples, eta = case()
+        stats = model.batch_sufficient_statistics(samples)
+        dt = 0.5
+        expected = (1.0 - dt) * eta + dt * sequential_sum([w[i] * stats[i] for i in range(w.size)])
+        assert igo_ml_step(model, eta, samples, w, dt).tobytes() == expected.tobytes()
 
 
 class TestIgoMlStep:
@@ -302,6 +369,15 @@ class TestBlockwise:
                 model, [0.5, 0.5], samples, w,
                 BernoulliBlockDecomposition(2), (1.0, 1.0),
             )
+
+    def test_bernoulli_default_order_is_natural(self):
+        assert BernoulliBlockDecomposition(3).order == (0, 1, 2)
+
+    @pytest.mark.parametrize("order", [(), [], (0,), (0, 0)])
+    def test_bernoulli_order_must_be_a_permutation(self, order):
+        # an explicit empty order is not the default: it names no coordinate
+        with pytest.raises(InvalidInputError, match="permutation"):
+            BernoulliBlockDecomposition(2, order)
 
     def test_block_count_mismatch(self):
         model = bern(2)
