@@ -25,12 +25,13 @@ reused: only the move shrinks, never the population. A run records why it
 stopped: ``max_steps``, ``target``, ``domain_exit``, or ``zero_reward`` when
 a sampled rpp step draws no positive reward and so has no update.
 
-Each new state is converted once with ``model.from_eta``; those params feed
-sampling, enumeration, the KL divergence and the expected preference. An
-exact rpp run enumerates the support once per step: the distribution that
-logs the new state's exact summaries is the next step's source, and the
-reward table on the support is the objective's ``support_values``, evaluated
-once per objective.
+The state carried from step to step is the params object the update rule
+validated; it feeds sampling, enumeration, the KL divergence and the
+expected preference as it is, and the trace reads it through
+``model.to_eta``. An exact rpp run enumerates the support once per step: the
+distribution that logs the new state's exact summaries is the next step's
+source, and the reward table on the support is the objective's
+``support_values``, evaluated once per objective.
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ def _check_integer(key: str, value, minimum: int, requirement: str) -> None:
     the same way, never as a raw ``TypeError`` or ``ValueError``."""
     try:
         valid = int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"{key}: {requirement}, got {value!r}")
+
+
+def _check_real(key: str, value, requirement: str,
+                accept: Callable[[float], bool] = math.isfinite) -> None:
+    """As :func:`_check_integer`, for a real number (not a string, not NaN)
+    that ``accept`` admits."""
+    try:
+        number = float(value)
+        valid = number == value and bool(accept(number))
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -123,22 +137,27 @@ class AlgorithmConfig:
         rank_based = self.algorithm != "rpp"
         if rank_based:
             _check_integer("lambda", self.lam, 2, "rank-based schemes need an integer >= 2")
-            if self.weights_table is None and (
-                self.q is None or not (0.0 < float(self.q) < 1.0)
-            ):
-                raise InvalidInputError(f"q: must satisfy 0 < q < 1, got {self.q!r}")
         elif not self.rpp_exact:
             _check_integer("lambda", self.lam, 1, "sampled reward updates need an integer >= 1")
+        if self.weights_table is not None:
+            try:  # the table is built here, so a bad one fails before any work
+                self.make_scheme()
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"weights_table: {exc}") from None
+        if self.q is not None or (rank_based and self.weights_table is None):
+            _check_real("q", self.q, "must satisfy 0 < q < 1", lambda v: 0.0 < v < 1.0)
+        for key, value in (("dt", self.dt), ("dt-m", self.dt_mean), ("dt-c", self.dt_cov),
+                           ("target_fitness", self.target_fitness)):
+            if value is not None or key == "dt":
+                _check_real(key, value, "must be a finite number")
         per_block = ()
         if self.algorithm == "cma_rank_mu":
             per_block = (self.resolved_dt_cov(), self.resolved_dt_mean())
         updates.StepConfig(
             dt=self.dt, dt_per_block=per_block, uncertified=self.uncertified
         ).validate()
-        if not (0.0 < self.bernoulli_init < 1.0):
-            raise InvalidInputError(
-                f"bernoulli-init: must lie in (0, 1), got {self.bernoulli_init!r}"
-            )
+        _check_real("bernoulli-init", self.bernoulli_init, "must lie in (0, 1)",
+                    lambda v: 0.0 < v < 1.0)
         obj = self.make_objective()
         if self.algorithm == "rpp":
             if obj.direction != "max":
@@ -193,13 +212,13 @@ class AlgorithmConfig:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One executed step: the new state plus what produced it.
+    """One executed step: the validated new state plus what produced it.
 
     Exact reward updates carry no sample; ``fitness`` then holds the reward of
     every support point and ``weights`` is empty.
     """
 
-    eta: np.ndarray
+    params: BernoulliParams | GaussianParams
     samples: Optional[np.ndarray]
     fitness: np.ndarray
     weights: Optional[SampleWeights]
@@ -244,12 +263,12 @@ class _ZeroRewardSample(InvalidInputError):
 
 
 def _prepare_step(
-    config, model, eta, params, scheme, objective, rng, exact=None
+    config, model, params, scheme, objective, rng, exact=None
 ) -> Callable[[float], StepResult]:
     """Draw the step's population once; return an applier over a dt scale.
 
-    The rule moves ``eta``; the population is drawn from (or the support
-    enumerated under) ``params``, the same state already validated.
+    The population is drawn from (or the support enumerated under) the
+    validated state ``params``, and the rule moves that same state.
     ``exact`` is the state's :class:`~igokit.oracle.FiniteDist` for an exact
     rpp step when the caller carries it from the previous step; without it
     the support is enumerated here. The rewards on the support are the
@@ -269,8 +288,8 @@ def _prepare_step(
 
         def apply(scale: float) -> StepResult:
             dt = config.dt * scale
-            eta_next = updates.fitness_proportional_step(model, eta, source, rewards, dt)
-            return StepResult(eta_next, samples, rewards, None, (dt,))
+            params_next = updates.fitness_proportional_step(model, params, source, rewards, dt)
+            return StepResult(params_next, samples, rewards, None, (dt,))
 
         return apply
 
@@ -284,21 +303,19 @@ def _prepare_step(
         def apply(scale: float) -> StepResult:
             dt_cov = config.resolved_dt_cov() * scale
             dt_mean = config.resolved_dt_mean() * scale
-            eta_next = updates.blockwise_igo_ml_step(
-                model, eta, samples, weights, decomposition, (dt_cov, dt_mean)
+            params_next = updates.blockwise_igo_ml_step(
+                model, params, samples, weights, decomposition, (dt_cov, dt_mean)
             )
-            return StepResult(eta_next, samples, fitness, weights, (dt_cov, dt_mean))
+            return StepResult(params_next, samples, fitness, weights, (dt_cov, dt_mean))
 
         return apply
 
-    if algo not in _SAMPLE_RULES:
-        raise InvalidInputError(f"unknown algorithm {algo!r}")
     rule = getattr(updates, _SAMPLE_RULES[algo])
 
     def apply(scale: float) -> StepResult:
         dt = config.dt * scale
-        eta_next = rule(model, eta, samples, weights, dt)
-        return StepResult(eta_next, samples, fitness, weights, (dt,))
+        params_next = rule(model, params, samples, weights, dt)
+        return StepResult(params_next, samples, fitness, weights, (dt,))
 
     return apply
 
@@ -329,8 +346,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         raise InvalidInputError("objective override dimension mismatch")
     model = config.make_model()
     scheme = config.make_scheme() if config.algorithm != "rpp" else None
-    eta = model.to_eta(config.initial_params())
-    params = model.from_eta(eta)
+    params = config.initial_params()
     rng = np.random.default_rng([config.seed, 0])
     rng_aux = np.random.default_rng([config.seed, 1])
     q_for_trace = float(config.q) if config.q is not None else 0.5
@@ -341,7 +357,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     for step_index in range(config.max_steps):
         prev_params = params
         try:
-            applier = _prepare_step(config, model, eta, params, scheme, objective, rng, exact)
+            applier = _prepare_step(config, model, params, scheme, objective, rng, exact)
             if config.domain_exit == "safeguard":
                 try:
                     result, scale = updates.safeguarded_step(applier, 1.0, _MAX_HALVINGS)
@@ -357,8 +373,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         except _ZeroRewardSample:
             trace.stop_reason = "zero_reward"
             break
-        eta = result.eta
-        params = model.from_eta(eta)
+        params = result.params
 
         if config.algorithm == "rpp":
             coef = result.fitness / float(np.sum(result.fitness))
@@ -379,7 +394,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         trace.steps.append(
             TraceStep(
                 step=step_index,
-                eta=eta.copy(),
+                eta=model.to_eta(params),
                 best_f=best_f,
                 emp_quantile=float(emp_q),
                 weight_entropy=entropy,
@@ -397,6 +412,6 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
             if reached:
                 trace.stop_reason = "target"
                 break
-    trace.final_eta = eta.copy()
+    trace.final_eta = model.to_eta(params)
     return trace
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExitError, InvalidInputError
-from .models import Bernoulli, BernoulliParams
+from .models import Bernoulli, BernoulliParams, Gaussian
 from .oracle import (
     MAX_ENUM_DIM,
     _sup_quantile_index,
@@ -181,7 +181,6 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
     index, so the counts are reproducible.
     """
     from .algorithms import _prepare_step  # local: avoids import cycle
-    from .models import Gaussian
 
     config.validate()
     objective = config.make_objective()
@@ -202,16 +201,13 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
     for seed_index in range(n_seeds):
         rng = np.random.default_rng([config.seed, seed_index, 0])
         rng_hold = np.random.default_rng([config.seed, seed_index, 1])
-        eta = model.to_eta(config.initial_params())
-        params = model.from_eta(eta)
+        params = config.initial_params()
         q_before = exact_q(params, rng_hold)
         for _ in range(n_steps):
             try:
-                result = _prepare_step(config, model, eta, params, scheme, objective, rng)(1.0)
+                params = _prepare_step(config, model, params, scheme, objective, rng)(1.0).params
             except DomainExitError:
                 break
-            eta = result.eta
-            params = model.from_eta(eta)
             q_after = exact_q(params, rng_hold)
             total += 1
             if q_after < q_before - tol:

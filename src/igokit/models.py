@@ -164,10 +164,7 @@ class Bernoulli:
         """T(x) = x, in the flat expectation-parameter layout."""
         return self._check_point(x).copy()
 
-    def batch_sufficient_statistics(self, points) -> np.ndarray:
-        """Stack of T(x) rows for an ``(n, d)`` array of points. Since
-        ``T(x) = x`` this is the checked points array itself, not a copy:
-        callers read it and never write to it."""
+    def _check_points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InvalidInputError(
@@ -176,6 +173,12 @@ class Bernoulli:
         if not np.all((pts == 0.0) | (pts == 1.0)):
             raise InvalidInputError("Bernoulli points must be 0/1 valued")
         return pts
+
+    def batch_sufficient_statistics(self, points) -> np.ndarray:
+        """Stack of T(x) rows for an ``(n, d)`` array of points. Since
+        ``T(x) = x`` this is the checked points array itself, not a copy:
+        callers read it and never write to it."""
+        return self._check_points(points)
 
     # -- parameter conversions ------------------------------------------
 
@@ -308,12 +311,16 @@ class Gaussian:
         x = self._check_point(x)
         return np.concatenate([x, x[self._rows] * x[self._cols]])
 
-    def batch_sufficient_statistics(self, points) -> np.ndarray:
+    def _check_points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InvalidInputError(
                 f"points must have shape (n, {self.dim}), got {pts.shape}"
             )
+        return pts
+
+    def batch_sufficient_statistics(self, points) -> np.ndarray:
+        pts = self._check_points(points)
         return np.hstack([pts, pts[:, self._rows] * pts[:, self._cols]])
 
     # -- parameter conversions --------------------------------------------

@@ -18,9 +18,9 @@ per-coordinate factors ``(1 - p_j, p_j)``, which multiplies the same factors
 in the same order as a row-wise product over the support and so gives the
 same bits.
 
-A state comes in as trusted :class:`~igokit.models.BernoulliParams`; the
-exact steps return raw expectation parameters, as the update rules do, and
-the caller converts each new state once with ``Bernoulli.from_eta``.
+A state comes in as trusted :class:`~igokit.models.BernoulliParams`, and
+the exact steps return the next state as the update rules validated it, so
+no caller converts it again.
 
 All functions are deterministic and, apart from that one kept ranking,
 pure; parallel evaluation across configurations is safe as long as each task
@@ -181,9 +181,9 @@ def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
 
 
 def exact_infinite_population_step(params: BernoulliParams, fitness, scheme,
-                                   dt: float) -> np.ndarray:
-    """One exact natural-gradient step from ``params``, returned as
-    expectation parameters.
+                                   dt: float) -> BernoulliParams:
+    """One exact natural-gradient step from ``params`` to the validated next
+    state.
 
     Computes ``eta + dt * E[W(x) (T(x) - eta)]`` with the expectation taken
     exactly over the enumerated support, by running
@@ -195,14 +195,14 @@ def exact_infinite_population_step(params: BernoulliParams, fitness, scheme,
     prob = _support_probs(params.probs)
     w = preference_exact(prob, fitness, scheme)
     return updates.igo_step(
-        Bernoulli(params.dim), params.probs, bernoulli_support(params.dim), prob * w, dt
+        Bernoulli(params.dim), params, bernoulli_support(params.dim), prob * w, dt
     )
 
 
 def exact_blockwise_coordinate_step(params: BernoulliParams, fitness, scheme, dt_per_block,
-                                    order=None) -> np.ndarray:
-    """Exact coordinate-blocked sequential weighted-ML step from ``params``,
-    returned as expectation parameters.
+                                    order=None) -> BernoulliParams:
+    """Exact coordinate-blocked sequential weighted-ML step from ``params``
+    to the validated next state.
 
     Runs :func:`~igokit.updates.blockwise_igo_ml_step` on the enumerated
     support with weights ``P(x) W(x)``: each coordinate is one block, updated
@@ -220,7 +220,7 @@ def exact_blockwise_coordinate_step(params: BernoulliParams, fitness, scheme, dt
     prob = _support_probs(params.probs)
     w = preference_exact(prob, fitness, scheme)
     return updates.blockwise_igo_ml_step(
-        Bernoulli(dim), params.probs, bernoulli_support(dim), prob * w, decomposition,
+        Bernoulli(dim), params, bernoulli_support(dim), prob * w, decomposition,
         dts[list(decomposition.order)],
     )
 

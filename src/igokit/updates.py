@@ -1,6 +1,8 @@
-"""Parameter-update rules in expectation parameters.
+"""Parameter-update rules.
 
-All rules move a flat expectation-parameter vector ``eta``:
+Every rule takes the current validated state (``BernoulliParams`` or
+``GaussianParams``) and returns the validated state of the next step, so a
+state is converted once, by the rule that builds it:
 
 * :func:`igo_step` - finite-sample natural-gradient step,
   ``eta + dt * sum_i w_i (T(x_i) - eta)``.
@@ -14,11 +16,13 @@ All rules move a flat expectation-parameter vector ``eta``:
   reward-proportional weights, exact (finite distribution) or Monte Carlo;
   it forms the weights and runs :func:`igo_step`.
 
-For exponential families in expectation parameters the natural-gradient step
-and the weighted-ML blend coincide coordinate-wise (they differ only in
-floating-point rounding); both validate only the state they return. Domain
-exits raise; they are never projected away. :func:`safeguarded_step` wraps
-any of these with step-size halving for harness use.
+:func:`igo_step` and :func:`igo_ml_step` read ``eta = model.to_eta(params)``
+and validate their result with ``model.from_eta``; they coincide
+coordinate-wise up to floating-point rounding. The Gaussian blockwise step
+never leaves mean and covariance, so it keeps the digits that
+``cov = E[x x^T] - m m^T`` would cancel. Domain exits raise; they are never
+projected away. :func:`safeguarded_step` wraps any of these with step-size
+halving for harness use.
 
 The weights need not come from a sample: the exact oracle passes the whole
 enumerated support with weights ``P(x) W(x)``, so the infinite-population
@@ -68,13 +72,8 @@ class StepConfig:
     uncertified: bool = False
 
     def validate(self) -> None:
-        all_dts = (self.dt,) + tuple(self.dt_per_block)
-        for value in all_dts:
-            if not np.isfinite(value) or value < 0.0:
-                raise InvalidInputError(
-                    f"step sizes must be non-negative, got {value!r}"
-                )
-            if value > 1.0 and not self.uncertified:
+        for value in (self.dt,) + tuple(self.dt_per_block):
+            if _check_dt(value) > 1.0 and not self.uncertified:
                 raise InvalidInputError(
                     f"step size {value} exceeds 1: quantile improvement is only "
                     "guaranteed for 0 < dt <= 1; set uncertified to run anyway"
@@ -136,46 +135,44 @@ def _check_dt(dt: float) -> float:
     return dt
 
 
-def igo_step(model, eta, samples, weights, dt: float) -> np.ndarray:
+def igo_step(model, params, samples, weights, dt: float):
     """Finite-sample natural-gradient step in expectation parameters.
 
-    ``eta' = eta + dt * sum_i w_i (T(x_i) - eta)``. Raises
-    ``DomainExitError`` when the result leaves the valid region.
+    ``eta' = eta + dt * sum_i w_i (T(x_i) - eta)`` with
+    ``eta = model.to_eta(params)``. Returns the validated next state; raises
+    ``DomainExitError`` when ``eta'`` leaves the valid region.
     """
     dt = _check_dt(dt)
-    eta = np.asarray(eta, dtype=np.float64)
+    eta = model.to_eta(params)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
     # One (n, k) temporary, its products formed in place; TestSummationOrder
     # pins the bits of the row-order sum.
     delta = stats - eta
     delta *= w[:, None]
-    eta_next = eta + dt * delta.sum(axis=0)
-    model.from_eta(eta_next)
-    return eta_next
+    return model.from_eta(eta + dt * delta.sum(axis=0))
 
 
-def igo_ml_step(model, eta, samples, weights, dt: float) -> np.ndarray:
+def igo_ml_step(model, params, samples, weights, dt: float):
     """Weighted maximum-likelihood blend of the current state and the sample.
 
-    ``eta' = (1 - dt) eta + dt * sum_i w_i T(x_i)``; this is the maximizer of
-    the dt-blend of the cross-entropy with the current distribution and the
-    weighted sample log-likelihood, i.e. the smoothed CE/ML step. Only the
-    blended point must be a valid distribution: a weighted-ML point on the
-    closure boundary (all winners sharing a Bernoulli coordinate) still blends
-    for ``dt < 1``, while at ``dt = 1`` the blend *is* the ML point and a
-    degenerate one (e.g. a single Gaussian sample) raises a domain exit.
+    ``eta' = (1 - dt) eta + dt * sum_i w_i T(x_i)`` with
+    ``eta = model.to_eta(params)``; this is the maximizer of the dt-blend of
+    the cross-entropy with the current distribution and the weighted sample
+    log-likelihood, i.e. the smoothed CE/ML step. Only the blended point must
+    be a valid distribution: a weighted-ML point on the closure boundary (all
+    winners sharing a Bernoulli coordinate) still blends for ``dt < 1``,
+    while at ``dt = 1`` the blend *is* the ML point and a degenerate one
+    (e.g. a single Gaussian sample) raises a domain exit.
     """
     dt = _check_dt(dt)
-    eta = np.asarray(eta, dtype=np.float64)
+    eta = model.to_eta(params)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
-    eta_next = (1.0 - dt) * eta + dt * np.sum(w[:, None] * stats, axis=0)
-    model.from_eta(eta_next)
-    return eta_next
+    return model.from_eta((1.0 - dt) * eta + dt * np.sum(w[:, None] * stats, axis=0))
 
 
-def blockwise_igo_ml_step(model, eta, samples, weights, decomposition, dt_per_block) -> np.ndarray:
+def blockwise_igo_ml_step(model, params, samples, weights, decomposition, dt_per_block):
     """Sequential per-block weighted-ML updates sharing one sample.
 
     Blocks are updated in the declared order, each solving the restricted
@@ -189,58 +186,55 @@ def blockwise_igo_ml_step(model, eta, samples, weights, decomposition, dt_per_bl
     ``C* = C + dt_C * sum_i w_i ((x_i - m)(x_i - m)^T - C)`` (about the
     current mean), then ``m* = m + dt_m * sum_i w_i (x_i - m)``.
 
+    The Gaussian step reads and writes mean and covariance directly; each
+    block's output is one ``GaussianParams``, and the last one is returned.
     With all block step sizes equal this is *not* the same map as
-    :func:`igo_ml_step`. Any invalid intermediate block output raises a domain
-    exit, and so does a Gaussian result whose covariance loses positive
-    definiteness in the round trip to expectation parameters.
+    :func:`igo_ml_step`. Any invalid intermediate block output raises a
+    domain exit.
     """
-    eta = np.asarray(eta, dtype=np.float64)
+    if params.dim != model.dim:
+        raise InvalidInputError("parameter dimension mismatch")
     dts = tuple(_check_dt(v) for v in dt_per_block)
-    stats_rows = model.batch_sufficient_statistics(samples)
-    w = _weight_array(weights, stats_rows.shape[0])
-    samples = np.asarray(samples, dtype=np.float64)
+    # The blocks read the points themselves; neither family needs T(x) here.
+    samples = model._check_points(samples)
+    w = _weight_array(weights, samples.shape[0])
 
     if isinstance(decomposition, GaussianBlockDecomposition):
         if len(dts) != 2:
             raise InvalidInputError("Gaussian decomposition takes two step sizes")
-        params = model.from_eta(eta)
-        m = params.mean.copy()
-        cov = params.cov.copy()
+        m, cov = params.mean, params.cov
         for name, dt_b in zip(decomposition.order, dts):
             if name == "cov":
                 centered = samples - m
                 scatter = np.einsum("i,ij,ik->jk", w, centered, centered)
                 scatter = (scatter + scatter.T) / 2.0
                 cov = cov + dt_b * (scatter - cov)
-                params = GaussianParams(m, cov)
             else:
                 m = m + dt_b * np.sum(w[:, None] * (samples - m), axis=0)
-                params = GaussianParams(m, cov)
-        eta_next = model.to_eta(params)
-        model.from_eta(eta_next)
-        return eta_next
+            params = GaussianParams(m, cov)
+        return params
 
     if isinstance(decomposition, BernoulliBlockDecomposition):
         if decomposition.dim != model.dim:
             raise InvalidInputError("decomposition dimension mismatch")
         if len(dts) != decomposition.dim:
             raise InvalidInputError("one step size per coordinate block required")
-        model.from_eta(eta)
         weighted_mean = np.sum(w[:, None] * samples, axis=0)
-        theta = eta.copy()
+        theta = model.to_eta(params)
         for j, dt_b in zip(decomposition.order, dts):
             theta[j] = (1.0 - dt_b) * theta[j] + dt_b * weighted_mean[j]
-            model.from_eta(theta)
-        return theta
+            params = model.from_eta(theta)
+        return params
 
     raise InvalidInputError(f"unsupported decomposition {decomposition!r}")
 
 
-def fitness_proportional_step(model, eta, source, rewards, dt: float) -> np.ndarray:
+def fitness_proportional_step(model, params, source, rewards, dt: float):
     """Natural-gradient step under reward-proportional selection.
 
-    ``eta' = eta + dt * E[(r(x) / E[r]) (T(x) - eta)]``. ``source`` is either
-    a :class:`~igokit.oracle.FiniteDist` (expectation taken exactly over its
+    ``eta' = eta + dt * E[(r(x) / E[r]) (T(x) - eta)]`` from the state
+    ``params``, returned validated. ``source`` is either a
+    :class:`~igokit.oracle.FiniteDist` (expectation taken exactly over its
     support) or an ``(n, d)`` sample array (Monte Carlo, uniform 1/n sample
     weights). ``rewards`` holds the per-point rewards, all non-negative with
     at least one positive. The step itself is :func:`igo_step` with weights
@@ -262,7 +256,7 @@ def fitness_proportional_step(model, eta, source, rewards, dt: float) -> np.ndar
         if r.size != len(points):
             raise InvalidInputError("one reward per sample required")
         coef = r / float(r.sum())
-    return igo_step(model, eta, points, coef, dt)
+    return igo_step(model, params, points, coef, dt)
 
 
 def safeguarded_step(step, dt: float, max_halvings: int = 30):

@@ -166,7 +166,6 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
                             check_bound: bool) -> CaseResult:
     fvals = make_objective(case.objective, case.d, seed=case.objective_seed).support_values
     scheme = TruncationScheme(case.q)
-    model = Bernoulli(case.d)
     params = BernoulliParams(case.theta0)
 
     def quantile(p):
@@ -183,20 +182,19 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
     for _ in range(steps):
         try:
             if blockwise:
-                eta_next = exact_blockwise_coordinate_step(
+                params_next = exact_blockwise_coordinate_step(
                     params, fvals, scheme, case.dt_blocks
                 )
             else:
-                eta_next = exact_infinite_population_step(params, fvals, scheme, case.dt)
+                params_next = exact_infinite_population_step(params, fvals, scheme, case.dt)
         except DomainExitError:
             stopped_early = True
             break
         executed += 1
-        params_next = model.from_eta(eta_next)
         q_after, dist_after = quantile(params_next)
         increase = q_after.value - q_before.value
         max_increase = max(max_increase, increase)
-        move = float(np.max(np.abs(eta_next - params.probs)))
+        move = float(np.max(np.abs(params_next.probs - params.probs)))
         if abs(increase) <= QUANTILE_TOL and move > 1e-12:
             mass_at_level = float(dist_after.prob[fvals == q_before.value].sum())
             if not mass_at_level > 0.0:
@@ -257,16 +255,16 @@ def _worked_instance_case() -> CaseResult:
     fvals = support.sum(axis=1)
     scheme = TruncationScheme(0.5)
     params = BernoulliParams([0.5, 0.5])
-    eta_next = exact_infinite_population_step(params, fvals, scheme, 0.5)
-    report = progress_bound(params, Bernoulli(2).from_eta(eta_next), fvals, scheme, 0.5)
+    params_next = exact_infinite_population_step(params, fvals, scheme, 0.5)
+    report = progress_bound(params, params_next, fvals, scheme, 0.5)
     detail = {
-        "eta_next": [float(v) for v in eta_next],
+        "eta_next": [float(v) for v in params_next.probs],
         "j_value": report.j_value,
         "kl_value": report.kl_value,
         "bound": report.bound,
     }
     passed = (
-        float(np.max(np.abs(eta_next - 0.375))) <= 1e-12
+        float(np.max(np.abs(params_next.probs - 0.375))) <= 1e-12
         and abs(report.j_value - 1.25) <= 1e-9
         and abs(report.bound - 16.0 / 15.0) <= 1e-6
         and report.satisfied
@@ -282,22 +280,20 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
     rng = np.random.default_rng([seed, 555, index])
     d = int(rng.integers(2, 11))
     dt = (0.25, 0.5, 1.0)[index % 3]
-    theta0 = rng.uniform(0.1, 0.9, d)
+    params = BernoulliParams(rng.uniform(0.1, 0.9, d))
     rewards = rng.random(2**d)
     model = Bernoulli(d)
-    dist0 = enumerate_bernoulli(model.from_eta(theta0))
+    dist = enumerate_bernoulli(params)
 
     full_step_err = None
     if dt == 1.0:
-        target = (dist0.prob * rewards) @ dist0.support / float(dist0.prob @ rewards)
+        target = (dist.prob * rewards) @ dist.support / float(dist.prob @ rewards)
         try:
-            eta1 = updates.fitness_proportional_step(model, theta0, dist0, rewards, 1.0)
+            eta1 = updates.fitness_proportional_step(model, params, dist, rewards, 1.0).probs
             full_step_err = float(np.max(np.abs(eta1 - target)))
         except DomainExitError:
             full_step_err = 0.0  # the closed form itself sat on the boundary
 
-    eta = theta0.copy()
-    dist = dist0
     expected = float(dist.prob @ rewards)
     executed = 0
     stopped_early = False
@@ -305,18 +301,18 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
     unexplained_equal = 0
     for _ in range(100):
         try:
-            eta_next = updates.fitness_proportional_step(model, eta, dist, rewards, dt)
+            params_next = updates.fitness_proportional_step(model, params, dist, rewards, dt)
         except DomainExitError:
             stopped_early = True
             break
         executed += 1
-        dist = enumerate_bernoulli(model.from_eta(eta_next))
+        dist = enumerate_bernoulli(params_next)
         expected_next = float(dist.prob @ rewards)
         worst_drop = max(worst_drop, expected - expected_next)
-        move = float(np.max(np.abs(eta_next - eta)))
+        move = float(np.max(np.abs(params_next.probs - params.probs)))
         if abs(expected_next - expected) <= 1e-12 and move > REWARD_GUARD:
             unexplained_equal += 1
-        eta = eta_next
+        params = params_next
         expected = expected_next
     detail = {
         "d": d,
@@ -345,7 +341,7 @@ def _draw_equivalence_instance(family: str, rng: np.random.Generator):
     if family == "bernoulli":
         d = int(rng.integers(1, 7))
         model = Bernoulli(d)
-        eta = rng.uniform(0.2, 0.8, d)
+        params = BernoulliParams(rng.uniform(0.2, 0.8, d))
         lam = int(rng.integers(8, 40))
     else:
         d = int(rng.integers(1, 4))
@@ -353,14 +349,13 @@ def _draw_equivalence_instance(family: str, rng: np.random.Generator):
         mean = rng.normal(0.0, 1.0, d)
         a = rng.normal(0.0, 1.0, (d, d))
         cov = a @ a.T + (0.5 + rng.random()) * np.eye(d)
-        eta = model.to_eta(GaussianParams(mean, cov))
+        params = GaussianParams(mean, cov)
         lam = int(rng.integers(max(8, 4 * d), 40))
-    params = model.from_eta(eta)
     samples = model.sample(params, rng, lam)
     fitness = rng.normal(0.0, 1.0, lam)
     q = float(rng.uniform(0.2, 0.8))
     weights = sample_weights(fitness, TruncationScheme(q))
-    return model, eta, samples, weights
+    return model, params, samples, weights
 
 
 def _smoothed_ce_reference(model, eta, samples, w, dt) -> np.ndarray:
@@ -388,13 +383,13 @@ def _equivalence_case(case) -> CaseResult:
     rng = np.random.default_rng([seed, 444, index, 0 if family == "bernoulli" else 1])
     dt = (0.1, 0.5, 1.0)[index % 3]
     for _ in range(200):
-        model, eta, samples, weights = _draw_equivalence_instance(family, rng)
+        model, params, samples, weights = _draw_equivalence_instance(family, rng)
         try:
-            a = updates.igo_step(model, eta, samples, weights, dt)
-            b = updates.igo_ml_step(model, eta, samples, weights, dt)
+            a = model.to_eta(updates.igo_step(model, params, samples, weights, dt))
+            b = model.to_eta(updates.igo_ml_step(model, params, samples, weights, dt))
         except DomainExitError:
             continue
-        c = _smoothed_ce_reference(model, eta, samples, weights.w, dt)
+        c = _smoothed_ce_reference(model, model.to_eta(params), samples, weights.w, dt)
         spread = float(
             max(np.max(np.abs(a - b)), np.max(np.abs(a - c)), np.max(np.abs(b - c)))
         )
@@ -437,7 +432,6 @@ def _cma_case(case) -> CaseResult:
 
     # Independent reference: the rank-mu recombination formulas, term by term.
     w = weights.w
-    cov_ref = cov.copy()
     step_cov = np.zeros((d, d))
     for i in range(lam):
         diff = samples[i] - mean
@@ -445,15 +439,9 @@ def _cma_case(case) -> CaseResult:
     cov_ref = cov + dt_cov * step_cov
     mean_ref = mean + dt_mean * sum(w[i] * (samples[i] - mean) for i in range(lam))
 
-    eta_next = updates.blockwise_igo_ml_step(
-        model,
-        model.to_eta(params),
-        samples,
-        weights,
-        updates.GaussianBlockDecomposition(),
-        (dt_cov, dt_mean),
+    out = updates.blockwise_igo_ml_step(
+        model, params, samples, weights, updates.GaussianBlockDecomposition(), (dt_cov, dt_mean)
     )
-    out = model.from_eta(eta_next)
     err = float(
         max(np.max(np.abs(out.mean - mean_ref)), np.max(np.abs(out.cov - cov_ref)))
     )

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from igokit import Bernoulli
+from igokit import Bernoulli, Gaussian
 
 
 @pytest.fixture
 def from_eta_calls(monkeypatch):
-    """Every state passed to ``Bernoulli.from_eta`` while the test runs."""
+    """Every state passed to ``Bernoulli.from_eta`` or ``Gaussian.from_eta``
+    while the test runs."""
     calls = []
-    from_eta = Bernoulli.from_eta
+    for family in (Bernoulli, Gaussian):
+        def counting(self, eta, from_eta=family.from_eta):
+            calls.append(np.array(eta))
+            return from_eta(self, eta)
 
-    def counting(self, eta):
-        calls.append(np.array(eta))
-        return from_eta(self, eta)
-
-    monkeypatch.setattr(Bernoulli, "from_eta", counting)
+        monkeypatch.setattr(family, "from_eta", counting)
     return calls

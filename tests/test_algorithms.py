@@ -4,8 +4,10 @@ import pytest
 from igokit import (
     AlgorithmConfig,
     Bernoulli,
+    BernoulliParams,
     DomainExitError,
     Gaussian,
+    GaussianParams,
     InvalidInputError,
     Objective,
     TruncationScheme,
@@ -25,16 +27,16 @@ from igokit.traceio import render_trace, trace_records
 from igokit.updates import GaussianBlockDecomposition
 
 
-def one_step(config, model, eta, objective, rng=None, scheme=None):
+def one_step(config, model, params, objective, rng=None, scheme=None):
     """Draw one step's population through the run loop's pipeline and apply
     the configured step size."""
-    return _prepare_step(config, model, eta, model.from_eta(eta), scheme, objective, rng)(1.0)
+    return _prepare_step(config, model, params, scheme, objective, rng)(1.0)
 
 
-def rpp_step(model, eta, objective, dt, rng=None, lam=None, exact=True):
+def rpp_step(model, probs, objective, dt, rng=None, lam=None, exact=True):
     config = AlgorithmConfig(algorithm="rpp", dim=model.dim, lam=lam, dt=dt,
                              rpp_exact=exact)
-    return one_step(config, model, eta, objective, rng)
+    return one_step(config, model, BernoulliParams(probs), objective, rng).params.probs
 
 
 def reward_one_plus_sum(dim):
@@ -53,38 +55,39 @@ class TestDelegation:
     ])
     def test_sample_weighted_rules(self, algorithm, rule):
         model = Bernoulli(6)
-        eta = np.full(6, 0.5)
+        params = BernoulliParams(np.full(6, 0.5))
         obj = make_objective("onemax", 6)
         scheme = TruncationScheme(0.25)
         config = AlgorithmConfig(algorithm=algorithm, dim=6, lam=40, dt=0.3)
-        result = one_step(config, model, eta, obj, np.random.default_rng(3), scheme)
-        replay = rule(model, eta, result.samples, result.weights, 0.3)
-        assert np.array_equal(result.eta, replay)
+        result = one_step(config, model, params, obj, np.random.default_rng(3), scheme)
+        replay = rule(model, params, result.samples, result.weights, 0.3)
+        assert np.array_equal(result.params.probs, replay.probs)
 
     def test_pbil_step_is_igo_step(self):
         model = Bernoulli(6)
-        eta = np.full(6, 0.5)
+        params = BernoulliParams(np.full(6, 0.5))
         obj = make_objective("onemax", 6)
         scheme = TruncationScheme(0.25)
         config = AlgorithmConfig(algorithm="pbil", dim=6, lam=40, dt=0.3)
-        result = one_step(config, model, eta, obj, np.random.default_rng(3), scheme)
-        replay = igo_step(model, eta, result.samples, result.weights, 0.3)
-        assert np.array_equal(result.eta, replay)
+        result = one_step(config, model, params, obj, np.random.default_rng(3), scheme)
+        replay = igo_step(model, params, result.samples, result.weights, 0.3)
+        assert np.array_equal(result.params.probs, replay.probs)
 
     def test_cma_step_is_blockwise(self):
         model = Gaussian(2)
-        eta = model.to_eta(model.from_eta(np.array([0.0, 0.0, 1.0, 0.0, 1.0])))
+        params = GaussianParams(np.zeros(2), np.eye(2))
         obj = make_objective("sphere", 2)
         scheme = TruncationScheme(0.5)
         config = AlgorithmConfig(algorithm="cma_rank_mu", objective="sphere", dim=2,
                                  lam=30, dt_cov=0.4, dt_mean=0.9)
-        result = one_step(config, model, eta, obj, np.random.default_rng(4), scheme)
+        result = one_step(config, model, params, obj, np.random.default_rng(4), scheme)
         assert result.dt_used == (0.4, 0.9)
         replay = blockwise_igo_ml_step(
-            model, eta, result.samples, result.weights,
+            model, params, result.samples, result.weights,
             GaussianBlockDecomposition(), (0.4, 0.9),
         )
-        assert np.array_equal(result.eta, replay)
+        assert np.array_equal(result.params.mean, replay.mean)
+        assert np.array_equal(result.params.cov, replay.cov)
 
 
 class TestDeterminism:
@@ -152,7 +155,7 @@ class TestRunLoop:
         samples = np.tile([1.0, 0.0, 1.0], (5, 1))
         w = sample_weights(np.zeros(5), TruncationScheme(0.25))
         assert np.allclose(w.w, 0.2, atol=1e-15)
-        eta = igo_step(model, theta, samples, w, 0.5)
+        eta = igo_step(model, BernoulliParams(theta), samples, w, 0.5).probs
         assert np.allclose(eta, theta + 0.5 * (samples[0] - theta), atol=1e-15)
 
     def test_domain_exit_halt(self):
@@ -186,13 +189,22 @@ class TestRunLoop:
         assert tr.halvings == 30
 
     def test_each_state_is_converted_once(self, from_eta_calls):
-        # one conversion of the initial state, then per step the rule's check
-        # of the state it returns and the loop's one conversion of it
+        # the initial state is built as params; each step's one conversion is
+        # the rule's check of the state it returns, which the loop then carries
         config = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=8, lam=40,
                                  q=0.25, dt=0.3, max_steps=6, seed=1, domain_exit="halt")
         trace = run(config)
         assert len(trace.steps) == config.max_steps
-        assert len(from_eta_calls) == 2 * config.max_steps + 1
+        assert len(from_eta_calls) == config.max_steps
+        assert [s.eta.tobytes() for s in trace.steps] == [e.tobytes() for e in from_eta_calls]
+
+    def test_cma_run_never_converts_from_eta(self, from_eta_calls):
+        # the blockwise step carries (m, C) from state to state
+        config = AlgorithmConfig(algorithm="cma_rank_mu", objective="ellipsoid", dim=5,
+                                 lam=20, q=0.5, dt=0.5, max_steps=8, seed=1)
+        trace = run(config)
+        assert len(trace.steps) == config.max_steps
+        assert from_eta_calls == []
 
     def test_estimate_j_evaluates_the_support_once(self, monkeypatch):
         # a pbil run's exact expected preferences read one support table:
@@ -227,20 +239,20 @@ class TestPbilWorkedExample:
         # population {(0,0), (1,1)} on f = sum(x): the winner takes all weight
         from igokit import sample_weights
         model = Bernoulli(2)
-        theta = np.array([0.5, 0.5])
+        theta = BernoulliParams([0.5, 0.5])
         samples = np.array([[0.0, 0.0], [1.0, 1.0]])
         w = sample_weights([0.0, 2.0], TruncationScheme(0.5))
         assert np.array_equal(w.w, [1.0, 0.0])
-        eta = igo_step(model, theta, samples, w, 0.5)
+        eta = igo_step(model, theta, samples, w, 0.5).probs
         assert np.allclose(eta, [0.25, 0.25], atol=1e-15)
 
     def test_zero_step_is_inert(self):
         from igokit import sample_weights
         model = Bernoulli(2)
-        theta = np.array([0.3, 0.7])
+        theta = BernoulliParams([0.3, 0.7])
         samples = np.array([[0.0, 0.0], [1.0, 1.0]])
         w = sample_weights([0.0, 2.0], TruncationScheme(0.5))
-        assert np.array_equal(igo_step(model, theta, samples, w, 0.0), theta)
+        assert np.array_equal(igo_step(model, theta, samples, w, 0.0).probs, theta.probs)
 
 
 class TestTabulatedWeightsConfig:
@@ -255,13 +267,13 @@ class TestTabulatedWeightsConfig:
 class TestRpp:
     def test_classic_full_step(self):
         model = Bernoulli(1)
-        result = rpp_step(model, np.array([0.5]), reward_one_plus_sum(1), 1.0)
-        assert result.eta[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
+        probs = rpp_step(model, [0.5], reward_one_plus_sum(1), 1.0)
+        assert probs[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_smoothed_step(self):
         model = Bernoulli(1)
-        result = rpp_step(model, np.array([0.5]), reward_one_plus_sum(1), 0.5)
-        assert result.eta[0] == pytest.approx(7.0 / 12.0, abs=1e-14)
+        probs = rpp_step(model, [0.5], reward_one_plus_sum(1), 0.5)
+        assert probs[0] == pytest.approx(7.0 / 12.0, abs=1e-14)
 
     def test_constant_reward_is_stationary(self):
         constant = Objective(name="flat", dim=3, space="binary", direction="max",
@@ -269,13 +281,14 @@ class TestRpp:
         model = Bernoulli(3)
         eta = np.array([0.2, 0.5, 0.8])
         for dt in (0.25, 1.0):
-            result = rpp_step(model, eta, constant, dt)
-            assert np.max(np.abs(result.eta - eta)) <= 1e-15
+            probs = rpp_step(model, eta, constant, dt)
+            assert np.max(np.abs(probs - eta)) <= 1e-15
 
     def test_monte_carlo_mode_runs(self):
         model = Bernoulli(4)
-        result = rpp_step(model, np.full(4, 0.5), make_objective("count-reward", 4),
-                          0.5, rng=np.random.default_rng(8), lam=200, exact=False)
+        config = AlgorithmConfig(algorithm="rpp", dim=4, lam=200, dt=0.5, rpp_exact=False)
+        result = one_step(config, model, BernoulliParams(np.full(4, 0.5)),
+                          make_objective("count-reward", 4), np.random.default_rng(8))
         assert result.samples.shape == (200, 4)
 
     def test_rpp_run_improves_expected_reward(self):
@@ -317,24 +330,26 @@ class TestExactRppEnumeration:
         model = Bernoulli(config.dim)
         rewards = config.make_objective().batch(bernoulli_support(config.dim))
         trace = run(config)
-        eta = model.to_eta(config.initial_params())
+        params = config.initial_params()
         for step in trace.steps:
-            dist = enumerate_bernoulli(model.from_eta(eta))
-            eta_next = updates.fitness_proportional_step(model, eta, dist, rewards, config.dt)
-            after = enumerate_bernoulli(model.from_eta(eta_next))
-            assert step.eta.tobytes() == eta_next.tobytes()
+            dist = enumerate_bernoulli(params)
+            params_next = updates.fitness_proportional_step(model, params, dist, rewards,
+                                                            config.dt)
+            after = enumerate_bernoulli(params_next)
+            assert step.eta.tobytes() == params_next.probs.tobytes()
             assert step.best_f == float(after.prob @ rewards)
             assert step.emp_quantile == exact_quantile(after, rewards, config.q).value
-            assert step.kl_prev == model.kl_divergence(model.from_eta(eta),
-                                                       model.from_eta(eta_next))
-            eta = eta_next
-        assert trace.final_eta.tobytes() == eta.tobytes()
+            assert step.kl_prev == model.kl_divergence(params, params_next)
+            params = params_next
+        assert trace.final_eta.tobytes() == params.probs.tobytes()
 
 
 class TestGaussianRoundTrip:
-    """A covariance that is positive definite as built can lose that property
-    in the round trip to expectation parameters; the blockwise step must
-    report it as a domain exit, inside the step."""
+    """A full-rate cma step on 8 samples puts all weight on 2 winners in
+    3 dimensions, so the new covariance is their rank-2 scatter. Rounding
+    lets the first one pass the Cholesky check; the second step's is refused
+    inside the step, as a domain exit. Halting stops there; the safeguard
+    halves the rates."""
 
     @staticmethod
     def config(policy):
@@ -350,7 +365,20 @@ class TestGaussianRoundTrip:
     def test_halt_stops_on_a_domain_exit(self):
         trace = run(self.config("halt"))
         assert trace.stop_reason == "domain_exit"
-        assert len(trace.steps) < 60
+        assert len(trace.steps) == 1
+
+
+class TestIllConditionedCmaRun:
+    def test_d40_safeguard_run_completes(self):
+        # by step 300 |m|^2 / lambda_min(C) is far past 1 / eps: a state kept
+        # as S - m m^T would have no correct digit left in its smallest
+        # directions, and the safeguard would search for a valid rounding
+        config = AlgorithmConfig(algorithm="cma_rank_mu", objective="ellipsoid", dim=40,
+                                 lam=100, q=0.5, dt=0.5, max_steps=300, seed=2,
+                                 objective_seed=2, domain_exit="safeguard")
+        trace = run(config)
+        assert trace.stop_reason == "max_steps"
+        assert len(trace.steps) == 300
 
 
 class TestZeroRewardSample:
@@ -402,3 +430,25 @@ class TestConfigValidation:
     def test_integer_fields_refuse_non_integers(self, key, label, value):
         with pytest.raises(InvalidInputError, match=f"^{label}: "):
             AlgorithmConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("value", ["x", "0.5", float("nan")])
+    @pytest.mark.parametrize("key, label", [
+        ("dt", "dt"), ("dt_mean", "dt-m"), ("dt_cov", "dt-c"), ("q", "q"),
+        ("bernoulli_init", "bernoulli-init"), ("target_fitness", "target_fitness"),
+    ])
+    def test_real_fields_refuse_non_numbers(self, key, label, value):
+        with pytest.raises(InvalidInputError, match=f"^{label}: "):
+            AlgorithmConfig(algorithm="cma_rank_mu", objective="sphere",
+                            **{key: value}).validate()
+
+    @pytest.mark.parametrize("key, label", [
+        ("dt", "dt"), ("q", "q"), ("bernoulli_init", "bernoulli-init"),
+    ])
+    def test_required_real_fields_refuse_none(self, key, label):
+        with pytest.raises(InvalidInputError, match=f"^{label}: "):
+            AlgorithmConfig(**{key: None}).validate()
+
+    @pytest.mark.parametrize("table", [(0.2, 0.8), (0.5, "x"), (), 5, (0.5, float("nan"))])
+    def test_weights_table_is_checked_by_validate(self, table):
+        with pytest.raises(InvalidInputError, match="^weights_table: "):
+            AlgorithmConfig(algorithm="igo_generic", q=None, weights_table=table).validate()

@@ -141,8 +141,8 @@ class TestProgressBound:
         f = support.sum(axis=1)
         scheme = TruncationScheme(0.5)
         params = BernoulliParams([0.5, 0.5])
-        eta_next = exact_infinite_population_step(params, f, scheme, 0.5)
-        report = progress_bound(params, Bernoulli(2).from_eta(eta_next), f, scheme, 0.5)
+        params_next = exact_infinite_population_step(params, f, scheme, 0.5)
+        report = progress_bound(params, params_next, f, scheme, 0.5)
         assert report.j_value == pytest.approx(1.25, abs=1e-12)
         # per-coordinate KL(0.5 || 0.375) summed over two coordinates
         kl_one = 0.5 * math.log(0.5 / 0.375) + 0.5 * math.log(0.5 / 0.625)
@@ -165,8 +165,8 @@ class TestProgressBound:
         f = support.sum(axis=1)
         scheme = TruncationScheme(0.5)
         params = BernoulliParams([0.5, 0.5])
-        eta_next = exact_infinite_population_step(params, f, scheme, 1.0)
-        report = progress_bound(params, Bernoulli(2).from_eta(eta_next), f, scheme, 1.0)
+        params_next = exact_infinite_population_step(params, f, scheme, 1.0)
+        report = progress_bound(params, params_next, f, scheme, 1.0)
         assert report.bound == 1.0
         assert report.satisfied  # J > 1 whenever the state moved
 
@@ -282,7 +282,7 @@ class TestGradientDirection:
             model = Bernoulli(d)
             params = model.from_eta(eta)
             displacement = (
-                exact_infinite_population_step(params, fvals, scheme, 1e-4) - eta
+                exact_infinite_population_step(params, fvals, scheme, 1e-4).probs - eta
             ) / 1e-4
             h = 1e-6
             grad = np.zeros(d)

@@ -222,15 +222,16 @@ class TestQuantileIndex:
 
 class TestExactStep:
     def test_full_step(self):
-        eta = exact_infinite_population_step(
+        out = exact_infinite_population_step(
             BernoulliParams([0.5, 0.5]), sum_fitness(2), TruncationScheme(0.5), 1.0
         )
-        assert np.allclose(eta, [0.25, 0.25], atol=1e-15)
+        assert isinstance(out, BernoulliParams)
+        assert np.allclose(out.probs, [0.25, 0.25], atol=1e-15)
 
     def test_half_step(self):
         eta = exact_infinite_population_step(
             BernoulliParams([0.5, 0.5]), sum_fitness(2), TruncationScheme(0.5), 0.5
-        )
+        ).probs
         assert np.allclose(eta, [0.375, 0.375], atol=1e-15)
 
     def test_uniform_scheme_is_stationary(self):
@@ -238,7 +239,7 @@ class TestExactStep:
         for dt in (0.1, 1.0):
             eta = exact_infinite_population_step(
                 BernoulliParams(start), sum_fitness(2), UNIFORM, dt
-            )
+            ).probs
             assert np.max(np.abs(eta - start)) <= 1e-15
 
     def test_only_the_rule_checks_the_new_state(self, from_eta_calls):
@@ -246,9 +247,9 @@ class TestExactStep:
         # check of the state it returns
         params = BernoulliParams([0.3, 0.6, 0.5])
         f = make_objective("random-table", 3, seed=4).batch(bernoulli_support(3))
-        eta_next = exact_infinite_population_step(params, f, TruncationScheme(0.25), 0.5)
+        params_next = exact_infinite_population_step(params, f, TruncationScheme(0.25), 0.5)
         assert len(from_eta_calls) == 1
-        assert from_eta_calls[0].tobytes() == eta_next.tobytes()
+        assert from_eta_calls[0].tobytes() == params_next.probs.tobytes()
 
     def test_blockwise_equal_rates_match_joint_step(self):
         # coordinate blocks do not interact: equal per-block rates reproduce
@@ -263,14 +264,14 @@ class TestExactStep:
             params = BernoulliParams(eta)
             joint = exact_infinite_population_step(params, f, scheme, dt)
             blocked = exact_blockwise_coordinate_step(params, f, scheme, np.full(d, dt))
-            assert np.max(np.abs(joint - blocked)) <= 1e-14
+            assert np.max(np.abs(joint.probs - blocked.probs)) <= 1e-14
 
     def test_blockwise_zero_rates(self):
         eta = np.array([0.4, 0.6])
         out = exact_blockwise_coordinate_step(
             BernoulliParams(eta), sum_fitness(2), TruncationScheme(0.5), [0.0, 0.0]
         )
-        assert np.array_equal(out, eta)
+        assert np.array_equal(out.probs, eta)
 
     def test_blockwise_respects_order_arg(self):
         params = BernoulliParams([0.4, 0.6])
@@ -279,7 +280,7 @@ class TestExactStep:
         b = exact_blockwise_coordinate_step(
             params, f, TruncationScheme(0.5), [0.5, 0.5], order=[1, 0]
         )
-        assert np.allclose(a, b, atol=1e-15)  # blocks are independent here
+        assert np.allclose(a.probs, b.probs, atol=1e-15)  # blocks are independent here
 
     def test_blockwise_rates_are_indexed_by_coordinate(self):
         # dt_per_block[j] is coordinate j's rate wherever j falls in the order,
@@ -292,16 +293,17 @@ class TestExactStep:
         dts = np.array([0.2, 0.6, 0.9])
         order = [2, 0, 1]
         params = BernoulliParams(eta)
-        got = exact_blockwise_coordinate_step(params, f, scheme, dts, order=order)
-        assert np.array_equal(got, exact_blockwise_coordinate_step(params, f, scheme, dts))
+        got = exact_blockwise_coordinate_step(params, f, scheme, dts, order=order).probs
+        assert np.array_equal(got, exact_blockwise_coordinate_step(params, f, scheme, dts).probs)
         dist = enumerate_bernoulli(params)
         mean = (dist.prob * preference_exact(dist.prob, f, scheme)) @ dist.support
         assert np.max(np.abs(got - ((1.0 - dts) * eta + dts * mean))) <= 1e-15
         shipped = blockwise_igo_ml_step(
-            Bernoulli(d), eta, dist.support, dist.prob * preference_exact(dist.prob, f, scheme),
+            Bernoulli(d), params, dist.support,
+            dist.prob * preference_exact(dist.prob, f, scheme),
             BernoulliBlockDecomposition(d, tuple(order)), dts[order],
         )
-        assert np.array_equal(got, shipped)
+        assert np.array_equal(got, shipped.probs)
 
     def test_blockwise_validation(self):
         eta = BernoulliParams([0.4, 0.6])
@@ -358,11 +360,10 @@ class TestImprovementMiniRun:
         obj = make_objective("binval", 6)
         f = obj.batch(bernoulli_support(6))
         scheme = TruncationScheme(0.25)
-        model = Bernoulli(6)
-        params = model.from_eta(eta)
+        params = BernoulliParams(eta)
         q_prev = exact_quantile(enumerate_bernoulli(params), f, 0.25).value
         for _ in range(30):
-            params = model.from_eta(exact_infinite_population_step(params, f, scheme, 0.5))
+            params = exact_infinite_population_step(params, f, scheme, 0.5)
             dist = enumerate_bernoulli(params)
             q_now = exact_quantile(dist, f, 0.25).value
             assert q_now <= q_prev + 1e-12
@@ -383,12 +384,11 @@ class TestImprovementMiniRun:
         eta = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d)))
         values = st.integers(0, 4).map(float) if ties else st.floats(-10.0, 10.0)
         f = np.array(data.draw(st.lists(values, min_size=2**d, max_size=2**d)))
-        model = Bernoulli(d)
-        params = model.from_eta(eta)
+        params = BernoulliParams(eta)
         before = exact_quantile(enumerate_bernoulli(params), f, q).value
         try:
-            eta_next = exact_infinite_population_step(params, f, TruncationScheme(q), dt)
+            params_next = exact_infinite_population_step(params, f, TruncationScheme(q), dt)
         except DomainExitError:
             return  # the full step landed on a vertex: nothing to compare
-        after = exact_quantile(enumerate_bernoulli(model.from_eta(eta_next)), f, q).value
+        after = exact_quantile(enumerate_bernoulli(params_next), f, q).value
         assert after <= before + 1e-12
