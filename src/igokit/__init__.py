@@ -30,7 +30,6 @@ from .errors import (
     DegenerateDistributionError,
     DomainExitError,
     IgoKitError,
-    IllConditionedError,
     InvalidInputError,
 )
 from .models import Bernoulli, BernoulliParams, Gaussian, GaussianParams
@@ -56,7 +55,6 @@ from .selection import (
 from .updates import (
     BernoulliBlockDecomposition,
     GaussianBlockDecomposition,
-    StepConfig,
     blockwise_igo_ml_step,
     fitness_proportional_step,
     igo_ml_step,

@@ -150,12 +150,17 @@ class AlgorithmConfig:
                            ("target_fitness", self.target_fitness)):
             if value is not None or key == "dt":
                 _check_real(key, value, "must be a finite number")
-        per_block = ()
+        # Only step sizes up to 1 carry the quantile-improvement guarantee.
+        rates = {"dt": self.dt}
         if self.algorithm == "cma_rank_mu":
-            per_block = (self.resolved_dt_cov(), self.resolved_dt_mean())
-        updates.StepConfig(
-            dt=self.dt, dt_per_block=per_block, uncertified=self.uncertified
-        ).validate()
+            rates.update({"dt-c": self.resolved_dt_cov(), "dt-m": self.resolved_dt_mean()})
+        for key, value in rates.items():
+            _check_real(key, value, "must be finite and >= 0", lambda v: v >= 0.0)
+            if value > 1.0 and not self.uncertified:
+                raise InvalidInputError(
+                    f"{key}: step size {value} exceeds 1: quantile improvement is only "
+                    "guaranteed for 0 < dt <= 1; set uncertified to run anyway"
+                )
         _check_real("bernoulli-init", self.bernoulli_init, "must lie in (0, 1)",
                     lambda v: 0.0 < v < 1.0)
         obj = self.make_objective()

@@ -29,8 +29,3 @@ class DegenerateDistributionError(DomainExitError):
     probability, or a second-moment matrix whose implied covariance is not
     positive definite."""
 
-
-class IllConditionedError(IgoKitError):
-    """A numerically computed matrix (e.g. a finite-difference Fisher
-    information) lost positive definiteness; the message carries a condition
-    report."""

@@ -48,7 +48,6 @@ from .oracle import FiniteDist
 from .selection import SampleWeights
 
 __all__ = [
-    "StepConfig",
     "GaussianBlockDecomposition",
     "BernoulliBlockDecomposition",
     "igo_step",
@@ -57,27 +56,6 @@ __all__ = [
     "fitness_proportional_step",
     "safeguarded_step",
 ]
-
-
-@dataclass(frozen=True)
-class StepConfig:
-    """Step sizes with their certification status.
-
-    Step sizes in ``(0, 1]`` carry the quantile-improvement guarantee; larger
-    values are accepted only with ``uncertified=True``.
-    """
-
-    dt: float = 1.0
-    dt_per_block: tuple = ()
-    uncertified: bool = False
-
-    def validate(self) -> None:
-        for value in (self.dt,) + tuple(self.dt_per_block):
-            if _check_dt(value) > 1.0 and not self.uncertified:
-                raise InvalidInputError(
-                    f"step size {value} exceeds 1: quantile improvement is only "
-                    "guaranteed for 0 < dt <= 1; set uncertified to run anyway"
-                )
 
 
 @dataclass(frozen=True)

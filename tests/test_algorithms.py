@@ -405,6 +405,22 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="uncertified"):
             AlgorithmConfig(dt=1.5).validate()
         AlgorithmConfig(dt=1.5, uncertified=True).validate()
+        with pytest.raises(InvalidInputError, match="^dt: must be finite and >= 0"):
+            AlgorithmConfig(dt=-0.1).validate()
+        AlgorithmConfig(dt=0.0).validate()  # inert step is allowed
+
+    def test_block_rates_are_certified_too(self):
+        cma = dict(algorithm="cma_rank_mu", objective="sphere", dim=3)
+        AlgorithmConfig(dt=1.0, dt_cov=0.2, **cma).validate()
+        with pytest.raises(InvalidInputError, match="^dt-c: .*exceeds 1"):
+            AlgorithmConfig(dt=0.5, dt_cov=1.2, **cma).validate()
+        with pytest.raises(InvalidInputError, match="^dt-m: .*exceeds 1"):
+            AlgorithmConfig(dt=0.5, dt_mean=1.2, **cma).validate()
+        AlgorithmConfig(dt=0.5, dt_mean=1.2, uncertified=True, **cma).validate()
+        with pytest.raises(InvalidInputError, match="^dt-m: must be finite and >= 0"):
+            AlgorithmConfig(dt_mean=-0.1, **cma).validate()
+        # other algorithms read no block rate, so only finiteness is checked
+        AlgorithmConfig(dt_cov=1.2, dt_mean=-0.1).validate()
 
     def test_rpp_needs_reward_objective(self):
         with pytest.raises(InvalidInputError, match="reward"):

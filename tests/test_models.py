@@ -26,6 +26,33 @@ def random_spd(rng, d, cond_max=1e6):
     return (cov + cov.T) / 2.0
 
 
+def numerical_fisher(model, eta):
+    """Reference Fisher information: the Hessian of
+    ``delta -> KL(eta || eta + delta)`` at zero displacement, by central
+    differences. It shares no formula with the closed form it checks."""
+    base = model.from_eta(eta)
+    n = eta.size
+    h = 1e-4 * np.maximum(1.0, np.abs(eta))
+
+    def kl_at(delta):
+        return model.kl_divergence(base, model.from_eta(eta + delta))
+
+    fim = np.empty((n, n))
+    for i in range(n):
+        di = np.zeros(n)
+        di[i] = h[i]
+        # KL and its gradient vanish at zero displacement, so the pure
+        # second difference needs only the two one-sided evaluations.
+        fim[i, i] = (kl_at(di) + kl_at(-di)) / (h[i] * h[i])
+        for j in range(i + 1, n):
+            dj = np.zeros(n)
+            dj[j] = h[j]
+            fim[i, j] = fim[j, i] = (
+                kl_at(di + dj) - kl_at(di - dj) - kl_at(-di + dj) + kl_at(-di - dj)
+            ) / (4.0 * h[i] * h[j])
+    return fim
+
+
 class TestParams:
     def test_bernoulli_rejects_boundary(self):
         with pytest.raises(InvalidInputError):
@@ -277,14 +304,20 @@ class TestNaturalGradLogDensity:
     def test_matches_finite_difference_through_fisher(self):
         # inverse Fisher times the plain gradient recovers T(x) - eta
         rng = np.random.default_rng(4242)
+        cases = []
         for _ in range(25):
             d = int(rng.integers(1, 5))
-            m = Bernoulli(d)
             eta = rng.uniform(0.1, 0.9, d)
-            x = rng.integers(0, 2, d).astype(float)
+            cases.append((Bernoulli(d), eta, rng.integers(0, 2, d).astype(float)))
+        for d in (1, 2, 3):
+            m = Gaussian(d)
+            for _ in range(5):
+                eta = m.to_eta(GaussianParams(rng.normal(0, 0.5, d), random_spd(rng, d, 10.0)))
+                cases.append((m, eta, rng.normal(size=d)))
+        for m, eta, x in cases:
             h = 1e-6
-            grad = np.empty(d)
-            for i in range(d):
+            grad = np.empty(eta.size)
+            for i in range(eta.size):
                 up, dn = eta.copy(), eta.copy()
                 up[i] += h
                 dn[i] -= h
@@ -360,19 +393,23 @@ class TestFisherInformation:
         denom = np.max(np.abs(fim))
         assert np.max(np.abs(fim - fim.T)) <= 1e-8 * denom
 
-    def test_lost_definiteness_is_reported(self):
-        # a flat divergence makes the numerical Hessian singular; the guard
-        # must surface that with a condition report rather than return it
-        from igokit import IllConditionedError
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_matches_numerical_hessian(self, d):
+        rng = np.random.default_rng([31, d])
+        m = Gaussian(d)
+        for _ in range(5):
+            eta = m.to_eta(GaussianParams(rng.uniform(-1, 1, d), random_spd(rng, d, 10.0)))
+            reference = numerical_fisher(m, eta)
+            fim = m.fisher_information(eta)
+            assert np.max(np.abs(fim - reference)) <= 1e-6 * np.max(np.abs(reference))
 
-        class FlatKl(Gaussian):
-            def kl_divergence(self, p, q):
-                return 0.0
-
-        model = FlatKl(1)
-        eta = model.to_eta(GaussianParams([0.0], [[1.0]]))
-        with pytest.raises(IllConditionedError, match="condition"):
-            model.fisher_information(eta)
+    def test_gaussian_inverse_is_sample_covariance_of_statistics(self):
+        m = Gaussian(2)
+        params = GaussianParams([0.3, -0.5], [[1.0, 0.3], [0.3, 0.5]])
+        x = m.sample(params, np.random.default_rng(2024), 400_000)
+        sample_cov = np.cov(m.batch_sufficient_statistics(x), rowvar=False)
+        cov = np.linalg.inv(m.fisher_information(m.to_eta(params)))
+        assert np.max(np.abs(sample_cov - cov)) <= 2e-2 * np.max(np.abs(cov))
 
     def test_kl_expansion_contract(self):
         # the quadratic form plus the exact cubic term must explain KL up to

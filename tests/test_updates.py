@@ -11,7 +11,6 @@ from igokit import (
     BernoulliParams,
     GaussianParams,
     InvalidInputError,
-    StepConfig,
     TruncationScheme,
     blockwise_igo_ml_step,
     enumerate_bernoulli,
@@ -505,16 +504,3 @@ class TestSafeguard:
 
         with pytest.raises(DomainExitError):
             safeguarded_step(always_exits, 1.0, max_halvings=5)
-
-
-class TestStepConfig:
-    def test_certification_gate(self):
-        with pytest.raises(InvalidInputError, match="uncertified"):
-            StepConfig(dt=1.5).validate()
-        StepConfig(dt=1.5, uncertified=True).validate()
-        StepConfig(dt=1.0, dt_per_block=(0.2, 1.0)).validate()
-        with pytest.raises(InvalidInputError):
-            StepConfig(dt=0.5, dt_per_block=(1.2,)).validate()
-        with pytest.raises(InvalidInputError):
-            StepConfig(dt=-0.1).validate()
-        StepConfig(dt=0.0).validate()  # inert step is allowed
