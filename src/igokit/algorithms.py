@@ -28,10 +28,10 @@ a sampled rpp step draws no positive reward and so has no update.
 The state carried from step to step is the params object the update rule
 validated; it feeds sampling, enumeration, the KL divergence and the
 expected preference as it is, and the trace reads it through
-``model.to_eta``. An exact rpp run enumerates the support once per step: the
-distribution that logs the new state's exact summaries is the next step's
-source, and the reward table on the support is the objective's
-``support_values``, evaluated once per objective.
+``model.to_eta``. An exact rpp run builds each state's support
+probabilities once, as the state's ``support_probs``: the new state's exact
+summaries build them and the next step reads them. The reward table on the
+support is the objective's ``support_values``, evaluated once per objective.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ import numpy as np
 from . import updates
 from .diagnostics import empirical_quantile, estimate_preference_mean
 from .errors import DomainExitError, InvalidInputError
-from .models import Bernoulli, BernoulliParams, Gaussian, GaussianParams
+from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams, Gaussian, GaussianParams
 from .objectives import OBJECTIVE_NAMES, Objective, make_objective
-from .oracle import MAX_ENUM_DIM, enumerate_bernoulli, exact_quantile
+from .oracle import enumerate_bernoulli, exact_quantile
 from .selection import SampleWeights, TabulatedScheme, TruncationScheme, sample_weights
 
 __all__ = [
@@ -267,23 +267,19 @@ class _ZeroRewardSample(InvalidInputError):
     """A sampled reward step drew no positive reward, so it has no weights."""
 
 
-def _prepare_step(
-    config, model, params, scheme, objective, rng, exact=None
-) -> Callable[[float], StepResult]:
+def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[float], StepResult]:
     """Draw the step's population once; return an applier over a dt scale.
 
     The population is drawn from (or the support enumerated under) the
-    validated state ``params``, and the rule moves that same state.
-    ``exact`` is the state's :class:`~igokit.oracle.FiniteDist` for an exact
-    rpp step when the caller carries it from the previous step; without it
-    the support is enumerated here. The rewards on the support are the
-    objective's ``support_values``, evaluated once per objective.
+    validated state ``params``, and the rule moves that same state. The
+    rewards on the support are the objective's ``support_values``, evaluated
+    once per objective.
     """
     algo = config.algorithm
     if algo == "rpp":
         if config.rpp_exact:
             samples = None
-            source = enumerate_bernoulli(params) if exact is None else exact
+            source = enumerate_bernoulli(params)
             rewards = objective.support_values
         else:
             samples = source = model.sample(params, rng, config.lam)
@@ -326,15 +322,10 @@ def _prepare_step(
 
 
 def _reward_trace_fields(params, rewards_on_support, q):
-    """Exact-reward runs carry no sample: log exact summaries of ``params``.
-
-    Returns the new state's :class:`~igokit.oracle.FiniteDist` too, so the
-    next step starts from it instead of enumerating the support again.
-    """
+    """Exact-reward runs carry no sample: log exact summaries of ``params``."""
     dist = enumerate_bernoulli(params)
     expected = float(dist.prob @ rewards_on_support)
-    report = exact_quantile(dist, rewards_on_support, q)
-    return dist, expected, report.value
+    return expected, exact_quantile(dist, rewards_on_support, q).value
 
 
 def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace:
@@ -357,12 +348,11 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     q_for_trace = float(config.q) if config.q is not None else 0.5
 
     trace = Trace(config=config)
-    exact = None
     t0 = time.monotonic_ns()
     for step_index in range(config.max_steps):
         prev_params = params
         try:
-            applier = _prepare_step(config, model, params, scheme, objective, rng, exact)
+            applier = _prepare_step(config, model, params, scheme, objective, rng)
             if config.domain_exit == "safeguard":
                 try:
                     result, scale = updates.safeguarded_step(applier, 1.0, _MAX_HALVINGS)
@@ -384,7 +374,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
             coef = result.fitness / float(np.sum(result.fitness))
             entropy = float(-np.sum(coef[coef > 0.0] * np.log(coef[coef > 0.0])))
             if result.samples is None:
-                exact, best_f, emp_q = _reward_trace_fields(params, result.fitness, q_for_trace)
+                best_f, emp_q = _reward_trace_fields(params, result.fitness, q_for_trace)
             else:
                 best_f = float(np.max(result.fitness))
                 emp_q = empirical_quantile(result.fitness, q_for_trace)

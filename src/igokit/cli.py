@@ -7,7 +7,7 @@ as a flat ``key=value`` block so a run is reproducible from its own output.
 machine-readable JSON report.
 
 Configuration precedence: defaults, then ``--config`` file keys, then
-command-line flags. Config files are flat ``key=value`` lines with ``#``
+command-line flags. Config files are flat UTF-8 ``key=value`` lines with ``#``
 comments; unknown keys are rejected.
 
 Exit codes: 0 success (a run stopped by ``zero_reward`` included); 2
@@ -68,7 +68,7 @@ _OUTPUT_KEYS = {"out", "format"}
 def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file; unknown keys are errors."""
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, CapacityError) as exc:
+    except (InvalidInputError, CapacityError, UnicodeDecodeError) as exc:  # a non-UTF-8 config
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except IgoKitError as exc:

@@ -17,6 +17,9 @@ Each family's divergence, Fisher information ``Cov_eta(T)^-1`` and negative
 entropy third derivative are independent closed forms, so the KL-expansion
 check compares formulas that share no code.
 
+A Bernoulli state owns its exact distribution on ``{0,1}^d``,
+``BernoulliParams.support_probs``: built on first read, then kept read-only.
+
 The parameter domain is the *open* interior: Bernoulli probabilities strictly
 inside ``(0, 1)``, covariances strictly positive definite. Boundary values are
 rejected, never clipped: log-densities and Fisher information blow up there,
@@ -32,21 +35,27 @@ from a master seed, e.g. ``np.random.default_rng([master_seed, worker_index])``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DegenerateDistributionError,
     DomainExitError,
     InvalidInputError,
 )
 
 __all__ = [
+    "MAX_ENUM_DIM",
     "BernoulliParams",
     "GaussianParams",
     "Bernoulli",
     "Gaussian",
 ]
+
+# 2^16 = 65536 support points keeps the whole verification grid in seconds.
+MAX_ENUM_DIM = 16
 
 
 def _frozen_array(value, dtype=np.float64) -> np.ndarray:
@@ -80,6 +89,19 @@ class BernoulliParams:
     @property
     def dim(self) -> int:
         return self.probs.size
+
+    @cached_property
+    def support_probs(self) -> np.ndarray:
+        """Probability of every point of ``{0,1}^dim`` in the oracle's order.
+        The ``O(2^d)`` Kronecker product of the factors ``(1 - p_j, p_j)``
+        multiplies the same factors in the same order as a row-wise product
+        over the support, so it gives the same bits."""
+        if self.dim > MAX_ENUM_DIM:
+            raise CapacityError(f"exact enumeration supports dim <= {MAX_ENUM_DIM}, got {self.dim}")
+        prob = np.ones(1)
+        for e in self.probs:
+            prob = np.multiply.outer(prob, (1.0 - e, e)).ravel()
+        return _frozen_array(prob)
 
 
 @dataclass(frozen=True, eq=False)

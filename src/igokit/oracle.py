@@ -9,14 +9,13 @@ rules of :mod:`igokit.updates` run on the whole support with weights
 ``P(x) W(x)``, so a check of an exact step is a check of the rule itself.
 
 The support is built once per dimension and shared, read-only, by every
-:class:`FiniteDist` over it. A fixed fitness table over it (an objective's
-``support_values``) is ranked once: :func:`exact_quantile` and
+:class:`FiniteDist` over it. A state's probabilities on it are the state's
+own :attr:`~igokit.models.BernoulliParams.support_probs`, built once per
+state, so a :class:`FiniteDist` of a state costs only its validation. A
+fixed fitness table over the support (an objective's ``support_values``) is
+ranked once: :func:`exact_quantile` and
 :func:`~igokit.selection.preference_exact` share the ranking that
-``selection._levels`` keeps for the last read-only table it saw. A state's
-probabilities cost ``O(2^d)``: they are a Kronecker product of the
-per-coordinate factors ``(1 - p_j, p_j)``, which multiplies the same factors
-in the same order as a row-wise product over the support and so gives the
-same bits.
+``selection._levels`` keeps for the last read-only table it saw.
 
 A state comes in as trusted :class:`~igokit.models.BernoulliParams`, and
 the exact steps return the next state as the update rules validated it, so
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import updates
 from .errors import CapacityError, InvalidInputError
-from .models import Bernoulli, BernoulliParams
+from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams
 from .selection import _levels, _owns_frozen, preference_exact
 
 __all__ = [
@@ -51,14 +50,12 @@ __all__ = [
     "exact_J",
 ]
 
-# 2^16 = 65536 support points keeps the whole verification grid in seconds.
-MAX_ENUM_DIM = 16
-
 
 def _frozen(a) -> np.ndarray:
     """A read-only float64 array with the values of ``a`` that no one else
     can write through: ``a`` itself when it is already such an array and owns
-    its data (the cached support), else a frozen copy."""
+    its data (the cached support, a state's ``support_probs``), else a
+    frozen copy."""
     if _owns_frozen(a):
         return a
     out = np.array(a, dtype=np.float64)
@@ -128,19 +125,11 @@ def bernoulli_support(dim: int) -> np.ndarray:
     return pts
 
 
-def _support_probs(probs: np.ndarray) -> np.ndarray:
-    """The exact product probability of every support point of a valid
-    state, built coordinate by coordinate in ``O(2^d)``."""
-    prob = np.ones(1)
-    for e in probs:
-        prob = np.multiply.outer(prob, (1.0 - e, e)).ravel()
-    return prob
-
-
 def enumerate_bernoulli(params: BernoulliParams) -> FiniteDist:
     """The full distribution of a product Bernoulli model, exactly. The
-    parameters were validated when they were built, so they are trusted."""
-    return FiniteDist(bernoulli_support(params.dim), _support_probs(params.probs))
+    parameters were validated when they were built, so they are trusted, and
+    the probabilities are the state's own ``support_probs``, not a copy."""
+    return FiniteDist(bernoulli_support(params.dim), params.support_probs)
 
 
 def _sup_quantile_index(lower: np.ndarray, upper: np.ndarray, q: float) -> int:
@@ -192,7 +181,7 @@ def exact_infinite_population_step(params: BernoulliParams, fitness, scheme,
     point in the fixed lexicographic order. Raises ``DomainExitError`` if the
     result leaves the open parameter region.
     """
-    prob = _support_probs(params.probs)
+    prob = params.support_probs
     w = preference_exact(prob, fitness, scheme)
     return updates.igo_step(
         Bernoulli(params.dim), params, bernoulli_support(params.dim), prob * w, dt
@@ -217,7 +206,7 @@ def exact_blockwise_coordinate_step(params: BernoulliParams, fitness, scheme, dt
     if dts.shape != (dim,):
         raise InvalidInputError("dt_per_block must give one step size per block")
     decomposition = updates.BernoulliBlockDecomposition(dim, order)
-    prob = _support_probs(params.probs)
+    prob = params.support_probs
     w = preference_exact(prob, fitness, scheme)
     return updates.blockwise_igo_ml_step(
         Bernoulli(dim), params, bernoulli_support(dim), prob * w, decomposition,
@@ -233,6 +222,5 @@ def exact_J(params_eval: BernoulliParams, params_base: BernoulliParams, fitness,
     """
     if params_eval.dim != params_base.dim:
         raise InvalidInputError("states must share the same dimension")
-    prob_base = _support_probs(params_base.probs)
-    prob_eval = _support_probs(params_eval.probs)
-    return float(prob_eval @ preference_exact(prob_base, fitness, scheme))
+    w = preference_exact(params_base.support_probs, fitness, scheme)
+    return float(params_eval.support_probs @ w)

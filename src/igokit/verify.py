@@ -168,11 +168,7 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
     scheme = TruncationScheme(case.q)
     params = BernoulliParams(case.theta0)
 
-    def quantile(p):
-        dist = enumerate_bernoulli(p)
-        return exact_quantile(dist, fvals, case.q), dist
-
-    q_before, _ = quantile(params)
+    q_before = exact_quantile(enumerate_bernoulli(params), fvals, case.q)
     executed = 0
     stopped_early = False
     max_increase = 0.0
@@ -191,12 +187,12 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
             stopped_early = True
             break
         executed += 1
-        q_after, dist_after = quantile(params_next)
+        q_after = exact_quantile(enumerate_bernoulli(params_next), fvals, case.q)
         increase = q_after.value - q_before.value
         max_increase = max(max_increase, increase)
         move = float(np.max(np.abs(params_next.probs - params.probs)))
         if abs(increase) <= QUANTILE_TOL and move > 1e-12:
-            mass_at_level = float(dist_after.prob[fvals == q_before.value].sum())
+            mass_at_level = float(params_next.support_probs[fvals == q_before.value].sum())
             if not mass_at_level > 0.0:
                 unexplained += 1
         if check_bound:

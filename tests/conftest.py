@@ -1,7 +1,9 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from igokit import Bernoulli, Gaussian
+from igokit import Bernoulli, BernoulliParams, Gaussian
 
 
 @pytest.fixture
@@ -16,3 +18,20 @@ def from_eta_calls(monkeypatch):
 
         monkeypatch.setattr(family, "from_eta", counting)
     return calls
+
+
+@pytest.fixture
+def support_prob_builds(monkeypatch):
+    """Every state whose ``support_probs`` vector is built while the test
+    runs, in build order."""
+    builds = []
+    build = BernoulliParams.support_probs.func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(BernoulliParams, "support_probs")
+    monkeypatch.setattr(BernoulliParams, "support_probs", prop)
+    return builds

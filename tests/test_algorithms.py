@@ -21,7 +21,6 @@ from igokit import (
     run,
     updates,
 )
-from igokit import algorithms
 from igokit.algorithms import _prepare_step
 from igokit.traceio import render_trace, trace_records
 from igokit.updates import GaussianBlockDecomposition
@@ -303,26 +302,24 @@ class TestExactRppEnumeration:
     CONFIG = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=6, dt=0.5,
                              max_steps=12, seed=3, objective_seed=5)
 
-    def test_one_enumeration_per_step_and_one_reward_table(self, monkeypatch):
-        enumerations = []
+    def test_one_probability_build_per_state_and_one_reward_table(self, support_prob_builds):
         tables = []
-        real_enumerate = algorithms.enumerate_bernoulli
         base = self.CONFIG.make_objective()
-
-        def counting_enumerate(params):
-            enumerations.append(params)
-            return real_enumerate(params)
 
         def counting_rewards(points):
             tables.append(len(points))
             return base.fn(points)
 
-        monkeypatch.setattr(algorithms, "enumerate_bernoulli", counting_enumerate)
         objective = Objective(name=base.name, dim=base.dim, space=base.space,
                               direction=base.direction, fn=counting_rewards)
         trace = run(self.CONFIG, objective=objective)
         assert len(trace.steps) == self.CONFIG.max_steps
-        assert len(enumerations) == len(trace.steps) + 1
+        # the initial state and each step's new state, each built once
+        assert len(support_prob_builds) == len(trace.steps) + 1
+        assert len({id(p) for p in support_prob_builds}) == len(support_prob_builds)
+        built = [p.probs.tobytes() for p in support_prob_builds]
+        assert built[0] == self.CONFIG.initial_params().probs.tobytes()
+        assert built[1:] == [step.eta.tobytes() for step in trace.steps]
         assert tables == [2**self.CONFIG.dim]
 
     def test_trace_matches_fresh_enumeration_per_state(self):

@@ -3,8 +3,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from igokit.cli import main, read_config_file
+from igokit import InvalidInputError
+from igokit.algorithms import ALGORITHMS
+from igokit.cli import (
+    _RUN_KEYS,
+    _echo_config,
+    _effective_settings,
+    _settings_to_config,
+    build_parser,
+    main,
+    read_config_file,
+)
+from igokit.objectives import OBJECTIVE_NAMES
 from igokit.traceio import TRACE_HEADER, read_trace
 
 
@@ -205,6 +218,91 @@ class TestConfigFile:
         assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
         key = line.partition("=")[0]
         assert f"configuration error: {key}:" in capsys.readouterr().err
+
+
+def _unit_interval(open_ends):
+    return st.floats(0.0, 1.0, exclude_min=open_ends, exclude_max=open_ends)
+
+
+# Every run setting the command line or a config file can give, over ranges
+# that include values ``validate`` refuses; those examples are discarded.
+_RUN_SETTINGS = st.fixed_dictionaries({
+    "algo": st.sampled_from(ALGORITHMS),
+    "objective": st.sampled_from(OBJECTIVE_NAMES),
+    "dim": st.integers(1, 6),
+    "lambda": st.integers(1, 10**6),
+    "q": _unit_interval(True),
+    "dt": st.floats(0.0, 4.0),
+    "dt_m": st.none() | st.floats(0.0, 4.0),
+    "dt_c": st.none() | st.floats(0.0, 4.0),
+    "steps": st.integers(0, 10**9),
+    "seed": st.integers(0, 2**70),
+    "objective_seed": st.integers(0, 2**70),
+    "target_fitness": st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    "domain_exit": st.sampled_from(("halt", "safeguard")),
+    "uncertified": st.booleans(),
+    "rpp_exact": st.booleans(),
+    "bernoulli_init": _unit_interval(True),
+    "estimate_j": st.booleans(),
+    "timing": st.booleans(),
+    "out": st.just("trace.csv"),
+    "format": st.sampled_from(("csv", "jsonl")),
+})
+
+# each example rewrites the same file in the test's tmp_path
+_PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestConfigProperties:
+    @_PROPERTY_SETTINGS
+    @given(_RUN_SETTINGS)
+    def test_effective_config_echo_reads_back_as_the_same_config(self, tmp_path, values):
+        config = _settings_to_config(values)
+        try:
+            config.validate()
+        except InvalidInputError:
+            assume(False)  # not a setting a run accepts, so never echoed
+        echo = tmp_path / "echo.cfg"
+        echo.write_text(_echo_config(values) + "\n")
+        args = build_parser().parse_args(["run", "--config", str(echo)])
+        assert _settings_to_config(_effective_settings(args)) == config
+
+    @staticmethod
+    def _run_on(tmp_path, capsys, write):
+        cfg = tmp_path / "fuzz.cfg"
+        write(cfg)
+        # dim and steps come from the command line, which keeps every run
+        # small; the file's own values for them are still parsed
+        code = main(["run", "--config", str(cfg), "--dim", "3", "--steps", "0",
+                     "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("configuration error: ")
+        return code
+
+    @_PROPERTY_SETTINGS
+    @given(st.lists(
+        st.sampled_from(sorted(_RUN_KEYS)).flatmap(
+            lambda key: st.text(max_size=12).map(lambda value: f"{key}={value}")
+        ) | st.text(max_size=20),
+        max_size=8,
+    ))
+    def test_fuzzed_config_text_runs_or_is_a_configuration_error(self, tmp_path, capsys,
+                                                                 lines):
+        self._run_on(tmp_path, capsys,
+                     lambda cfg: cfg.write_text("\n".join(lines), encoding="utf-8"))
+
+    @_PROPERTY_SETTINGS
+    @given(st.binary(max_size=64))
+    def test_fuzzed_config_bytes_run_or_are_a_configuration_error(self, tmp_path, capsys,
+                                                                  blob):
+        self._run_on(tmp_path, capsys, lambda cfg: cfg.write_bytes(b"algo=pbil\n" + blob))
+
+    def test_undecodable_config_file_is_a_configuration_error(self, tmp_path, capsys):
+        assert self._run_on(tmp_path, capsys,
+                            lambda cfg: cfg.write_bytes(b"algo=pbil\n\xff=1\n")) == 2
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,9 @@ from igokit import (
     exact_quantile,
     make_objective,
     preference_exact,
+    progress_bound,
 )
-from igokit.oracle import _support_probs, _sup_quantile_index
+from igokit.oracle import _sup_quantile_index
 
 UNIFORM = TabulatedScheme((1.0,))
 
@@ -72,11 +75,60 @@ class TestSupportProbabilities:
     @given(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1, max_size=12))
     def test_kronecker_build_matches_row_products_bit_for_bit(self, eta):
         eta = np.array(eta)
-        assert _support_probs(eta).tobytes() == row_product_probs(eta).tobytes()
+        got = BernoulliParams(eta).support_probs
+        assert got.tobytes() == row_product_probs(eta).tobytes()
 
     def test_kronecker_build_matches_row_products_at_d16(self):
         eta = np.random.default_rng(16).uniform(0.01, 0.99, 16)
-        assert _support_probs(eta).tobytes() == row_product_probs(eta).tobytes()
+        got = BernoulliParams(eta).support_probs
+        assert got.tobytes() == row_product_probs(eta).tobytes()
+
+    def test_vector_is_read_only_and_owned(self):
+        prob = BernoulliParams([0.2, 0.7]).support_probs
+        assert not prob.flags.writeable and prob.flags.owndata
+        with pytest.raises(ValueError):
+            prob[0] = 0.5
+
+    def test_second_read_returns_the_same_object(self, support_prob_builds):
+        params = BernoulliParams([0.2, 0.7, 0.4])
+        assert params.support_probs is params.support_probs
+        assert support_prob_builds == [params]
+
+    def test_enumeration_keeps_the_state_vector(self):
+        params = BernoulliParams([0.2, 0.7, 0.4])
+        assert enumerate_bernoulli(params).prob is params.support_probs
+
+    def test_exact_j_at_its_base_builds_one_vector(self, support_prob_builds):
+        params = BernoulliParams([0.2, 0.7, 0.4])
+        assert exact_J(params, params, sum_fitness(3), TruncationScheme(0.5)) == pytest.approx(1.0)
+        assert support_prob_builds == [params]
+
+
+class TestCapacityBeforeEnumeration:
+    """At ``d = MAX_ENUM_DIM + 1`` every exact computation refuses with
+    ``CapacityError`` before it allocates anything of size ``2^d``."""
+
+    D = 17
+    PARAMS = BernoulliParams(np.full(D, 0.5))
+    FITNESS = np.zeros(4)  # never read: the refusal comes first
+    SCHEME = TruncationScheme(0.5)
+
+    @pytest.mark.parametrize("compute", [
+        lambda p, f, s: p.support_probs,
+        lambda p, f, s: exact_J(p, p, f, s),
+        lambda p, f, s: progress_bound(p, p, f, s, 0.5),
+        lambda p, f, s: exact_infinite_population_step(p, f, s, 0.5),
+        lambda p, f, s: exact_blockwise_coordinate_step(p, f, s, np.full(p.dim, 0.5)),
+    ], ids=["support_probs", "exact_J", "progress_bound", "exact_step", "blockwise_step"])
+    def test_refused_without_a_2_to_the_d_allocation(self, compute):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                compute(self.PARAMS, self.FITNESS, self.SCHEME)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**self.D
 
 
 class TestEnumerationTrustsParams:
