@@ -53,8 +53,6 @@ from .selection import (
     sample_weights,
 )
 from .updates import (
-    BernoulliBlockDecomposition,
-    GaussianBlockDecomposition,
     blockwise_igo_ml_step,
     fitness_proportional_step,
     igo_ml_step,

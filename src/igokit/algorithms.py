@@ -10,8 +10,9 @@ Each named algorithm is one update rule under one weighting, and
 * ``ce_ml`` - the smoothed cross-entropy/ML step
   (:func:`igokit.updates.igo_ml_step`).
 * ``cma_rank_mu`` - the pure rank-mu mean/covariance recombination, i.e. the
-  blockwise weighted-ML step with the (cov, mean) decomposition and separate
-  learning rates. No evolution paths, no step-size control, no rank-one term.
+  Gaussian blockwise weighted-ML step (covariance about the current mean,
+  then mean) with the rates ``(dt_cov, dt_mean)``. No evolution paths, no
+  step-size control, no rank-one term.
 * ``rpp`` - reward-proportional update; ``dt = 1`` is the classic form
   ``theta <- E[x r(x)] / E[r(x)]``, smaller ``dt`` the smoothed variant.
 
@@ -299,13 +300,11 @@ def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[fl
     weights = sample_weights(fitness, scheme)
 
     if algo == "cma_rank_mu":
-        decomposition = updates.GaussianBlockDecomposition()
-
         def apply(scale: float) -> StepResult:
             dt_cov = config.resolved_dt_cov() * scale
             dt_mean = config.resolved_dt_mean() * scale
             params_next = updates.blockwise_igo_ml_step(
-                model, params, samples, weights, decomposition, (dt_cov, dt_mean)
+                model, params, samples, weights, (dt_cov, dt_mean)
             )
             return StepResult(params_next, samples, fitness, weights, (dt_cov, dt_mean))
 
@@ -324,7 +323,7 @@ def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[fl
 def _reward_trace_fields(params, rewards_on_support, q):
     """Exact-reward runs carry no sample: log exact summaries of ``params``."""
     dist = enumerate_bernoulli(params)
-    expected = float(dist.prob @ rewards_on_support)
+    expected = float(np.sum(dist.prob * rewards_on_support))
     return expected, exact_quantile(dist, rewards_on_support, q).value
 
 

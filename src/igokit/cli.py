@@ -123,6 +123,14 @@ def _effective_settings(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             settings[key] = value
+    out = settings["out"]
+    # the echo must read back as the same path: a config line ends at "#" or
+    # a line break, and its value is stripped and kept as default when empty
+    if not out or out != out.strip() or any(c in out for c in "#\n\r"):
+        raise InvalidInputError(
+            f"out: {out!r} cannot be echoed as a config line; use a non-empty path "
+            "without '#', line breaks or surrounding whitespace"
+        )
     if settings["format"] not in ("csv", "jsonl"):
         raise InvalidInputError(
             f"format: must be csv or jsonl, got {settings['format']!r}"

@@ -6,7 +6,10 @@ expectation here an exact finite sum and every run bit-reproducible. These
 functions are the ground truth against which the monotone-improvement
 properties of the update rules are checked. The exact steps are the shipped
 rules of :mod:`igokit.updates` run on the whole support with weights
-``P(x) W(x)``, so a check of an exact step is a check of the rule itself.
+``P(x) W(x)``, so a check of an exact step is a check of the rule itself;
+the blockwise one has one block, and one rate, per coordinate. Expectations
+are numpy reductions (``np.sum(p * f)``), never a BLAS dot product, so exact
+results do not depend on the BLAS thread count.
 
 The support is built once per dimension and shared, read-only, by every
 :class:`FiniteDist` over it. A state's probabilities on it are the state's
@@ -188,29 +191,21 @@ def exact_infinite_population_step(params: BernoulliParams, fitness, scheme,
     )
 
 
-def exact_blockwise_coordinate_step(params: BernoulliParams, fitness, scheme, dt_per_block,
-                                    order=None) -> BernoulliParams:
-    """Exact coordinate-blocked sequential weighted-ML step from ``params``
-    to the validated next state.
+def exact_blockwise_coordinate_step(params: BernoulliParams, fitness, scheme,
+                                    dt_per_block) -> BernoulliParams:
+    """Exact coordinate-blocked weighted-ML step from ``params`` to the
+    validated next state.
 
     Runs :func:`~igokit.updates.blockwise_igo_ml_step` on the enumerated
-    support with weights ``P(x) W(x)``: each coordinate is one block, updated
-    in ``order`` (defaults to natural order) toward the preference-weighted
-    mean ``E[W(x) x]`` computed once under the starting parameters. Step sizes
-    are indexed by coordinate: ``dt_per_block[j]`` is the rate of coordinate
-    ``j`` wherever ``j`` falls in ``order``. Validity is checked after every
-    block.
+    support with weights ``P(x) W(x)``: each coordinate ``j`` is one block,
+    moved at its own rate ``dt_per_block[j]`` toward the preference-weighted
+    mean ``E[W(x) x]`` under the starting parameters.
     """
     dim = params.dim
-    dts = np.asarray(dt_per_block, dtype=np.float64)
-    if dts.shape != (dim,):
-        raise InvalidInputError("dt_per_block must give one step size per block")
-    decomposition = updates.BernoulliBlockDecomposition(dim, order)
     prob = params.support_probs
     w = preference_exact(prob, fitness, scheme)
     return updates.blockwise_igo_ml_step(
-        Bernoulli(dim), params, bernoulli_support(dim), prob * w, decomposition,
-        dts[list(decomposition.order)],
+        Bernoulli(dim), params, bernoulli_support(dim), prob * w, dt_per_block
     )
 
 
@@ -223,4 +218,4 @@ def exact_J(params_eval: BernoulliParams, params_base: BernoulliParams, fitness,
     if params_eval.dim != params_base.dim:
         raise InvalidInputError("states must share the same dimension")
     w = preference_exact(params_base.support_probs, fitness, scheme)
-    return float(params_eval.support_probs @ w)
+    return float(np.sum(params_eval.support_probs * w))

@@ -10,8 +10,10 @@ state is converted once, by the rule that builds it:
   ``(1 - dt) eta + dt * sum_i w_i T(x_i)``. In expectation parameters this
   is also the smoothed cross-entropy/ML step: the weighted-ML point is the
   weighted mean of the sufficient statistics, blended into the current state.
-* :func:`blockwise_igo_ml_step` - sequential per-block weighted-ML updates
-  with per-block step sizes, reusing one sample across all blocks.
+* :func:`blockwise_igo_ml_step` - per-block weighted-ML updates with one
+  step size per block, reusing one sample across all blocks. The family
+  fixes the blocks: covariance then mean for a Gaussian (rank-mu
+  recombination), one block per coordinate for Bernoulli.
 * :func:`fitness_proportional_step` - natural-gradient step under
   reward-proportional weights, exact (finite distribution) or Monte Carlo;
   it forms the weights and runs :func:`igo_step`.
@@ -32,68 +34,27 @@ Weighted sums reduce over axis 0 of a C-contiguous ``(n, k)`` array, which
 numpy does by adding the rows one after another in index order (a
 single-column array, ``k = 1``, is summed pairwise instead). Results are
 therefore bit-reproducible for a given sample, and tier-1 tests pin
-:func:`igo_step` and :func:`igo_ml_step` to a row-by-row reference.
+:func:`igo_step` and :func:`igo_ml_step` to a row-by-row reference. No sum
+goes through a BLAS dot product (``a @ b`` on vectors), whose rounding
+depends on the BLAS thread count; a dot is ``np.sum(a * b)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import DomainExitError, InvalidInputError
-from .models import GaussianParams
+from .models import Gaussian, GaussianParams
 from .oracle import FiniteDist
 from .selection import SampleWeights
 
 __all__ = [
-    "GaussianBlockDecomposition",
-    "BernoulliBlockDecomposition",
     "igo_step",
     "igo_ml_step",
     "blockwise_igo_ml_step",
     "fitness_proportional_step",
     "safeguarded_step",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianBlockDecomposition:
-    """Two-block Gaussian decomposition: covariance and mean.
-
-    The default order ``("cov", "mean")`` updates the covariance about the
-    current mean first and recovers the rank-mu mean/covariance recombination
-    with separate learning rates. The reverse order ``("mean", "cov")`` is the
-    EMNA-like variant: it recentres the scatter on the already-moved mean,
-    which is known to shrink the covariance faster and can converge
-    prematurely; it is provided for study, not as a default.
-    """
-
-    order: tuple = ("cov", "mean")
-
-    def __post_init__(self):
-        if sorted(self.order) != ["cov", "mean"]:
-            raise InvalidInputError(
-                'order must be a permutation of ("cov", "mean")'
-            )
-
-
-@dataclass(frozen=True)
-class BernoulliBlockDecomposition:
-    """Coordinate-wise Bernoulli decomposition: one block per coordinate,
-    updated in ``order`` (natural order when ``order`` is None)."""
-
-    dim: int
-    order: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidInputError("dim must be >= 1")
-        order = tuple(range(self.dim)) if self.order is None else tuple(self.order)
-        if sorted(order) != list(range(self.dim)):
-            raise InvalidInputError("order must be a permutation of the coordinates")
-        object.__setattr__(self, "order", order)
 
 
 def _weight_array(weights, lam: int) -> np.ndarray:
@@ -150,61 +111,56 @@ def igo_ml_step(model, params, samples, weights, dt: float):
     return model.from_eta((1.0 - dt) * eta + dt * np.sum(w[:, None] * stats, axis=0))
 
 
-def blockwise_igo_ml_step(model, params, samples, weights, decomposition, dt_per_block):
-    """Sequential per-block weighted-ML updates sharing one sample.
+def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
+    """Per-block weighted-ML updates sharing one sample, one rate per block.
 
-    Blocks are updated in the declared order, each solving the restricted
-    weighted-ML problem with the other blocks frozen at their current values
-    and its own step size. Step sizes follow the update order:
-    ``dt_per_block[k]`` belongs to the k-th block of ``decomposition.order``
-    (so ``(dt_mean, dt_cov)`` for the order ``("mean", "cov")``, and for a
-    Bernoulli order ``(2, 0, 1)`` the first rate moves coordinate 2). For the
-    Gaussian cov/mean decomposition the closed forms are
+    The family fixes the blocks, and ``dt_per_block[k]`` is the rate of
+    block ``k``. Each block solves the restricted weighted-ML problem with
+    the others frozen and moves by its own step size.
 
-    ``C* = C + dt_C * sum_i w_i ((x_i - m)(x_i - m)^T - C)`` (about the
-    current mean), then ``m* = m + dt_m * sum_i w_i (x_i - m)``.
+    * Gaussian: ``dt_per_block = (dt_cov, dt_mean)``. The covariance moves
+      first, about the current mean, then the mean:
+      ``C* = C + dt_C * sum_i w_i ((x_i - m)(x_i - m)^T - C)``, then
+      ``m* = m + dt_m * sum_i w_i (x_i - m)``. This is the pure rank-mu
+      recombination. The step reads and writes mean and covariance directly
+      and validates each block's output as one ``GaussianParams``; with equal
+      rates it is *not* the same map as :func:`igo_ml_step`.
+    * Bernoulli: one block per coordinate, ``dt_per_block[j]`` the rate of
+      coordinate ``j``. Each coordinate blends toward the weighted mean
+      independently, so the step is the single blend
+      ``(1 - dts) * theta + dts * sum_i w_i x_i``, validated once: every
+      partial update mixes valid old coordinates with final ones, so it is
+      valid exactly when the result is.
 
-    The Gaussian step reads and writes mean and covariance directly; each
-    block's output is one ``GaussianParams``, and the last one is returned.
-    With all block step sizes equal this is *not* the same map as
-    :func:`igo_ml_step`. Any invalid intermediate block output raises a
-    domain exit.
+    An invalid block output raises a domain exit.
     """
     if params.dim != model.dim:
         raise InvalidInputError("parameter dimension mismatch")
-    dts = tuple(_check_dt(v) for v in dt_per_block)
+    gaussian = isinstance(model, Gaussian)
+    blocks = 2 if gaussian else model.dim
+    dts = np.asarray(dt_per_block, dtype=np.float64)
+    if dts.shape != (blocks,):
+        raise InvalidInputError(
+            f"dt_per_block must give one step size per block: {blocks} expected, "
+            f"got shape {dts.shape}"
+        )
+    for dt in dts:
+        _check_dt(dt)
     # The blocks read the points themselves; neither family needs T(x) here.
     samples = model._check_points(samples)
     w = _weight_array(weights, samples.shape[0])
 
-    if isinstance(decomposition, GaussianBlockDecomposition):
-        if len(dts) != 2:
-            raise InvalidInputError("Gaussian decomposition takes two step sizes")
-        m, cov = params.mean, params.cov
-        for name, dt_b in zip(decomposition.order, dts):
-            if name == "cov":
-                centered = samples - m
-                scatter = np.einsum("i,ij,ik->jk", w, centered, centered)
-                scatter = (scatter + scatter.T) / 2.0
-                cov = cov + dt_b * (scatter - cov)
-            else:
-                m = m + dt_b * np.sum(w[:, None] * (samples - m), axis=0)
-            params = GaussianParams(m, cov)
-        return params
+    if gaussian:
+        dt_cov, dt_mean = dts
+        centered = samples - params.mean
+        scatter = np.einsum("i,ij,ik->jk", w, centered, centered)
+        scatter = (scatter + scatter.T) / 2.0
+        params = GaussianParams(params.mean, params.cov + dt_cov * (scatter - params.cov))
+        mean = params.mean + dt_mean * np.sum(w[:, None] * centered, axis=0)
+        return GaussianParams(mean, params.cov)
 
-    if isinstance(decomposition, BernoulliBlockDecomposition):
-        if decomposition.dim != model.dim:
-            raise InvalidInputError("decomposition dimension mismatch")
-        if len(dts) != decomposition.dim:
-            raise InvalidInputError("one step size per coordinate block required")
-        weighted_mean = np.sum(w[:, None] * samples, axis=0)
-        theta = model.to_eta(params)
-        for j, dt_b in zip(decomposition.order, dts):
-            theta[j] = (1.0 - dt_b) * theta[j] + dt_b * weighted_mean[j]
-            params = model.from_eta(theta)
-        return params
-
-    raise InvalidInputError(f"unsupported decomposition {decomposition!r}")
+    weighted_mean = np.sum(w[:, None] * samples, axis=0)
+    return model.from_eta((1.0 - dts) * model.to_eta(params) + dts * weighted_mean)
 
 
 def fitness_proportional_step(model, params, source, rewards, dt: float):
@@ -228,7 +184,7 @@ def fitness_proportional_step(model, params, source, rewards, dt: float):
         if r.size != source.size:
             raise InvalidInputError("one reward per support point required")
         points = source.support
-        coef = source.prob * r / float(source.prob @ r)
+        coef = source.prob * r / float(np.sum(source.prob * r))
     else:
         points = source
         if r.size != len(points):

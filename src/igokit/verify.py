@@ -6,16 +6,16 @@ configurations and reports per-case detail:
 * ``quantile-improvement``: exact infinite-population steps never raise the
   q-quantile; every stall is explained by an unchanged state or by positive
   mass at the quantile level.
-* ``blockwise-improvement``: the same, for sequential coordinate-blocked
-  steps with mixed per-block step sizes.
+* ``blockwise-improvement``: the same, for coordinate-blocked steps with a
+  different step size per coordinate.
 * ``fitness-improvement``: exact reward-proportional steps never lower the
   expected reward; the full step equals the reward-weighted mean.
 * ``equivalence``: the natural-gradient step, the weighted-ML blend and an
   independent smoothed CE/ML reference (the weighted ML point fitted in
   source parameters, mapped to expectation parameters, then blended)
   coincide coordinate-wise on random instances of both families.
-* ``cma-recovery``: the blockwise (cov, mean) step equals the rank-mu
-  mean/covariance recombination formulas.
+* ``cma-recovery``: the Gaussian blockwise step (covariance, then mean)
+  equals the rank-mu mean/covariance recombination formulas.
 * ``progress-bound``: the expected preference of each executed step beats
   ``exp(((1 - dt)/dt) KL)`` strictly away from fixed points, and the worked
   two-bit instance reproduces j = 1.25 against a bound of 16/15.
@@ -436,7 +436,7 @@ def _cma_case(case) -> CaseResult:
     mean_ref = mean + dt_mean * sum(w[i] * (samples[i] - mean) for i in range(lam))
 
     out = updates.blockwise_igo_ml_step(
-        model, params, samples, weights, updates.GaussianBlockDecomposition(), (dt_cov, dt_mean)
+        model, params, samples, weights, (dt_cov, dt_mean)
     )
     err = float(
         max(np.max(np.abs(out.mean - mean_ref)), np.max(np.abs(out.cov - cov_ref)))

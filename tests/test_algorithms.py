@@ -23,7 +23,6 @@ from igokit import (
 )
 from igokit.algorithms import _prepare_step
 from igokit.traceio import render_trace, trace_records
-from igokit.updates import GaussianBlockDecomposition
 
 
 def one_step(config, model, params, objective, rng=None, scheme=None):
@@ -82,8 +81,7 @@ class TestDelegation:
         result = one_step(config, model, params, obj, np.random.default_rng(4), scheme)
         assert result.dt_used == (0.4, 0.9)
         replay = blockwise_igo_ml_step(
-            model, params, result.samples, result.weights,
-            GaussianBlockDecomposition(), (0.4, 0.9),
+            model, params, result.samples, result.weights, (0.4, 0.9),
         )
         assert np.array_equal(result.params.mean, replay.mean)
         assert np.array_equal(result.params.cov, replay.cov)
@@ -334,7 +332,7 @@ class TestExactRppEnumeration:
                                                             config.dt)
             after = enumerate_bernoulli(params_next)
             assert step.eta.tobytes() == params_next.probs.tobytes()
-            assert step.best_f == float(after.prob @ rewards)
+            assert step.best_f == float(np.sum(after.prob * rewards))
             assert step.emp_quantile == exact_quantile(after, rewards, config.q).value
             assert step.kl_prev == model.kl_divergence(params, params_next)
             params = params_next

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import igokit
 from igokit import InvalidInputError
 from igokit.algorithms import ALGORITHMS
 from igokit.cli import (
@@ -206,6 +209,16 @@ class TestConfigFile:
         assert run_cli(["run", "--config", str(echo_file), "--out", str(out2)]) == 0
         assert out2.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("out", ["", "runs/a#1.csv", " t.csv", "t.csv\t", "a\nb.csv",
+                                     "a\rb.csv"])
+    def test_out_the_echo_cannot_carry_back_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                       out):
+        # each would echo as a config line that reads back as another path
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", f"--out={out}"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: out:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_line(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("algo pbil\n")
@@ -245,7 +258,7 @@ _RUN_SETTINGS = st.fixed_dictionaries({
     "bernoulli_init": _unit_interval(True),
     "estimate_j": st.booleans(),
     "timing": st.booleans(),
-    "out": st.just("trace.csv"),
+    "out": st.text(max_size=16),
     "format": st.sampled_from(("csv", "jsonl")),
 })
 
@@ -257,16 +270,27 @@ _PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
 class TestConfigProperties:
     @_PROPERTY_SETTINGS
     @given(_RUN_SETTINGS)
-    def test_effective_config_echo_reads_back_as_the_same_config(self, tmp_path, values):
+    def test_effective_config_echo_reads_back_as_the_same_config(self, tmp_path, capsys,
+                                                                 values):
         config = _settings_to_config(values)
         try:
             config.validate()
         except InvalidInputError:
             assume(False)  # not a setting a run accepts, so never echoed
+        given_outputs = ["run", f"--out={values['out']}", f"--format={values['format']}"]
+        try:
+            _effective_settings(build_parser().parse_args(given_outputs))
+        except InvalidInputError:
+            # an out path the echo cannot carry back is refused before any work
+            assert main(given_outputs) == 2
+            assert capsys.readouterr().err.startswith("configuration error: out:")
+            return
         echo = tmp_path / "echo.cfg"
-        echo.write_text(_echo_config(values) + "\n")
+        echo.write_text(_echo_config(values) + "\n", encoding="utf-8")
         args = build_parser().parse_args(["run", "--config", str(echo)])
-        assert _settings_to_config(_effective_settings(args)) == config
+        settings = _effective_settings(args)
+        assert _settings_to_config(settings) == config
+        assert (settings["out"], settings["format"]) == (values["out"], values["format"])
 
     @staticmethod
     def _run_on(tmp_path, capsys, write):
@@ -368,6 +392,33 @@ class TestOptionalTraceFields:
                               q=0.25, dt=0.4, max_steps=4, seed=3)
         tr = run_algo(cfg)
         assert tr.steps[-1].elapsed_ns > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv, config", [
+    (["--algo", "rpp", "--objective", "random-reward"], ""),
+    (["--algo", "pbil", "--objective", "onemax"], "estimate_j=true\n"),
+], ids=["exact-rpp", "pbil-estimate-j"])
+def test_seeded_run_is_independent_of_the_blas_thread_count(tmp_path, argv, config):
+    # sums over the 2^16 support run on 1 and on 2 OpenBLAS threads; OpenBLAS
+    # caps its threads at the CPU count, so a 1-CPU host cannot tell them apart
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    src = str(Path(igokit.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "igokit", "run", "--config", str(cfg), *argv,
+             "--dim", "16", "--steps", "30", "--seed", "2", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        summary = tmp_path / f"threads-{threads}.summary.json"
+        outputs.append((out.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.slow

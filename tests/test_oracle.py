@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from igokit import (
     Bernoulli,
-    BernoulliBlockDecomposition,
     BernoulliParams,
     CapacityError,
     DomainExitError,
@@ -325,48 +324,36 @@ class TestExactStep:
         )
         assert np.array_equal(out.probs, eta)
 
-    def test_blockwise_respects_order_arg(self):
-        params = BernoulliParams([0.4, 0.6])
-        f = sum_fitness(2)
-        a = exact_blockwise_coordinate_step(params, f, TruncationScheme(0.5), [0.5, 0.5])
-        b = exact_blockwise_coordinate_step(
-            params, f, TruncationScheme(0.5), [0.5, 0.5], order=[1, 0]
-        )
-        assert np.allclose(a.probs, b.probs, atol=1e-15)  # blocks are independent here
+    def test_blockwise_step_checks_the_new_state_once(self, from_eta_calls):
+        # one blend of all coordinates, validated once (not once per block)
+        params = BernoulliParams([0.3, 0.6, 0.5, 0.2])
+        f = make_objective("random-table", 4, seed=4).batch(bernoulli_support(4))
+        dts = [0.1, 0.3, 0.5, 0.7]
+        params_next = exact_blockwise_coordinate_step(params, f, TruncationScheme(0.25), dts)
+        assert len(from_eta_calls) == 1
+        assert from_eta_calls[0].tobytes() == params_next.probs.tobytes()
 
     def test_blockwise_rates_are_indexed_by_coordinate(self):
-        # dt_per_block[j] is coordinate j's rate wherever j falls in the order,
-        # while blockwise_igo_ml_step pairs its k-th rate with the k-th block
-        # of the order; unequal rates tell the two conventions apart
+        # one convention for both functions: dt_per_block[j] is the rate of
+        # coordinate j; unequal rates would show any reordering
         d = 3
         eta = np.array([0.3, 0.5, 0.7])
         f = make_objective("random-table", d, seed=2).batch(bernoulli_support(d))
         scheme = TruncationScheme(0.3)
         dts = np.array([0.2, 0.6, 0.9])
-        order = [2, 0, 1]
         params = BernoulliParams(eta)
-        got = exact_blockwise_coordinate_step(params, f, scheme, dts, order=order).probs
-        assert np.array_equal(got, exact_blockwise_coordinate_step(params, f, scheme, dts).probs)
+        got = exact_blockwise_coordinate_step(params, f, scheme, dts).probs
         dist = enumerate_bernoulli(params)
-        mean = (dist.prob * preference_exact(dist.prob, f, scheme)) @ dist.support
-        assert np.max(np.abs(got - ((1.0 - dts) * eta + dts * mean))) <= 1e-15
-        shipped = blockwise_igo_ml_step(
-            Bernoulli(d), params, dist.support,
-            dist.prob * preference_exact(dist.prob, f, scheme),
-            BernoulliBlockDecomposition(d, tuple(order)), dts[order],
-        )
+        weights = dist.prob * preference_exact(dist.prob, f, scheme)
+        assert np.max(np.abs(got - ((1.0 - dts) * eta + dts * (weights @ dist.support)))) <= 1e-15
+        shipped = blockwise_igo_ml_step(Bernoulli(d), params, dist.support, weights, dts)
         assert np.array_equal(got, shipped.probs)
 
     def test_blockwise_validation(self):
         eta = BernoulliParams([0.4, 0.6])
         f = sum_fitness(2)
         scheme = TruncationScheme(0.5)
-        with pytest.raises(InvalidInputError, match="permutation"):
-            exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5], order=[0, 0])
-        # an empty order is not the natural order's default
-        with pytest.raises(InvalidInputError, match="permutation"):
-            exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5], order=[])
-        with pytest.raises(InvalidInputError, match="one step size per block"):
+        with pytest.raises(InvalidInputError, match="one step size per block: 2 expected"):
             exact_blockwise_coordinate_step(eta, f, scheme, [0.5, 0.5, 0.5])
         with pytest.raises(InvalidInputError, match="dt"):
             exact_blockwise_coordinate_step(eta, f, scheme, [0.5, -0.1])

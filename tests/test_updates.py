@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igokit import (
     Bernoulli,
-    BernoulliBlockDecomposition,
     DegenerateDistributionError,
     DomainExitError,
     Gaussian,
-    GaussianBlockDecomposition,
     BernoulliParams,
     GaussianParams,
     InvalidInputError,
@@ -269,7 +269,7 @@ class TestBlockwise:
     def test_single_winner_full_rates(self):
         out = blockwise_igo_ml_step(
             Gaussian(1), UNIT, np.array([[1.0]]), [1.0],
-            GaussianBlockDecomposition(), (1.0, 1.0),
+            (1.0, 1.0),
         )
         assert out.cov[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert out.mean[0] == pytest.approx(1.0, abs=1e-14)
@@ -277,7 +277,7 @@ class TestBlockwise:
     def test_partial_cov_rate(self):
         out = blockwise_igo_ml_step(
             Gaussian(1), UNIT, np.array([[2.0]]), [1.0],
-            GaussianBlockDecomposition(), (0.5, 1.0),
+            (0.5, 1.0),
         )
         assert out.cov[0, 0] == pytest.approx(2.5, abs=1e-13)
         assert out.mean[0] == pytest.approx(2.0, abs=1e-14)
@@ -288,7 +288,7 @@ class TestBlockwise:
             Gaussian(2), start,
             np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]),
             [0.2, 0.3, 0.5],
-            GaussianBlockDecomposition(), (0.0, 0.0),
+            (0.0, 0.0),
         )
         assert np.array_equal(out.mean, start.mean)
         assert np.array_equal(out.cov, start.cov)
@@ -305,7 +305,7 @@ class TestBlockwise:
             w = sample_weights(rng.normal(size=lam), TruncationScheme(0.6))
             dt_cov, dt_mean = rng.uniform(0.05, 1.0, 2)
             got = blockwise_igo_ml_step(
-                model, params, samples, w, GaussianBlockDecomposition(), (dt_cov, dt_mean),
+                model, params, samples, w, (dt_cov, dt_mean),
             )
             mean_ref, cov_ref = rank_mu_reference(params, samples, w.w, dt_cov, dt_mean)
             assert np.max(np.abs(got.mean - mean_ref)) <= 1e-12
@@ -325,7 +325,7 @@ class TestBlockwise:
         samples = model.sample(params, rng, 20)
         w = sample_weights(rng.normal(size=20), TruncationScheme(0.5))
         got = blockwise_igo_ml_step(
-            model, params, samples, w, GaussianBlockDecomposition(), (0.3, 0.7),
+            model, params, samples, w, (0.3, 0.7),
         )
         assert isinstance(got, GaussianParams)
         mean_ref, cov_ref = rank_mu_reference(params, samples, w.w, 0.3, 0.7)
@@ -349,7 +349,7 @@ class TestBlockwise:
         monkeypatch.setattr(Gaussian, "to_eta", lambda self, p: to_eta_calls.append(p))
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         out = blockwise_igo_ml_step(
-            model, params, samples, w, GaussianBlockDecomposition(), (0.5, 0.5)
+            model, params, samples, w, (0.5, 0.5)
         )
         assert from_eta_calls == [] and to_eta_calls == []
         assert len(factorisations) == 2
@@ -362,22 +362,12 @@ class TestBlockwise:
         samples = np.array([[1.0], [-2.0]])
         w = sample_weights([0.0, 1.0], TruncationScheme(0.5))
         blocked = blockwise_igo_ml_step(
-            model, UNIT, samples, w, GaussianBlockDecomposition(), (0.5, 0.5)
+            model, UNIT, samples, w, (0.5, 0.5)
         )
         joint = igo_ml_step(model, UNIT, samples, w, 0.5)
         assert abs(blocked.cov[0, 0] - joint.cov[0, 0]) > 1e-6
         assert blocked.cov[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert joint.cov[0, 0] == pytest.approx(0.75, abs=1e-14)
-
-    def test_emna_order(self):
-        # mean first, then scatter about the moved mean
-        out = blockwise_igo_ml_step(
-            Gaussian(1), UNIT, np.array([[2.0]]), [1.0],
-            GaussianBlockDecomposition(order=("mean", "cov")), (1.0, 0.5),
-        )
-        assert out.mean[0] == pytest.approx(2.0, abs=1e-14)
-        # scatter about m*=2 of the single sample x=2 is zero
-        assert out.cov[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_bernoulli_coordinate_blocks(self):
         # winner is (1, 0): each coordinate blends toward it at its own rate
@@ -385,54 +375,66 @@ class TestBlockwise:
         samples = np.array([[1.0, 0.0], [0.0, 1.0]])
         w = sample_weights([0.0, 1.0], TruncationScheme(0.5))
         out = blockwise_igo_ml_step(
-            model, state([0.5, 0.5]), samples, w,
-            BernoulliBlockDecomposition(2), (0.5, 0.9),
+            model, state([0.5, 0.5]), samples, w, (0.5, 0.9),
         ).probs
         assert out[0] == pytest.approx(0.75, abs=1e-15)
         assert out[1] == pytest.approx(0.05, abs=1e-15)
 
     def test_bernoulli_rates_follow_the_order(self):
-        # the k-th rate belongs to the k-th block of the order: here the first
-        # rate moves coordinate 2, the second coordinate 0, the third coordinate 1
+        # rates are indexed by coordinate: dt_per_block[j] moves coordinate j
         samples = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         out = blockwise_igo_ml_step(
-            bern(3), state([0.5, 0.5, 0.5]), samples, [1.0, 0.0],
-            BernoulliBlockDecomposition(3, order=(2, 0, 1)), (0.1, 0.2, 0.4),
+            bern(3), state([0.5, 0.5, 0.5]), samples, [1.0, 0.0], (0.1, 0.2, 0.4),
         )
-        assert np.allclose(out.probs, [0.6, 0.7, 0.55], rtol=0, atol=1e-15)
+        assert np.allclose(out.probs, [0.55, 0.6, 0.7], rtol=0, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bernoulli_step_is_one_blend(self, data):
+        # at most 7 samples: below 8 rows numpy's pairwise sum of a single
+        # column is the sequential sum too
+        d = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(1, 7))
+        theta = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=d, max_size=d
+        )))
+        samples = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d),
+            min_size=n, max_size=n,
+        )))
+        fitness = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        q = data.draw(st.sampled_from([0.2, 0.5, 0.9]))
+        w = sample_weights(fitness, TruncationScheme(q)).w
+        dts = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=d, max_size=d)))
+        blend = (1.0 - dts) * theta + dts * sequential_sum([w[i] * samples[i] for i in range(n)])
+        step = lambda: blockwise_igo_ml_step(bern(d), state(theta), samples, w, dts)
+        if np.all((blend > 0.0) & (blend < 1.0)):
+            assert step().probs.tobytes() == blend.tobytes()
+        else:
+            with pytest.raises(DomainExitError):
+                step()
 
     def test_bernoulli_block_boundary_exit(self):
         model = bern(2)
         samples = np.array([[1.0, 0.0], [0.0, 1.0]])
         w = sample_weights([0.0, 1.0], TruncationScheme(0.5))
         with pytest.raises(DomainExitError):
-            blockwise_igo_ml_step(
-                model, state([0.5, 0.5]), samples, w,
-                BernoulliBlockDecomposition(2), (1.0, 1.0),
-            )
+            blockwise_igo_ml_step(model, state([0.5, 0.5]), samples, w, (1.0, 1.0))
 
-    def test_bernoulli_default_order_is_natural(self):
-        assert BernoulliBlockDecomposition(3).order == (0, 1, 2)
-
-    @pytest.mark.parametrize("order", [(), [], (0,), (0, 0)])
-    def test_bernoulli_order_must_be_a_permutation(self, order):
-        # an explicit empty order is not the default: it names no coordinate
-        with pytest.raises(InvalidInputError, match="permutation"):
-            BernoulliBlockDecomposition(2, order)
-
-    def test_block_count_mismatch(self):
-        model = bern(2)
-        with pytest.raises(InvalidInputError):
-            blockwise_igo_ml_step(
-                model, state([0.5, 0.5]), np.array([[1.0, 0.0]]), [1.0],
-                BernoulliBlockDecomposition(2), (0.5,),
-            )
+    @pytest.mark.parametrize("model, params, dts", [
+        (bern(2), state([0.5, 0.5]), (0.5,)),
+        (bern(2), state([0.5, 0.5]), 0.5),
+        (Gaussian(1), UNIT, (0.5, 0.5, 0.5)),
+    ], ids=["bernoulli", "bernoulli-scalar", "gaussian"])
+    def test_block_count_mismatch(self, model, params, dts):
+        # the message names the count of the family's blocks
+        with pytest.raises(InvalidInputError, match="one step size per block: 2 expected"):
+            blockwise_igo_ml_step(model, params, np.zeros((1, model.dim)), [1.0], dts)
 
     def test_state_dimension_mismatch(self):
         with pytest.raises(InvalidInputError, match="dimension"):
             blockwise_igo_ml_step(
-                Gaussian(2), UNIT, np.zeros((3, 2)), [0.2, 0.3, 0.5],
-                GaussianBlockDecomposition(), (0.5, 0.5),
+                Gaussian(2), UNIT, np.zeros((3, 2)), [0.2, 0.3, 0.5], (0.5, 0.5),
             )
 
 
