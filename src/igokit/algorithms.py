@@ -46,7 +46,7 @@ import numpy as np
 
 from . import updates
 from .diagnostics import empirical_quantile, estimate_preference_mean
-from .errors import DomainExitError, InvalidInputError
+from .errors import DomainExitError, InvalidInputError, _check_integer
 from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams, Gaussian, GaussianParams
 from .objectives import OBJECTIVE_NAMES, Objective, make_objective
 from .oracle import enumerate_bernoulli, exact_quantile
@@ -69,22 +69,10 @@ _MAX_HALVINGS = 30
 _SAMPLE_RULES = {"pbil": "igo_step", "igo_generic": "igo_step", "ce_ml": "igo_ml_step"}
 
 
-def _check_integer(key: str, value, minimum: int, requirement: str) -> None:
-    """Raise ``InvalidInputError`` naming ``key`` unless ``value`` is a whole
-    number no smaller than ``minimum``; a ``None`` or a non-number is refused
-    the same way, never as a raw ``TypeError`` or ``ValueError``."""
-    try:
-        valid = int(value) == value and value >= minimum
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise InvalidInputError(f"{key}: {requirement}, got {value!r}")
-
-
 def _check_real(key: str, value, requirement: str,
                 accept: Callable[[float], bool] = math.isfinite) -> None:
-    """As :func:`_check_integer`, for a real number (not a string, not NaN)
-    that ``accept`` admits."""
+    """As :func:`~igokit.errors._check_integer`, for a real number (not a
+    string, not NaN) that ``accept`` admits."""
     try:
         number = float(value)
         valid = number == value and bool(accept(number))

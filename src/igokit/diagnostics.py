@@ -136,7 +136,7 @@ def progress_bound(params_t: BernoulliParams, params_next: BernoulliParams, fitn
         bound = 1.0
     else:
         bound = float(np.exp(((1.0 - dt) / dt) * kl_value))
-    fixed_point = bool(np.max(np.abs(params_next.probs - params_t.probs)) <= 1e-12)
+    fixed_point = bool(np.abs(params_next.probs - params_t.probs).max() <= 1e-12)
     return BoundReport(
         j_value=j_value,
         kl_value=kl_value,

@@ -1,4 +1,4 @@
-"""Exception hierarchy for igo-kit.
+"""Exception hierarchy for igo-kit, and the integer check every module shares.
 
 Updates that would leave the valid open parameter region raise rather than
 clamp or project, so callers (and the guarantee checks) observe the raw dynamics.
@@ -29,3 +29,14 @@ class DegenerateDistributionError(DomainExitError):
     probability, or a second-moment matrix whose implied covariance is not
     positive definite."""
 
+
+def _check_integer(key: str, value, minimum: int, requirement: str) -> None:
+    """Raise ``InvalidInputError`` naming ``key`` unless ``value`` is a whole
+    number no smaller than ``minimum``; a ``None`` or a non-number is refused
+    the same way, never as a raw ``TypeError`` or ``ValueError``."""
+    try:
+        valid = int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"{key}: {requirement}, got {value!r}")

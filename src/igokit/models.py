@@ -44,6 +44,7 @@ from .errors import (
     DegenerateDistributionError,
     DomainExitError,
     InvalidInputError,
+    _check_integer,
 )
 
 __all__ = [
@@ -160,8 +161,7 @@ class Bernoulli:
     """
 
     def __init__(self, dim: int):
-        if int(dim) != dim or dim < 1:
-            raise InvalidInputError("dim must be a positive integer")
+        _check_integer("dim", dim, 1, "must be a positive integer")
         self.dim = int(dim)
         self.eta_dim = self.dim
 
@@ -198,7 +198,7 @@ class Bernoulli:
             raise InvalidInputError(
                 f"points must have shape (n, {self.dim}), got {pts.shape}"
             )
-        if not np.all((pts == 0.0) | (pts == 1.0)):
+        if not ((pts == 0.0) | (pts == 1.0)).all():
             raise InvalidInputError("Bernoulli points must be 0/1 valued")
         return pts
 
@@ -287,8 +287,7 @@ class Gaussian:
     """
 
     def __init__(self, dim: int):
-        if int(dim) != dim or dim < 1:
-            raise InvalidInputError("dim must be a positive integer")
+        _check_integer("dim", dim, 1, "must be a positive integer")
         self.dim = int(dim)
         rows, cols = np.triu_indices(self.dim)
         self._rows = rows

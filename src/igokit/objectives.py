@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, _check_integer
 from .oracle import MAX_ENUM_DIM, _frozen, bernoulli_support
 
 __all__ = ["Objective", "OBJECTIVE_NAMES", "make_objective"]
@@ -201,7 +201,6 @@ def make_objective(name: str, dim: int, seed: int = 1) -> Objective:
         raise InvalidInputError(
             f"unknown objective {name!r}; known: {', '.join(OBJECTIVE_NAMES)}"
         )
-    if int(dim) != dim or dim < 1:
-        raise InvalidInputError("dim must be a positive integer")
+    _check_integer("dim", dim, 1, "must be a positive integer")
     return _FACTORIES[name](int(dim), seed)
 

@@ -16,15 +16,19 @@ The support is built once per dimension and shared, read-only, by every
 own :attr:`~igokit.models.BernoulliParams.support_probs`, built once per
 state, so a :class:`FiniteDist` of a state costs only its validation. A
 fixed fitness table over the support (an objective's ``support_values``) is
-ranked once: :func:`exact_quantile` and
-:func:`~igokit.selection.preference_exact` share the ranking that
-``selection._levels`` keeps for the last read-only table it saw.
+ranked once, and each state is weighed against it once:
+:func:`exact_quantile` and :func:`~igokit.selection.preference_exact` read
+the level masses ``selection._level_pass`` keeps for the last read-only
+``(prob, table)`` pair, so the quantile of a new state and the next step
+from it share one pass, and :func:`exact_J` at the base of a step reuses the
+preference the step kept. Both caches are keyed on the array objects, which
+are read-only and own their data, so a hit equals a fresh computation.
 
 A state comes in as trusted :class:`~igokit.models.BernoulliParams`, and
 the exact steps return the next state as the update rules validated it, so
 no caller converts it again.
 
-All functions are deterministic and, apart from that one kept ranking,
+All functions are deterministic and, apart from those kept results,
 pure; parallel evaluation across configurations is safe as long as each task
 keeps its own arrays.
 """
@@ -37,9 +41,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import updates
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, _check_integer
 from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams
-from .selection import _levels, _owns_frozen, preference_exact
+from .selection import _level_pass, _owns_frozen, preference_exact
 
 __all__ = [
     "MAX_ENUM_DIM",
@@ -86,7 +90,7 @@ class FiniteDist:
             raise InvalidInputError("support must be a non-empty (n, d) array")
         if prob.shape != (support.shape[0],):
             raise InvalidInputError("prob must have one entry per support point")
-        if np.any(prob < 0.0) or not np.all(np.isfinite(prob)):
+        if not ((prob >= 0.0) & (prob < np.inf)).all():
             raise InvalidInputError("probabilities must be finite and non-negative")
         if abs(float(prob.sum()) - 1.0) > 1e-12:
             raise InvalidInputError("probabilities must sum to 1 within 1e-12")
@@ -111,16 +115,19 @@ class QuantileReport:
     upper_mass: float
 
 
-@lru_cache(maxsize=None)
 def bernoulli_support(dim: int) -> np.ndarray:
     """All points of ``{0,1}^dim`` in lexicographic order, leftmost coordinate
     most significant. Cached and write-protected."""
-    if int(dim) != dim or dim < 1:
-        raise InvalidInputError("dim must be a positive integer")
+    _check_integer("dim", dim, 1, "must be a positive integer")
     if dim > MAX_ENUM_DIM:
         raise CapacityError(
             f"exact enumeration supports dim <= {MAX_ENUM_DIM}, got {dim}"
         )
+    return _support(int(dim))
+
+
+@lru_cache(maxsize=None)
+def _support(dim: int) -> np.ndarray:
     codes = np.arange(2**dim, dtype=np.int64)
     shifts = np.arange(dim - 1, -1, -1, dtype=np.int64)
     pts = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.float64)
@@ -160,10 +167,8 @@ def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     f = np.asarray(fitness, dtype=np.float64)
     if f.shape != (dist.size,):
         raise InvalidInputError("fitness must have one value per support point")
-    values, idx = _levels(f)
-    mass = np.bincount(idx, weights=dist.prob, minlength=values.size)
-    lower = np.cumsum(mass)
-    upper = np.cumsum(mass[::-1])[::-1]
+    values, _, mass, lower = _level_pass(dist.prob, f)
+    upper = mass[::-1].cumsum()[::-1]
     qualifying = _sup_quantile_index(lower, upper, q)
     return QuantileReport(
         value=float(values[qualifying]),
@@ -213,7 +218,9 @@ def exact_J(params_eval: BernoulliParams, params_base: BernoulliParams, fitness,
     """Expected base-preference of a draw from the evaluation distribution.
 
     The preference is computed under ``params_base``; the average is taken
-    under ``params_eval``. Equals 1 when the two coincide.
+    under ``params_eval``. Equals 1 when the two coincide. Right after a step
+    from ``params_base`` on the same table and scheme, the preference is the
+    one that step kept.
     """
     if params_eval.dim != params_base.dim:
         raise InvalidInputError("states must share the same dimension")

@@ -17,16 +17,29 @@ serves :func:`preference_exact` and the Monte Carlo estimate in
 :func:`igokit.diagnostics.estimate_J`.
 
 Ties compare by exact floating equality, matching the rank definitions; values
-that differ in the last bit are distinct. The levels of a fitness table (its
-distinct values and each point's level index) come from :func:`_levels`, which
-keeps the ranking of the last read-only table it saw: the exact oracle asks
-for the same fixed support table on every step. That one-entry cache holds
-only read-only float64 tables that own their data, which no view can write
-through (only a caller that turns writing back on could, and nothing here
-does), so a hit returns what a fresh ranking would. It is replaced by a single assignment of a
-``(table, levels)`` tuple, so a thread reads either the old entry or the new
-one, never a mix. Every function here is otherwise pure over immutable inputs
-and safe for parallel use.
+that differ in the last bit are distinct. The exact oracle asks, state after
+state, about the same fixed support table, so three one-entry caches keep the
+last answer for read-only float64 arrays that own their data (no view can
+write through them; only a caller that turns writing back on could, and
+nothing here does), and a hit returns what a fresh computation would:
+
+* :func:`_levels` keeps the ranking of the last such table: its distinct
+  values and each entry's level index.
+* ``_level_pass`` checks a ``(prob, table)`` pair and sums the mass of each
+  level and the mass at or below it; it keeps the pass of the last pair
+  whose two arrays are both such arrays, keyed on the two objects. The
+  checks are skipped on a hit: the same two objects passed them and cannot
+  have changed. :func:`preference_exact` and
+  :func:`igokit.oracle.exact_quantile` both read it, so the quantile of a
+  new state and the next step from it share one pass.
+* :func:`preference_exact` keeps its result for the last such
+  ``(prob, table)`` pair and scheme object (schemes are immutable), so the
+  progress bound of a step reuses the preference the step used. It returns
+  that result read-only.
+
+Each cache is replaced by a single assignment of one tuple, so a thread reads
+either the old entry or the new one, never a mix. Every function here is
+otherwise pure over immutable inputs and safe for parallel use.
 """
 
 from __future__ import annotations
@@ -80,7 +93,7 @@ class TruncationScheme(_Scheme):
     def integral(self, a, b):
         """Exact integrals of w over [a, b], elementwise, 0 <= a <= b <= 1."""
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        if np.any(b < a):
+        if (b < a).any():
             raise InvalidInputError("integral bounds must satisfy a <= b")
         return (np.minimum(b, self.q) - np.minimum(a, self.q)) / self.q
 
@@ -125,7 +138,7 @@ class TabulatedScheme(_Scheme):
     def integral(self, a, b):
         """Exact integrals of w over [a, b], elementwise, 0 <= a <= b <= 1."""
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        if np.any(b < a):
+        if (b < a).any():
             raise InvalidInputError("integral bounds must satisfy a <= b")
         n = len(self.cells)
         cells = np.array(self.cells)
@@ -173,7 +186,7 @@ class SampleWeights:
         w = np.array(self.w, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise InvalidInputError("weights must be a non-empty 1-d sequence")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        if not ((w >= 0.0) & (w < np.inf)).all():
             raise InvalidInputError("weights must be finite and non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise InvalidInputError("weights must sum to 1 within 1e-12")
@@ -225,9 +238,12 @@ def _owns_frozen(a) -> bool:
     )
 
 
-# The last read-only table ranked by ``_levels`` and its levels; replaced
-# whole, by one assignment.
+# The last read-only table ranked by ``_levels`` and its levels, the last
+# level pass of a frozen ``(prob, table)`` pair, and the last frozen
+# preference; each replaced whole, by one assignment.
 _last_levels = (None, None)
+_last_pass = (None, None, None)
+_last_preference = (None, None, None, None)
 
 
 def _levels(f: np.ndarray):
@@ -250,6 +266,44 @@ def _levels(f: np.ndarray):
     return levels
 
 
+def _level_pass(p: np.ndarray, f: np.ndarray):
+    """The checked level pass of a finite distribution ``p`` over a fitness
+    table ``f``, both float64 arrays: ``(values, idx, mass, below)`` with the
+    table's levels (:func:`_levels`), the mass of each level and the mass at
+    or below it.
+
+    ``p`` must be non-empty, 1-d, finite, non-negative and sum to 1 within
+    1e-12, and ``f`` finite with one value per entry of ``p``. The pass of a
+    pair whose two arrays are both read-only and own their data is kept
+    (read-only) and returned again, unchecked, while the same two objects
+    come back: their values cannot have changed since they passed.
+    """
+    global _last_pass
+    kept_prob, kept_table, kept = _last_pass
+    if p is kept_prob and f is kept_table:
+        return kept
+    if p.ndim != 1 or p.size < 1:
+        raise InvalidInputError("prob must be a non-empty 1-d sequence")
+    if f.shape != p.shape:
+        raise InvalidInputError("fitness and prob must have the same length")
+    if not ((p >= 0.0) & (p < np.inf)).all():
+        raise InvalidInputError("probabilities must be finite and non-negative")
+    if abs(float(p.sum()) - 1.0) > 1e-12:
+        raise InvalidInputError("probabilities must sum to 1 within 1e-12")
+    if not np.isfinite(f).all():
+        raise InvalidInputError("fitness values must be finite")
+
+    values, idx = _levels(f)
+    mass = np.bincount(idx, weights=p, minlength=values.size)
+    below = mass.cumsum()
+    result = (values, idx, mass, below)
+    if _owns_frozen(p) and _owns_frozen(f):
+        mass.setflags(write=False)
+        below.setflags(write=False)
+        _last_pass = (p, f, result)
+    return result
+
+
 def preference_exact(prob, fitness, scheme) -> np.ndarray:
     """Exact weighted preference on a finite distribution.
 
@@ -260,21 +314,20 @@ def preference_exact(prob, fitness, scheme) -> np.ndarray:
     ``w(q+)`` when the point's own level carries no mass, otherwise the
     average of ``w`` over ``(q-, q+]``. The expectation of the result under
     ``prob`` is 1.
+
+    When ``prob`` and ``fitness`` are both read-only float64 arrays that own
+    their data, the result is read-only, and it is kept and returned again
+    for the same ``prob``, ``fitness`` and ``scheme`` objects.
     """
+    global _last_preference
     p = np.asarray(prob, dtype=np.float64)
     f = np.asarray(fitness, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise InvalidInputError("prob must be a non-empty 1-d sequence")
-    if f.shape != p.shape:
-        raise InvalidInputError("fitness and prob must have the same length")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise InvalidInputError("probabilities must be finite and non-negative")
-    if abs(float(p.sum()) - 1.0) > 1e-12:
-        raise InvalidInputError("probabilities must sum to 1 within 1e-12")
-    if not np.all(np.isfinite(f)):
-        raise InvalidInputError("fitness values must be finite")
-
-    values, idx = _levels(f)
-    mass = np.bincount(idx, weights=p, minlength=values.size)
-    q_plus = np.cumsum(mass)
-    return _tie_average(scheme, q_plus - mass, q_plus, mass)[idx]
+    kept_prob, kept_table, kept_scheme, kept = _last_preference
+    if p is kept_prob and f is kept_table and scheme is kept_scheme:
+        return kept
+    _, idx, mass, q_plus = _level_pass(p, f)
+    w = _tie_average(scheme, q_plus - mass, q_plus, mass)[idx]
+    if _owns_frozen(p) and _owns_frozen(f):
+        w.setflags(write=False)
+        _last_preference = (p, f, scheme, w)
+    return w

@@ -50,7 +50,7 @@ from .diagnostics import (
     finite_population_improvement,
     progress_bound,
 )
-from .errors import DomainExitError, InvalidInputError
+from .errors import DomainExitError, InvalidInputError, _check_integer
 from .models import Bernoulli, BernoulliParams, Gaussian, GaussianParams
 from .objectives import make_objective
 from .oracle import (
@@ -190,7 +190,7 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
         q_after = exact_quantile(enumerate_bernoulli(params_next), fvals, case.q)
         increase = q_after.value - q_before.value
         max_increase = max(max_increase, increase)
-        move = float(np.max(np.abs(params_next.probs - params.probs)))
+        move = float(np.abs(params_next.probs - params.probs).max())
         if abs(increase) <= QUANTILE_TOL and move > 1e-12:
             mass_at_level = float(params_next.support_probs[fvals == q_before.value].sum())
             if not mass_at_level > 0.0:
@@ -305,7 +305,7 @@ def _fitness_case(index: int, seed: int) -> CaseResult:
         dist = enumerate_bernoulli(params_next)
         expected_next = float(dist.prob @ rewards)
         worst_drop = max(worst_drop, expected - expected_next)
-        move = float(np.max(np.abs(params_next.probs - params.probs)))
+        move = float(np.abs(params_next.probs - params.probs).max())
         if abs(expected_next - expected) <= 1e-12 and move > REWARD_GUARD:
             unexplained_equal += 1
         params = params_next
@@ -601,8 +601,8 @@ def run_suite(name: str, grid: str = "small", seed: int = 1) -> SuiteReport:
         )
     if grid not in _GRID_SIZES:
         raise InvalidInputError(f"unknown grid {grid!r}; known: small, large")
-    if int(seed) != seed or seed < 0:
-        raise InvalidInputError(f"seed: must be a non-negative integer, got {seed!r}")
+    _check_integer("seed", seed, 0, "must be a non-negative integer")
+    seed = int(seed)
     t0 = time.monotonic()
     cases = SUITES[name](grid, seed)
     return SuiteReport(name, grid, seed, cases, time.monotonic() - t0)

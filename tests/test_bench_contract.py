@@ -72,3 +72,11 @@ def test_traced_verify_exact_run_exits_zero():
     """The same for ``verify-exact``, whose layer checks require calls such
     as ``models.from_eta`` that move when the oracle's callers change."""
     _traced_run("verify-exact")
+
+
+@pytest.mark.slow
+def test_traced_sampled_runs_run_exits_zero():
+    """The same for ``sampled-runs``, the control workload, whose layer
+    checks also require that the exact oracle and ``preference_exact`` stay
+    idle there."""
+    _traced_run("sampled-runs")

@@ -30,6 +30,12 @@ from igokit.oracle import _sup_quantile_index
 UNIFORM = TabulatedScheme((1.0,))
 
 
+def frozen(a):
+    out = np.array(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
 def sum_fitness(d):
     return bernoulli_support(d).sum(axis=1)
 
@@ -232,6 +238,16 @@ class TestExactQuantile:
         dist = enumerate_bernoulli(BernoulliParams([0.5]))
         with pytest.raises(InvalidInputError):
             exact_quantile(dist, [0.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fitness_is_refused(self, bad):
+        # the quantile and the preference share one check of the table
+        dist = enumerate_bernoulli(BernoulliParams([0.5]))
+        for fitness in ([0.0, bad], frozen([0.0, bad])):
+            with pytest.raises(InvalidInputError, match="fitness values must be finite"):
+                exact_quantile(dist, fitness, 0.5)
+            with pytest.raises(InvalidInputError, match="fitness values must be finite"):
+                preference_exact(dist.prob, fitness, TruncationScheme(0.5))
 
 
 def descending_quantile_scan(lower, upper, q):

@@ -349,19 +349,37 @@ class TestLevels:
 
     def test_threads_sharing_the_kept_entry_get_their_own_levels(self):
         # more threads than cores, each with its own frozen tables, switching
-        # often: a torn read of the one-entry cache would pair one thread's
+        # often: a torn read of a one-entry cache would pair one thread's
         # table with another's levels
         tables = [frozen(np.random.default_rng(i).integers(0, 5 + i, 40 + i)) for i in range(8)]
         expected = [np.unique(t, return_inverse=True) for t in tables]
+        # each thread also drives its own frozen (prob, table) pairs, so the
+        # kept level pass and the kept preference switch as often
+        scheme = TruncationScheme(0.3)
+        pairs = []
+        for k in range(6):
+            pair_rng = np.random.default_rng([k, 1])
+            for j in range(2):
+                table = tables[(k + j) % len(tables)]
+                prob = pair_rng.random(table.size)
+                prob = frozen(prob / prob.sum())
+                dist = FiniteDist(np.zeros((prob.size, 1)), prob)
+                pairs.append((k, dist, table, preference_exact(prob.copy(), table.copy(), scheme),
+                              quantile_bits(exact_quantile(dist, table.copy(), 0.3))))
         errors = []
 
         def work(k):
+            own = [pair for pair in pairs if pair[0] == k]
             for i in range(400):
                 j = (k + i) % len(tables)
                 values, idx = _levels(tables[j])
                 if not (np.array_equal(values, expected[j][0])
                         and np.array_equal(idx, expected[j][1])):
                     errors.append((k, j))
+                _, dist, table, pref, q_bits = own[i % len(own)]
+                if not (preference_exact(dist.prob, table, scheme).tobytes() == pref.tobytes()
+                        and quantile_bits(exact_quantile(dist, table, 0.3)) == q_bits):
+                    errors.append((k, "pair", i % len(own)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -384,13 +402,30 @@ class TestLevels:
     @settings(max_examples=200, deadline=None)
     def test_frozen_and_writable_tables_give_the_same_bits(self, table, scheme, q):
         prob, f = table
-        dist = FiniteDist(np.zeros((prob.size, 1)), prob)
         f_frozen = frozen(f)
-        for _ in range(2):  # the second call reads the kept ranking
-            assert (preference_exact(prob, f_frozen, scheme).tobytes()
-                    == preference_exact(prob, f.copy(), scheme).tobytes())
-            assert (quantile_bits(exact_quantile(dist, f_frozen, q))
-                    == quantile_bits(exact_quantile(dist, f.copy(), q)))
+        # a second state on the same table; A, B, A shows a kept entry is
+        # never read for another state
+        state_a, state_b = frozen(prob), frozen(prob[::-1])
+        for p in (prob, state_a, state_b, state_a):
+            dist = FiniteDist(np.zeros((p.size, 1)), p)
+            for _ in range(2):  # the second call reads what the first kept
+                assert (preference_exact(p, f_frozen, scheme).tobytes()
+                        == preference_exact(p.copy(), f.copy(), scheme).tobytes())
+                assert (quantile_bits(exact_quantile(dist, f_frozen, q))
+                        == quantile_bits(exact_quantile(dist, f.copy(), q)))
+                assert (preference_exact(dist.prob, f_frozen, scheme).tobytes()
+                        == preference_exact(p.copy(), f.copy(), scheme).tobytes())
+
+    def test_kept_preference_is_read_only(self):
+        prob, f = frozen([0.25, 0.5, 0.25]), frozen([1.0, 0.0, 1.0])
+        scheme = TruncationScheme(0.5)
+        kept = preference_exact(prob, f, scheme)
+        assert preference_exact(prob, f, scheme) is kept
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+        assert preference_exact(prob, f, TruncationScheme(0.5)) is not kept
+        assert preference_exact(prob, f.copy(), scheme).flags.writeable
 
 
 class TestConsistency:

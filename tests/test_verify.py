@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from igokit import Bernoulli, Gaussian, InvalidInputError
-from igokit.verify import SUITES, _cma_case, run_suite
+from igokit import Bernoulli, Gaussian, InvalidInputError, bernoulli_support, make_objective
+from igokit.verify import SUITES, _cma_case, _exact_improvement_case, _GridCase, run_suite
 
 
 def test_unknown_suite_and_grid():
@@ -11,6 +12,30 @@ def test_unknown_suite_and_grid():
         run_suite("nope")
     with pytest.raises(InvalidInputError, match="unknown grid"):
         run_suite("cma-recovery", grid="huge")
+
+
+# Each integer argument, with a reader of the value it went on with.
+_INTEGER_ARGUMENTS = {
+    "Bernoulli(dim)": ("dim", Bernoulli, lambda model: model.dim),
+    "Gaussian(dim)": ("dim", Gaussian, lambda model: model.dim),
+    "bernoulli_support(dim)": ("dim", bernoulli_support, lambda pts: pts.shape[1]),
+    "make_objective(dim)": ("dim", lambda dim: make_objective("onemax", dim),
+                            lambda objective: objective.dim),
+    "run_suite(seed)": ("seed", lambda seed: run_suite("kl-expansion", seed=seed),
+                        lambda report: report.seed),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_share_one_check(argument):
+    """Whole numbers go on as ``int``; anything else is refused by name as
+    ``InvalidInputError``, never as a raw ``TypeError`` or ``ValueError``."""
+    key, build, read = _INTEGER_ARGUMENTS[argument]
+    for bad in ("x", None, [2], 1.5, float("nan"), -1):
+        with pytest.raises(InvalidInputError, match=f"^{key}: "):
+            build(bad)
+    value = read(build(2.0))
+    assert value == 2 and type(value) is int
 
 
 def test_cases_depend_only_on_their_index_and_seed():
@@ -79,3 +104,27 @@ def test_kl_expansion_mutants_fail_on_every_seed(family, mutant, monkeypatch):
         cases = run_suite("kl-expansion", seed=seed).cases
         failed = {c.detail["family"] for c in cases if not c.passed}
         assert failed == {family}, f"seed {seed}"
+
+
+@pytest.mark.parametrize("blockwise", [False, True], ids=["progress-bound", "blockwise"])
+def test_one_level_pass_per_state(blockwise, monkeypatch):
+    """An exact case ranks each state it visits once: the quantile of a new
+    state, the next step from it and the progress bound of that step share
+    one level-mass pass (``np.bincount``) over the fixed table."""
+    rng = np.random.default_rng(10)
+    case = _GridCase(index=0, d=10, objective="random-table", objective_seed=1010, q=0.25,
+                     dt=0.5, theta0=tuple(rng.uniform(0.1, 0.9, 10)),
+                     dt_blocks=tuple(rng.uniform(0.05, 1.0, 10)))
+    passes = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    result = _exact_improvement_case(case, 100, blockwise=blockwise, check_bound=not blockwise)
+    assert result.passed
+    steps = result.detail["steps_executed"]
+    assert steps >= 10
+    assert len(passes) == steps + 1
