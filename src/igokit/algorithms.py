@@ -358,8 +358,10 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         params = result.params
 
         if config.algorithm == "rpp":
-            coef = result.fitness / float(np.sum(result.fitness))
-            entropy = float(-np.sum(coef[coef > 0.0] * np.log(coef[coef > 0.0])))
+            # The weights the step used: over the support, those of the state
+            # it moved from; over a sample, the normalised rewards.
+            prob = prev_params.support_probs if result.samples is None else None
+            entropy = SampleWeights(updates._reward_weights(prob, result.fitness)).entropy()
             if result.samples is None:
                 best_f, emp_q = _reward_trace_fields(params, result.fitness, q_for_trace)
             else:

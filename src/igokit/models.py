@@ -19,6 +19,9 @@ check compares formulas that share no code.
 
 A Bernoulli state owns its exact distribution on ``{0,1}^d``,
 ``BernoulliParams.support_probs``: built on first read, then kept read-only.
+Bernoulli points are checked to be 0/1 valued on every call, except the last
+read-only float64 array owning its data that passed (the oracle's cached
+support, handed to every exact step): that one is checked once.
 
 The parameter domain is the *open* interior: Bernoulli probabilities strictly
 inside ``(0, 1)``, covariances strictly positive definite. Boundary values are
@@ -46,6 +49,7 @@ from .errors import (
     InvalidInputError,
     _check_integer,
 )
+from .selection import _CheckedOnce
 
 __all__ = [
     "MAX_ENUM_DIM",
@@ -57,6 +61,15 @@ __all__ = [
 
 # 2^16 = 65536 support points keeps the whole verification grid in seconds.
 MAX_ENUM_DIM = 16
+
+
+def _binary(pts: np.ndarray) -> None:
+    if not ((pts == 0.0) | (pts == 1.0)).all():
+        raise InvalidInputError("Bernoulli points must be 0/1 valued")
+
+
+# The exact oracle hands the cached support to every step; it is checked once.
+_check_binary = _CheckedOnce(_binary)
 
 
 def _frozen_array(value, dtype=np.float64) -> np.ndarray:
@@ -176,8 +189,7 @@ class Bernoulli:
             raise InvalidInputError(
                 f"point must have shape ({self.dim},), got {x.shape}"
             )
-        if not np.all((x == 0.0) | (x == 1.0)):
-            raise InvalidInputError("Bernoulli points must be 0/1 valued")
+        _binary(x)
         return x
 
     def _check_eta(self, eta) -> np.ndarray:
@@ -198,8 +210,7 @@ class Bernoulli:
             raise InvalidInputError(
                 f"points must have shape (n, {self.dim}), got {pts.shape}"
             )
-        if not ((pts == 0.0) | (pts == 1.0)).all():
-            raise InvalidInputError("Bernoulli points must be 0/1 valued")
+        _check_binary(pts)
         return pts
 
     def batch_sufficient_statistics(self, points) -> np.ndarray:

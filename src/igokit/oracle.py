@@ -14,7 +14,7 @@ results do not depend on the BLAS thread count.
 The support is built once per dimension and shared, read-only, by every
 :class:`FiniteDist` over it. A state's probabilities on it are the state's
 own :attr:`~igokit.models.BernoulliParams.support_probs`, built once per
-state, so a :class:`FiniteDist` of a state costs only its validation. A
+state, so a :class:`FiniteDist` of a state costs at most its validation. A
 fixed fitness table over the support (an objective's ``support_values``) is
 ranked once, and each state is weighed against it once:
 :func:`exact_quantile` and :func:`~igokit.selection.preference_exact` read
@@ -22,7 +22,10 @@ the level masses ``selection._level_pass`` keeps for the last read-only
 ``(prob, table)`` pair, so the quantile of a new state and the next step
 from it share one pass, and :func:`exact_J` at the base of a step reuses the
 preference the step kept. Both caches are keyed on the array objects, which
-are read-only and own their data, so a hit equals a fresh computation.
+are read-only and own their data, so a hit equals a fresh computation. For
+the same reason the checks of those arrays run once: the support's 0/1 check
+on the first exact step, and a state's distribution check on its first
+:class:`FiniteDist`, which the level pass then skips.
 
 A state comes in as trusted :class:`~igokit.models.BernoulliParams`, and
 the exact steps return the next state as the update rules validated it, so
@@ -43,7 +46,7 @@ import numpy as np
 from . import updates
 from .errors import CapacityError, InvalidInputError, _check_integer
 from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams
-from .selection import _level_pass, _owns_frozen, preference_exact
+from .selection import _check_distribution, _level_pass, _owns_frozen, preference_exact
 
 __all__ = [
     "MAX_ENUM_DIM",
@@ -90,10 +93,7 @@ class FiniteDist:
             raise InvalidInputError("support must be a non-empty (n, d) array")
         if prob.shape != (support.shape[0],):
             raise InvalidInputError("prob must have one entry per support point")
-        if not ((prob >= 0.0) & (prob < np.inf)).all():
-            raise InvalidInputError("probabilities must be finite and non-negative")
-        if abs(float(prob.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError("probabilities must sum to 1 within 1e-12")
+        _check_distribution(prob)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "prob", prob)
 

@@ -37,9 +37,20 @@ nothing here does), and a hit returns what a fresh computation would:
   progress bound of a step reuses the preference the step used. It returns
   that result read-only.
 
-Each cache is replaced by a single assignment of one tuple, so a thread reads
-either the old entry or the new one, never a mix. Every function here is
-otherwise pure over immutable inputs and safe for parallel use.
+A check of an input array that the same frozen array keeps coming back to is
+run once: ``_CheckedOnce`` skips the check for the last such array that
+passed it. The distribution check (finite, non-negative, summing to 1
+within 1e-12), ``_check_distribution``, is one of these; ``FiniteDist``,
+``_level_pass`` and :class:`SampleWeights` call it, so a state's
+``support_probs`` is checked once however many times it is enumerated and
+weighed. The 0/1 check of Bernoulli points is the other, in
+:mod:`igokit.models`. Writable arrays are checked on every call, and a failed
+check keeps nothing.
+
+Each cache is replaced by a single assignment of one tuple or reference, so
+a thread reads either the old entry or the new one, never a mix. Every
+function here is otherwise pure over immutable inputs and safe for parallel
+use.
 """
 
 from __future__ import annotations
@@ -186,10 +197,7 @@ class SampleWeights:
         w = np.array(self.w, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise InvalidInputError("weights must be a non-empty 1-d sequence")
-        if not ((w >= 0.0) & (w < np.inf)).all():
-            raise InvalidInputError("weights must be finite and non-negative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError("weights must sum to 1 within 1e-12")
+        _check_distribution(w, "weights")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -236,6 +244,37 @@ def _owns_frozen(a) -> bool:
         and a.flags.owndata
         and not a.flags.writeable
     )
+
+
+class _CheckedOnce:
+    """``check(a, ...)``, skipped for the last array that passed it if that
+    array is read-only float64 and owns its data (:func:`_owns_frozen`): it
+    cannot have changed since. Any other array is checked on every call, and
+    a failed check keeps nothing. The kept array is one reference, replaced
+    by one assignment."""
+
+    def __init__(self, check):
+        self.check = check
+        self.passed = None
+
+    def __call__(self, a, *args):
+        if a is self.passed:
+            return
+        self.check(a, *args)
+        if _owns_frozen(a):
+            self.passed = a
+
+
+def _distribution(p: np.ndarray, name: str = "probabilities") -> None:
+    if not ((p >= 0.0) & (p < np.inf)).all():
+        raise InvalidInputError(f"{name} must be finite and non-negative")
+    if abs(float(p.sum()) - 1.0) > 1e-12:
+        raise InvalidInputError(f"{name} must sum to 1 within 1e-12")
+
+
+# Refuses a 1-d float64 array unless it is finite, non-negative and sums to 1
+# within 1e-12; a state's frozen ``support_probs`` is checked once.
+_check_distribution = _CheckedOnce(_distribution)
 
 
 # The last read-only table ranked by ``_levels`` and its levels, the last
@@ -286,10 +325,7 @@ def _level_pass(p: np.ndarray, f: np.ndarray):
         raise InvalidInputError("prob must be a non-empty 1-d sequence")
     if f.shape != p.shape:
         raise InvalidInputError("fitness and prob must have the same length")
-    if not ((p >= 0.0) & (p < np.inf)).all():
-        raise InvalidInputError("probabilities must be finite and non-negative")
-    if abs(float(p.sum()) - 1.0) > 1e-12:
-        raise InvalidInputError("probabilities must sum to 1 within 1e-12")
+    _check_distribution(p)
     if not np.isfinite(f).all():
         raise InvalidInputError("fitness values must be finite")
 

@@ -30,11 +30,20 @@ The weights need not come from a sample: the exact oracle passes the whole
 enumerated support with weights ``P(x) W(x)``, so the infinite-population
 steps it checks are these same functions.
 
-Weighted sums reduce over axis 0 of a C-contiguous ``(n, k)`` array, which
-numpy does by adding the rows one after another in index order (a
-single-column array, ``k = 1``, is summed pairwise instead). Results are
-therefore bit-reproducible for a given sample, and tier-1 tests pin
-:func:`igo_step` and :func:`igo_ml_step` to a row-by-row reference. No sum
+Every weighted sum of rows, ``sum_i w_i (r_i - c)`` or ``sum_i w_i r_i``,
+goes through one kernel, ``_weighted_sum``. It adds the rounded products
+``w_i * r_ij`` to a running total row after row, in index order, so results
+are bit-reproducible for a given sample, and tier-1 tests
+(``TestSummationOrder``) pin every rule to a row-by-row reference. With
+``k >= 2`` columns the sum is ``np.einsum("i,ij->j", w, rows)``, which
+accumulates that way without forming ``w_i * r_i``. Centred rows are formed
+one block of about 2^15 floats at a time in one reused buffer, whose first
+row carries the running total in with weight 1.0 (exact), so the blocks
+chain in index order and the exact step on the 2^16-point support writes no
+``(2^16, d)`` temporary. A single column (``k = 1``) is summed as
+``np.sum(w[:, None] * r, axis=0)``, which numpy adds pairwise; einsum does
+not match those bits. A numpy whose einsum fused the multiply and the add
+(FMA) would move result bits, and ``TestSummationOrder`` would fail. No sum
 goes through a BLAS dot product (``a @ b`` on vectors), whose rounding
 depends on the BLAS thread count; a dot is ``np.sum(a * b)``.
 """
@@ -67,6 +76,38 @@ def _weight_array(weights, lam: int) -> np.ndarray:
     return w
 
 
+# Float64 entries per block of centred rows in ``_weighted_sum`` (256 KB).
+_BLOCK = 1 << 15
+
+
+def _weighted_sum(w: np.ndarray, rows, center=None) -> np.ndarray:
+    """``sum_i w[i] * (rows[i] - center)``, or ``sum_i w[i] * rows[i]``
+    without a centre, over an ``(n, k)`` array, rows added in index order.
+
+    See the module docstring: einsum for ``k >= 2``, the centred rows formed
+    one block at a time with the running total as the block's first row, and
+    numpy's pairwise sum for a single column.
+    """
+    rows = np.ascontiguousarray(rows)
+    n, k = rows.shape
+    if k == 1:
+        return np.sum(w[:, None] * (rows if center is None else rows - center), axis=0)
+    if center is None:
+        return np.einsum("i,ij->j", w, rows)
+    step = min(n, max(1, _BLOCK // k))
+    block = np.empty((step + 1, k))
+    block_w = np.empty(step + 1)
+    block_w[0] = 1.0
+    total = np.zeros(k)
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        block[0] = total
+        np.subtract(rows[start:start + m], center, out=block[1:m + 1])
+        block_w[1:m + 1] = w[start:start + m]
+        total = np.einsum("i,ij->j", block_w[:m + 1], block[:m + 1])
+    return total
+
+
 def _check_dt(dt: float) -> float:
     dt = float(dt)
     if not np.isfinite(dt) or dt < 0.0:
@@ -85,11 +126,7 @@ def igo_step(model, params, samples, weights, dt: float):
     eta = model.to_eta(params)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
-    # One (n, k) temporary, its products formed in place; TestSummationOrder
-    # pins the bits of the row-order sum.
-    delta = stats - eta
-    delta *= w[:, None]
-    return model.from_eta(eta + dt * delta.sum(axis=0))
+    return model.from_eta(eta + dt * _weighted_sum(w, stats, eta))
 
 
 def igo_ml_step(model, params, samples, weights, dt: float):
@@ -108,7 +145,7 @@ def igo_ml_step(model, params, samples, weights, dt: float):
     eta = model.to_eta(params)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
-    return model.from_eta((1.0 - dt) * eta + dt * np.sum(w[:, None] * stats, axis=0))
+    return model.from_eta((1.0 - dt) * eta + dt * _weighted_sum(w, stats))
 
 
 def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
@@ -156,10 +193,10 @@ def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
         scatter = np.einsum("i,ij,ik->jk", w, centered, centered)
         scatter = (scatter + scatter.T) / 2.0
         params = GaussianParams(params.mean, params.cov + dt_cov * (scatter - params.cov))
-        mean = params.mean + dt_mean * np.sum(w[:, None] * centered, axis=0)
+        mean = params.mean + dt_mean * _weighted_sum(w, centered)
         return GaussianParams(mean, params.cov)
 
-    weighted_mean = np.sum(w[:, None] * samples, axis=0)
+    weighted_mean = _weighted_sum(w, samples)
     return model.from_eta((1.0 - dts) * model.to_eta(params) + dts * weighted_mean)
 
 
@@ -183,14 +220,20 @@ def fitness_proportional_step(model, params, source, rewards, dt: float):
     if isinstance(source, FiniteDist):
         if r.size != source.size:
             raise InvalidInputError("one reward per support point required")
-        points = source.support
-        coef = source.prob * r / float(np.sum(source.prob * r))
+        points, prob = source.support, source.prob
     else:
-        points = source
+        points, prob = source, None
         if r.size != len(points):
             raise InvalidInputError("one reward per sample required")
-        coef = r / float(r.sum())
-    return igo_step(model, params, points, coef, dt)
+    return igo_step(model, params, points, _reward_weights(prob, r), dt)
+
+
+def _reward_weights(prob, rewards: np.ndarray) -> np.ndarray:
+    """The weights of a reward-proportional step: ``P(x) r(x) / E_P[r]`` on
+    a support with probabilities ``prob``, or ``r_i / sum r`` on a sample
+    (``prob`` None)."""
+    weighted = rewards if prob is None else prob * rewards
+    return weighted / float(np.sum(weighted))
 
 
 def safeguarded_step(step, dt: float, max_halvings: int = 30):

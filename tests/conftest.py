@@ -35,3 +35,23 @@ def support_prob_builds(monkeypatch):
     prop.__set_name__(BernoulliParams, "support_probs")
     monkeypatch.setattr(BernoulliParams, "support_probs", prop)
     return builds
+
+
+@pytest.fixture
+def checks_run(monkeypatch):
+    """``checks_run(memo)`` empties a ``selection._CheckedOnce`` memo and
+    returns the list of arrays its check then really runs on, in order."""
+
+    def watch(memo):
+        checked = []
+        check = memo.check
+
+        def counting(a, *args):
+            checked.append(a)
+            return check(a, *args)
+
+        monkeypatch.setattr(memo, "check", counting)
+        monkeypatch.setattr(memo, "passed", None)
+        return checked
+
+    return watch

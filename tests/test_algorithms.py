@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from igokit import (
     igo_ml_step,
     igo_step,
     make_objective,
+    models,
     run,
     updates,
 )
@@ -337,6 +340,63 @@ class TestExactRppEnumeration:
             assert step.kl_prev == model.kl_divergence(params, params_next)
             params = params_next
         assert trace.final_eta.tobytes() == params.probs.tobytes()
+
+    def test_weight_entropy_is_that_of_the_step_weights(self):
+        # two states on one reward table: each step's entropy is that of its
+        # own weights P(x) r(x) / E_P[r], not of the fixed table
+        config = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=8, dt=1.0,
+                                 max_steps=2)
+        rewards = config.make_objective().support_values
+        trace = run(config)
+        states = [config.initial_params(), BernoulliParams(trace.steps[0].eta)]
+        for step, params in zip(trace.steps, states):
+            w = params.support_probs * rewards / np.sum(params.support_probs * rewards)
+            assert step.weight_entropy == pytest.approx(-np.sum(w * np.log(w)), rel=1e-12)
+        assert trace.steps[0].weight_entropy != pytest.approx(trace.steps[1].weight_entropy)
+
+    def test_sampled_weight_entropy_is_that_of_the_normalised_rewards(self):
+        config = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=8, dt=0.5,
+                                 lam=40, rpp_exact=False, max_steps=1)
+        step = run(config).steps[0]
+        samples = Bernoulli(8).sample(config.initial_params(),
+                                      np.random.default_rng([config.seed, 0]), config.lam)
+        r = config.make_objective().batch(samples)
+        w = r[r > 0.0] / r.sum()
+        assert step.weight_entropy == float(-np.sum(w * np.log(w)))
+
+    def test_support_is_checked_once(self, checks_run):
+        checked = checks_run(models._check_binary)
+        config = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=10, dt=0.5,
+                                 max_steps=10)
+        assert len(run(config).steps) == 10
+        assert sum(a is bernoulli_support(10) for a in checked) == 1
+
+
+# sha256 of the rendered csv trace, unchanged since the rules' sums were
+# rewritten onto one kernel; any moved bit of a state or a summary shows here.
+GOLDEN_TRACES = {
+    "rpp-random-reward-d16": (
+        dict(algorithm="rpp", objective="random-reward", dim=16, dt=1.0, max_steps=10),
+        "a1b721e2aa7993f25754f18d18eeee198a735bd2206c49919763cf0c3eb770c5",
+    ),
+    "pbil-onemax-d1000": (
+        dict(algorithm="pbil", objective="onemax", dim=1000, lam=1000, q=0.25, dt=0.5,
+             domain_exit="safeguard", max_steps=10),
+        "973fb5df46df28c0cc9f504ca6810aa3c56b98fc70c57941c7b2c0e272e62206",
+    ),
+    "ce_ml-onemax-d20": (
+        dict(algorithm="ce_ml", objective="onemax", dim=20, lam=50, max_steps=30),
+        "b9d75005213e1100a923d86d29a3cd15ad216174bf5b7407f095bcd58b92f2a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TRACES)
+def test_seeded_trace_digest(name):
+    settings, digest = GOLDEN_TRACES[name]
+    trace = run(AlgorithmConfig(**settings, seed=2, objective_seed=2))
+    text = render_trace(trace_records(trace), fmt="csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGaussianRoundTrip:

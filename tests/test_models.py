@@ -14,6 +14,7 @@ from igokit import (
     Gaussian,
     GaussianParams,
     InvalidInputError,
+    models,
 )
 
 
@@ -175,6 +176,42 @@ class TestSufficientStatistics:
             Bernoulli(2).sufficient_statistics([1, 0, 1])
         with pytest.raises(InvalidInputError):
             Bernoulli(2).sufficient_statistics([0.5, 0.5])
+
+
+def frozen(a):
+    out = np.array(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+class TestPointsCheckedOnce:
+    """The 0/1 check of a points array is skipped only for the last frozen
+    array that passed it; the exact-run count is in ``test_algorithms``."""
+
+    def test_frozen_points_are_checked_once(self, checks_run):
+        checked = checks_run(models._check_binary)
+        points = frozen([[0.0, 1.0], [1.0, 1.0]])
+        for _ in range(3):
+            assert Bernoulli(2).batch_sufficient_statistics(points) is points
+        assert len(checked) == 1
+
+    def test_writable_points_are_checked_on_every_call(self, checks_run):
+        checked = checks_run(models._check_binary)
+        points = np.array([[0.0, 1.0], [1.0, 1.0]])
+        for _ in range(3):
+            Bernoulli(2).batch_sufficient_statistics(points)
+        assert len(checked) == 3
+        points[0, 0] = 0.5
+        with pytest.raises(InvalidInputError, match="0/1"):
+            Bernoulli(2).batch_sufficient_statistics(points)
+
+    def test_frozen_invalid_points_are_refused_on_every_call(self, checks_run):
+        checked = checks_run(models._check_binary)
+        points = frozen([[0.0, 1.0], [2.0, 1.0]])
+        for _ in range(3):
+            with pytest.raises(InvalidInputError, match="0/1"):
+                Bernoulli(2).batch_sufficient_statistics(points)
+        assert len(checked) == 3 and models._check_binary.passed is None
 
 
 class TestParamConvert:

@@ -24,6 +24,7 @@ from igokit import (
     make_objective,
     preference_exact,
     progress_bound,
+    selection,
 )
 from igokit.oracle import _sup_quantile_index
 
@@ -160,6 +161,38 @@ class TestEnumerationTrustsParams:
         assert calls == []
         assert dist.prob.tobytes() == row_product_probs(params.probs).tobytes()
         assert dist.support is bernoulli_support(params.dim)
+
+
+class TestDistributionCheckedOnce:
+    """A distribution check is skipped only for the last frozen array that
+    passed it, so a state's ``support_probs`` is checked once per visit."""
+
+    def test_state_probabilities_are_checked_once(self, checks_run):
+        checked = checks_run(selection._check_distribution)
+        params = BernoulliParams([0.2, 0.7, 0.4])
+        table = make_objective("random-reward", 3, seed=2).support_values
+        for _ in range(2):
+            dist = enumerate_bernoulli(params)
+            exact_quantile(dist, table, 0.3)
+            preference_exact(dist.prob, table, TruncationScheme(0.3))
+        assert [a is params.support_probs for a in checked] == [True]
+
+    def test_writable_probabilities_are_checked_on_every_call(self, checks_run):
+        checked = checks_run(selection._check_distribution)
+        prob, f = np.array([0.25, 0.75]), np.array([1.0, 0.0])
+        for _ in range(3):
+            preference_exact(prob, f, UNIFORM)
+        assert len(checked) == 3
+
+    def test_frozen_invalid_probabilities_are_refused_on_every_call(self, checks_run):
+        checked = checks_run(selection._check_distribution)
+        prob = frozen([0.5, 0.75])
+        for _ in range(3):
+            with pytest.raises(InvalidInputError, match="sum to 1"):
+                FiniteDist(bernoulli_support(1), prob)
+            with pytest.raises(InvalidInputError, match="sum to 1"):
+                preference_exact(prob, frozen([1.0, 0.0]), UNIFORM)
+        assert len(checked) == 6 and selection._check_distribution.passed is None
 
 
 class TestFiniteDistStorage:

@@ -366,7 +366,24 @@ class TestLevels:
                 dist = FiniteDist(np.zeros((prob.size, 1)), prob)
                 pairs.append((k, dist, table, preference_exact(prob.copy(), table.copy(), scheme),
                               quantile_bits(exact_quantile(dist, table.copy(), 0.3))))
+        # and its own frozen inputs to the check-once memos, one valid and
+        # one invalid of each: a skipped check of an invalid one would pass it
+        memo_inputs = []
+        for k in range(6):
+            points = frozen(np.random.default_rng([k, 2]).integers(0, 2, (5 + k, 3)))
+            bad_points = np.array(points)
+            bad_points[k % 5, 1] = 2.0
+            bad_points.setflags(write=False)
+            prob = pairs[2 * k][1].prob
+            memo_inputs.append((points, bad_points, prob, frozen(prob * 1.5)))
         errors = []
+
+        def refused(call, *args):
+            try:
+                call(*args)
+            except InvalidInputError:
+                return True
+            return False
 
         def work(k):
             own = [pair for pair in pairs if pair[0] == k]
@@ -380,6 +397,13 @@ class TestLevels:
                 if not (preference_exact(dist.prob, table, scheme).tobytes() == pref.tobytes()
                         and quantile_bits(exact_quantile(dist, table, 0.3)) == q_bits):
                     errors.append((k, "pair", i % len(own)))
+                points, bad_points, prob, bad_prob = memo_inputs[k]
+                support = np.zeros((prob.size, 1))
+                if (refused(Bernoulli(3).batch_sufficient_statistics, points)
+                        or not refused(Bernoulli(3).batch_sufficient_statistics, bad_points)
+                        or refused(FiniteDist, support, prob)
+                        or not refused(FiniteDist, support, bad_prob)):
+                    errors.append((k, "memo", i))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

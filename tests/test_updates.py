@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from igokit import (
     BernoulliParams,
     GaussianParams,
     InvalidInputError,
+    SampleWeights,
     TruncationScheme,
     blockwise_igo_ml_step,
     enumerate_bernoulli,
@@ -21,6 +24,7 @@ from igokit import (
     safeguarded_step,
     sample_weights,
 )
+from igokit import updates
 from igokit.verify import _smoothed_ce_reference
 
 
@@ -70,10 +74,12 @@ class TestIgoStep:
 
 
 def sequential_sum(rows):
-    """Rows added one after another in index order: ``acc = r0``, then
-    ``acc = acc + r_i``. The reference for the axis-0 sums of the rules."""
-    acc = rows[0]
-    for row in rows[1:]:
+    """Rows added one after another in index order to a total that starts
+    at +0.0, as numpy's reductions start: ``acc = 0.0 + r_0``, then
+    ``acc = acc + r_i``. The reference for the axis-0 sums of the rules.
+    (Starting at ``r_0`` itself would differ only in the sign of a zero.)"""
+    acc = np.zeros_like(rows[0])
+    for row in rows:
         acc = acc + row
     return acc
 
@@ -107,7 +113,19 @@ def gaussian_case():
     return model, w, samples, params
 
 
-SUM_ORDER_CASES = [rpp_support_case, pbil_sample_case, gaussian_case]
+def block_tail_case():
+    # 5000 x 7: centred in blocks of 4681 rows, then a ragged tail of 319
+    d, n = 7, 5000
+    model = bern(d)
+    params = BernoulliParams(np.linspace(0.2, 0.8, d))
+    samples = model.sample(params, np.random.default_rng(12), n)
+    w = sample_weights(np.random.default_rng(13).normal(size=n), TruncationScheme(0.4)).w
+    assert n > updates._BLOCK // d
+    return model, w, samples, params
+
+
+SUM_ORDER_CASES = [rpp_support_case, pbil_sample_case, gaussian_case, block_tail_case]
+BERNOULLI_SUM_CASES = [rpp_support_case, pbil_sample_case, block_tail_case]
 
 
 class TestSummationOrder:
@@ -137,6 +155,86 @@ class TestSummationOrder:
         expected = (1.0 - dt) * eta + dt * sequential_sum([w[i] * stats[i] for i in range(w.size)])
         igo_ml_step(model, params, samples, w, dt)
         assert [e.tobytes() for e in from_eta_calls] == [expected.tobytes()]
+
+    @pytest.mark.parametrize("case", BERNOULLI_SUM_CASES)
+    def test_bernoulli_blend_is_sequential(self, case, from_eta_calls):
+        model, w, samples, params = case()
+        dts = np.linspace(0.1, 0.9, model.dim)
+        theta = model.to_eta(params)
+        expected = (1.0 - dts) * theta + dts * sequential_sum(
+            [w[i] * samples[i] for i in range(w.size)]
+        )
+        blockwise_igo_ml_step(model, params, samples, w, dts)
+        assert [e.tobytes() for e in from_eta_calls] == [expected.tobytes()]
+
+    def test_gaussian_mean_is_sequential(self):
+        model, w, samples, params = gaussian_case()
+        centered = samples - params.mean
+        expected = params.mean + 0.7 * sequential_sum([w[i] * centered[i] for i in range(w.size)])
+        out = blockwise_igo_ml_step(model, params, samples, w, (0.3, 0.7))
+        assert out.mean.tobytes() == expected.tobytes()
+
+    def test_single_column_is_pairwise(self, from_eta_calls):
+        # numpy sums one column pairwise from 9 terms on, and the rules keep
+        # those bits; this case is one where the row order gives others
+        model, n = bern(1), 1000
+        params = BernoulliParams([0.3])
+        samples = model.sample(params, np.random.default_rng(3), n)
+        w = SampleWeights(np.random.default_rng(4).dirichlet(np.ones(n))).w
+        eta = model.to_eta(params)
+        pairwise = np.sum(w[:, None] * (samples - eta), axis=0)
+        assert pairwise.tobytes() != sequential_sum([w[i] * (samples[i] - eta) for i in range(n)]).tobytes()
+        igo_step(model, params, samples, w, 0.5)
+        igo_ml_step(model, params, samples, w, 0.5)
+        assert [e.tobytes() for e in from_eta_calls] == [
+            (eta + 0.5 * pairwise).tobytes(),
+            (0.5 * eta + 0.5 * np.sum(w[:, None] * samples, axis=0)).tobytes(),
+        ]
+
+    @given(st.integers(1, 3000), st.integers(2, 64), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_is_sequential(self, n, k, binary, seed):
+        rng = np.random.default_rng(seed)
+        rows = (rng.random((n, k)) < 0.5) * 1.0 if binary else rng.normal(size=(n, k))
+        w = rng.random(n) * (rng.random(n) < 0.6)
+        center = rng.random(k)
+        assert (updates._weighted_sum(w, rows, center).tobytes()
+                == sequential_sum([w[i] * (rows[i] - center) for i in range(n)]).tobytes())
+        assert (updates._weighted_sum(w, rows).tobytes()
+                == sequential_sum([w[i] * rows[i] for i in range(n)]).tobytes())
+
+    def test_block_size_moves_no_bit(self, monkeypatch):
+        bits = {}
+        for block in (7, 64, 2**15):
+            monkeypatch.setattr(updates, "_BLOCK", block)
+            for case in SUM_ORDER_CASES:
+                model, w, samples, params = case()
+                out = model_bits(igo_step(model, params, samples, w, 0.5))
+                assert bits.setdefault(case.__name__, out) == out
+
+    def test_layout_moves_no_bit(self):
+        rng = np.random.default_rng(8)
+        rows, w = rng.normal(size=(300, 6)), rng.random(300)
+        for center in (None, rng.random(6)):
+            assert (updates._weighted_sum(w, rows, center).tobytes()
+                    == updates._weighted_sum(w, np.asfortranarray(rows), center).tobytes())
+
+    def test_exact_step_writes_no_support_sized_temporary(self):
+        model, w, support, params = rpp_support_case()
+        igo_step(model, params, support, w, 0.5)  # the support's 0/1 check runs once
+        tracemalloc.start()
+        try:
+            igo_step(model, params, support, w, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < support.nbytes / 4
+
+
+def model_bits(params):
+    if isinstance(params, GaussianParams):
+        return params.mean.tobytes() + params.cov.tobytes()
+    return params.probs.tobytes()
 
 
 class TestIgoMlStep:
