@@ -245,11 +245,15 @@ class Bernoulli:
         return float(np.sum(np.where(x == 1.0, np.log(p), np.log1p(-p))))
 
     def sample(self, params: BernoulliParams, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` i.i.d. draws as an ``(count, d)`` 0/1 float array."""
+        """``count`` i.i.d. draws as an ``(count, d)`` 0/1 float array.
+
+        The uniforms are thresholded in place, ``1.0`` where ``u < p``: the
+        draw allocates only its result, and gives the bits (and consumes the
+        stream) of ``(rng.random((count, d)) < p).astype(np.float64)``."""
         if count < 1:
             raise InvalidInputError("count must be >= 1")
         u = rng.random((count, self.dim))
-        return (u < params.probs).astype(np.float64)
+        return np.less(u, params.probs, out=u)
 
     def natural_grad_log_density(self, eta, x) -> np.ndarray:
         """Natural gradient of ``ln p_eta`` at ``x``: exactly ``T(x) - eta``."""
@@ -351,11 +355,16 @@ class Gaussian:
         return np.concatenate([x, x[self._rows] * x[self._cols]])
 
     def _check_points(self, points) -> np.ndarray:
+        """An ``(n, d)`` float array of finite points. A NaN or infinite
+        point is refused, so the update rules may drop rows of zero weight
+        from their sums exactly (see :mod:`igokit.updates`)."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InvalidInputError(
                 f"points must have shape (n, {self.dim}), got {pts.shape}"
             )
+        if not np.isfinite(pts).all():
+            raise InvalidInputError("Gaussian points must be finite")
         return pts
 
     def batch_sufficient_statistics(self, points) -> np.ndarray:

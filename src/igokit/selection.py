@@ -41,9 +41,10 @@ A check of an input array that the same frozen array keeps coming back to is
 run once: ``_CheckedOnce`` skips the check for the last such array that
 passed it. The distribution check (finite, non-negative, summing to 1
 within 1e-12), ``_check_distribution``, is one of these; ``FiniteDist``,
-``_level_pass`` and :class:`SampleWeights` call it, so a state's
-``support_probs`` is checked once however many times it is enumerated and
-weighed. The 0/1 check of Bernoulli points is the other, in
+``_level_pass`` and ``_check_weights`` call it (the last checks the weights
+of :class:`SampleWeights` and, in place, the raw weights an update rule is
+given), so a state's ``support_probs`` is checked once however many times
+it is enumerated and weighed. The 0/1 check of Bernoulli points is the other, in
 :mod:`igokit.models`. Writable arrays are checked on every call, and a failed
 check keeps nothing.
 
@@ -194,10 +195,7 @@ class SampleWeights:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise InvalidInputError("weights must be a non-empty 1-d sequence")
-        _check_distribution(w, "weights")
+        w = _check_weights(np.array(self.w, dtype=np.float64))
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -208,6 +206,15 @@ class SampleWeights:
         """Shannon entropy of the weights, with 0 log 0 = 0."""
         pos = self.w[self.w > 0.0]
         return float(-np.sum(pos * np.log(pos)))
+
+
+def _check_weights(w: np.ndarray) -> np.ndarray:
+    """``w`` itself once it is a non-empty 1-d distribution: the one check of
+    :class:`SampleWeights`, run in place on a float64 array."""
+    if w.ndim != 1 or w.size < 1:
+        raise InvalidInputError("weights must be a non-empty 1-d sequence")
+    _check_distribution(w, "weights")
+    return w
 
 
 def sample_weights(fitness, scheme) -> SampleWeights:

@@ -57,7 +57,7 @@ def trace_records(trace) -> list:
     return [
         TraceRecord(
             step=s.step,
-            eta=tuple(float(v) for v in s.eta),
+            eta=tuple(s.eta.tolist()),
             best_f=s.best_f,
             emp_quantile_q=s.emp_quantile,
             j_estimate=s.j_estimate,

@@ -46,6 +46,23 @@ not match those bits. A numpy whose einsum fused the multiply and the add
 (FMA) would move result bits, and ``TestSummationOrder`` would fail. No sum
 goes through a BLAS dot product (``a @ b`` on vectors), whose rounding
 depends on the BLAS thread count; a dot is ``np.sum(a * b)``.
+
+Rows of zero weight are dropped, once and in index order, before a sum
+over ``k >= 2`` columns. The Gaussian blockwise step (``d >= 2``) always
+drops them before its rank-mu scatter ``einsum("i,ij,ik->jk")``, which costs
+``d`` times the copy of the kept rows. ``_weighted_sum`` drops them when
+they are at least half the rows, where the copy costs no more than the sum
+it spares: a sampled population under truncation weights is summed over its
+winners, and a support with a few zero-reward points is summed whole,
+without a copy. The drop is exact: zero times a finite entry is ``+-0``,
+and adding ``+-0`` to a running total that starts at ``+0`` leaves it as it
+was, bit for bit, so an all-zero weight vector still sums to ``+0.0``. The
+rows must be finite for that, and the points a rule accepts are: Bernoulli
+points are 0/1, and Gaussian points are refused unless finite. (The
+statistics of a finite Gaussian point beyond about 1e154 overflow; such a
+row at zero weight gives NaN if kept and nothing if dropped.) A single
+column keeps every row, because dropping terms regroups numpy's pairwise
+tree.
 """
 
 from __future__ import annotations
@@ -55,7 +72,7 @@ import numpy as np
 from .errors import DomainExitError, InvalidInputError
 from .models import Gaussian, GaussianParams
 from .oracle import FiniteDist
-from .selection import SampleWeights
+from .selection import SampleWeights, _check_weights
 
 __all__ = [
     "igo_step",
@@ -70,7 +87,7 @@ def _weight_array(weights, lam: int) -> np.ndarray:
     if isinstance(weights, SampleWeights):
         w = weights.w
     else:
-        w = SampleWeights(np.asarray(weights, dtype=np.float64)).w
+        w = _check_weights(np.asarray(weights, dtype=np.float64))
     if w.size != lam:
         raise InvalidInputError("weights length must match the sample count")
     return w
@@ -84,17 +101,21 @@ def _weighted_sum(w: np.ndarray, rows, center=None) -> np.ndarray:
     """``sum_i w[i] * (rows[i] - center)``, or ``sum_i w[i] * rows[i]``
     without a centre, over an ``(n, k)`` array, rows added in index order.
 
-    See the module docstring: einsum for ``k >= 2``, the centred rows formed
-    one block at a time with the running total as the block's first row, and
-    numpy's pairwise sum for a single column.
+    See the module docstring: for ``k >= 2`` einsum, the rows of zero weight
+    dropped when they are at least half, the centred rows formed one block
+    at a time with the running total as the block's first row; numpy's
+    pairwise sum over every row for a single column.
     """
     rows = np.ascontiguousarray(rows)
-    n, k = rows.shape
-    if k == 1:
+    if rows.shape[1] == 1:
         return np.sum(w[:, None] * (rows if center is None else rows - center), axis=0)
+    nz = w != 0.0
+    if 2 * np.count_nonzero(nz) <= nz.size:
+        w, rows = w.compress(nz), rows.compress(nz, axis=0)
+    n, k = rows.shape
     if center is None:
         return np.einsum("i,ij->j", w, rows)
-    step = min(n, max(1, _BLOCK // k))
+    step = max(1, min(n, _BLOCK // k))
     block = np.empty((step + 1, k))
     block_w = np.empty(step + 1)
     block_w[0] = 1.0
@@ -189,6 +210,10 @@ def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
 
     if gaussian:
         dt_cov, dt_mean = dts
+        if model.dim > 1:
+            # A single column keeps every row: its mean is a pairwise sum.
+            nz = w != 0.0
+            w, samples = w.compress(nz), samples.compress(nz, axis=0)
         centered = samples - params.mean
         scatter = np.einsum("i,ij,ik->jk", w, centered, centered)
         scatter = (scatter + scatter.T) / 2.0

@@ -373,7 +373,8 @@ class TestExactRppEnumeration:
 
 
 # sha256 of the rendered csv trace, unchanged since the rules' sums were
-# rewritten onto one kernel; any moved bit of a state or a summary shows here.
+# rewritten onto one kernel (the cma one since before the sums dropped their
+# rows of zero weight); any moved bit of a state or a summary shows here.
 GOLDEN_TRACES = {
     "rpp-random-reward-d16": (
         dict(algorithm="rpp", objective="random-reward", dim=16, dt=1.0, max_steps=10),
@@ -387,6 +388,11 @@ GOLDEN_TRACES = {
     "ce_ml-onemax-d20": (
         dict(algorithm="ce_ml", objective="onemax", dim=20, lam=50, max_steps=30),
         "b9d75005213e1100a923d86d29a3cd15ad216174bf5b7407f095bcd58b92f2a7",
+    ),
+    "cma_rank_mu-ellipsoid-d40": (
+        dict(algorithm="cma_rank_mu", objective="ellipsoid", dim=40, lam=100, q=0.5, dt=0.5,
+             domain_exit="safeguard", max_steps=60),
+        "ac9ae79b0d1f007b59c4bd0e4b5814765ff8e95a788f5a18fb961a80e057f3c2",
     ),
 }
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,13 @@ class TestSufficientStatistics:
         with pytest.raises(InvalidInputError):
             Bernoulli(2).sufficient_statistics([0.5, 0.5])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_gaussian_points_must_be_finite(self, value):
+        points = np.zeros((3, 2))
+        points[1, 0] = value
+        with pytest.raises(InvalidInputError, match="Gaussian points must be finite"):
+            Gaussian(2).batch_sufficient_statistics(points)
+
 
 def frozen(a):
     out = np.array(a, dtype=np.float64)
@@ -325,6 +333,27 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(InvalidInputError):
             Bernoulli(1).sample(BernoulliParams([0.5]), np.random.default_rng(0), 0)
+
+    @pytest.mark.parametrize("d, n, seed", [(1, 5, 0), (7, 33, 1), (1000, 200, 2)])
+    def test_bernoulli_draw_is_the_thresholded_stream(self, d, n, seed):
+        p = BernoulliParams(np.random.default_rng(seed).uniform(0.01, 0.99, d))
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = Bernoulli(d).sample(p, rng, n)
+        assert draws.tobytes() == (reference.random((n, d)) < p.probs).astype(np.float64).tobytes()
+        assert rng.random() == reference.random()
+
+    def test_bernoulli_draw_allocates_only_its_result(self):
+        m, n, d = Bernoulli(1000), 1000, 1000
+        p = BernoulliParams(np.full(d, 0.3))
+        rng = np.random.default_rng(3)
+        m.sample(p, rng, 1)
+        tracemalloc.start()
+        try:
+            m.sample(p, rng, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * d * 8
 
 
 class TestNaturalGradLogDensity:

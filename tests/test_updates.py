@@ -84,12 +84,12 @@ def sequential_sum(rows):
     return acc
 
 
-def rpp_support_case():
+def rpp_support_case(objective="random-reward"):
     # the 2^16 x 16 support with reward-proportional weights P(x) r(x) / E[r]
     d = 16
     params = BernoulliParams(np.linspace(0.1, 0.9, d))
     dist = enumerate_bernoulli(params)
-    rewards = make_objective("random-reward", d, seed=4).support_values
+    rewards = make_objective(objective, d, seed=4).support_values
     return bern(d), dist.prob * rewards / float(dist.prob @ rewards), dist.support, params
 
 
@@ -174,22 +174,52 @@ class TestSummationOrder:
         out = blockwise_igo_ml_step(model, params, samples, w, (0.3, 0.7))
         assert out.mean.tobytes() == expected.tobytes()
 
-    def test_single_column_is_pairwise(self, from_eta_calls):
+    @pytest.mark.parametrize("seed, zeros", [(4, False), (7, True)])
+    def test_single_column_is_pairwise(self, seed, zeros, from_eta_calls):
         # numpy sums one column pairwise from 9 terms on, and the rules keep
-        # those bits; this case is one where the row order gives others
+        # those bits over every row, zero weights included; these cases are
+        # ones where the row order, or dropping the rows of zero weight,
+        # gives others
         model, n = bern(1), 1000
         params = BernoulliParams([0.3])
         samples = model.sample(params, np.random.default_rng(3), n)
-        w = SampleWeights(np.random.default_rng(4).dirichlet(np.ones(n))).w
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n))
+        if zeros:
+            w[rng.random(n) < 0.75] = 0.0
+            w /= w.sum()
+        w = SampleWeights(w).w
         eta = model.to_eta(params)
         pairwise = np.sum(w[:, None] * (samples - eta), axis=0)
+        plain = np.sum(w[:, None] * samples, axis=0)
         assert pairwise.tobytes() != sequential_sum([w[i] * (samples[i] - eta) for i in range(n)]).tobytes()
+        if zeros:
+            kept = w != 0.0
+            assert pairwise.tobytes() != np.sum(w[kept, None] * (samples[kept] - eta), axis=0).tobytes()
+            assert plain.tobytes() != np.sum(w[kept, None] * samples[kept], axis=0).tobytes()
         igo_step(model, params, samples, w, 0.5)
         igo_ml_step(model, params, samples, w, 0.5)
         assert [e.tobytes() for e in from_eta_calls] == [
             (eta + 0.5 * pairwise).tobytes(),
-            (0.5 * eta + 0.5 * np.sum(w[:, None] * samples, axis=0)).tobytes(),
+            (0.5 * eta + 0.5 * plain).tobytes(),
         ]
+
+    def test_single_coordinate_gaussian_mean_is_pairwise(self):
+        # the blockwise mean of a d = 1 Gaussian is one column: it keeps
+        # every row, and dropping the rows of zero weight would move its bits
+        model, n = Gaussian(1), 1000
+        params = GaussianParams([0.0], [[2.0]])
+        samples = model.sample(params, np.random.default_rng(3), n)
+        rng = np.random.default_rng(7)
+        w = rng.dirichlet(np.ones(n))
+        w[rng.random(n) < 0.75] = 0.0
+        w = SampleWeights(w / w.sum()).w
+        centered, kept = samples - params.mean, w != 0.0
+        pairwise = np.sum(w[:, None] * centered, axis=0)
+        assert pairwise.tobytes() != np.sum(w[kept, None] * centered[kept], axis=0).tobytes()
+        # at mean 0 and rate 1 the new mean is the sum itself
+        out = blockwise_igo_ml_step(model, params, samples, w, (0.3, 1.0))
+        assert out.mean.tobytes() == pairwise.tobytes()
 
     @given(st.integers(1, 3000), st.integers(2, 64), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -219,12 +249,16 @@ class TestSummationOrder:
             assert (updates._weighted_sum(w, rows, center).tobytes()
                     == updates._weighted_sum(w, np.asfortranarray(rows), center).tobytes())
 
-    def test_exact_step_writes_no_support_sized_temporary(self):
-        model, w, support, params = rpp_support_case()
-        igo_step(model, params, support, w, 0.5)  # the support's 0/1 check runs once
+    # the onemax table is zero at one support point: one zero weight, too
+    # few to be worth a copy of the other rows
+    @pytest.mark.parametrize("objective", ["random-reward", "onemax"])
+    @pytest.mark.parametrize("rule", [igo_step, igo_ml_step])
+    def test_exact_step_writes_no_support_sized_temporary(self, rule, objective):
+        model, w, support, params = rpp_support_case(objective)
+        rule(model, params, support, w, 0.5)  # the support's 0/1 check runs once
         tracemalloc.start()
         try:
-            igo_step(model, params, support, w, 0.5)
+            rule(model, params, support, w, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,6 +269,86 @@ def model_bits(params):
     if isinstance(params, GaussianParams):
         return params.mean.tobytes() + params.cov.tobytes()
     return params.probs.tobytes()
+
+
+def outcome(step):
+    """The bits of the state ``step()`` returns, or the domain exit it raises."""
+    try:
+        return model_bits(step())
+    except DomainExitError as exc:
+        return type(exc).__name__
+
+
+class TestZeroWeightRows:
+    """The rules drop the rows of zero weight before a sum over two or more
+    columns (``_weighted_sum`` when they are at least half the rows) and
+    before the Gaussian scatter. That moves no bit: zero times a finite
+    entry is +-0, which leaves a running total unchanged."""
+
+    @given(st.sampled_from(["bernoulli", "gaussian"]), st.integers(1, 6), st.integers(1, 80),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_deleting_zero_weight_rows_moves_no_bit(self, family, d, n, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        if family == "bernoulli":
+            model, params = bern(d), BernoulliParams(rng.uniform(0.2, 0.8, d))
+            blocks = np.linspace(0.1, 0.9, d)
+        else:
+            model = Gaussian(d)
+            params = GaussianParams(rng.normal(size=d), np.eye(d) * rng.uniform(0.5, 2.0))
+            blocks = (0.3, 0.7)
+        samples = model.sample(params, rng, n)
+        w = rng.random(n) * (rng.random(n) >= zero_share)
+        w[rng.integers(n)] = 1.0
+        w /= w.sum()
+        kept = w != 0.0
+        rules = [
+            lambda s, v: blockwise_igo_ml_step(model, params, s, v, blocks),
+            lambda s, v: igo_step(model, params, s, v, 0.5),
+            lambda s, v: igo_ml_step(model, params, s, v, 0.5),
+        ]
+        # a sum over a single column keeps every row: it is pairwise
+        for rule, columns in zip(rules, (d, model.eta_dim, model.eta_dim)):
+            if columns >= 2:
+                assert (outcome(lambda: rule(samples, w))
+                        == outcome(lambda: rule(samples[kept], w[kept])))
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_zero_weight_rows_are_not_read(self, poison):
+        # three rows in four weigh zero, as under truncation at q = 1/4:
+        # enough for the kernel to drop them
+        rng = np.random.default_rng(5)
+        rows, w = rng.normal(size=(400, 3)), rng.random(400)
+        w[rng.random(400) < 0.75] = 0.0
+        poisoned = rows.copy()
+        poisoned[w == 0.0, 1] = poison
+        for center in (None, rng.random(3)):
+            assert (updates._weighted_sum(w, poisoned, center).tobytes()
+                    == updates._weighted_sum(w, rows, center).tobytes())
+
+    def test_all_zero_weights_sum_to_positive_zero(self):
+        # the products are +0 and -0; the sums start at, and stay, +0
+        rows = np.random.default_rng(6).normal(size=(50, 4))
+        for center in (None, np.ones(4)):
+            total = updates._weighted_sum(np.zeros(50), rows, center)
+            assert total.tobytes() == np.zeros(4).tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gaussian_points_are_refused(self, value):
+        # at zero weight too, where a dropped row would otherwise hide it
+        model, params = Gaussian(2), GaussianParams(np.zeros(2), np.eye(2))
+        samples = model.sample(params, np.random.default_rng(7), 10)
+        samples[3, 1] = value
+        w = np.full(10, 1.0 / 9.0)
+        w[3] = 0.0
+        rules = [
+            lambda: igo_step(model, params, samples, w, 0.5),
+            lambda: igo_ml_step(model, params, samples, w, 0.5),
+            lambda: blockwise_igo_ml_step(model, params, samples, w, (0.3, 0.7)),
+        ]
+        for rule in rules:
+            with pytest.raises(InvalidInputError, match="Gaussian points must be finite"):
+                rule()
 
 
 class TestIgoMlStep:
