@@ -107,15 +107,27 @@ class BernoulliParams:
     @cached_property
     def support_probs(self) -> np.ndarray:
         """Probability of every point of ``{0,1}^dim`` in the oracle's order.
-        The ``O(2^d)`` Kronecker product of the factors ``(1 - p_j, p_j)``
-        multiplies the same factors in the same order as a row-wise product
-        over the support, so it gives the same bits."""
+
+        The ``O(2^d)`` Kronecker product of the factors ``(1 - p_j, p_j)``,
+        built in two ``2^d`` buffers used in turn: pass ``j`` writes the
+        ``k = 2^j`` products so far times ``1 - p_j`` into the even slots of
+        the spare buffer and times ``p_j`` into the odd ones, each one
+        strided multiply over ``k`` entries. Entry ``x`` is then the
+        product of its factors taken in coordinate order, starting from 1,
+        as in a row-wise product over the support, so it has the same bits.
+        """
         if self.dim > MAX_ENUM_DIM:
             raise CapacityError(f"exact enumeration supports dim <= {MAX_ENUM_DIM}, got {self.dim}")
-        prob = np.ones(1)
-        for e in self.probs:
-            prob = np.multiply.outer(prob, (1.0 - e, e)).ravel()
-        return _frozen_array(prob)
+        prob, spare = np.empty(1 << self.dim), np.empty(1 << self.dim)
+        prob[0] = 1.0
+        k = 1
+        for e in self.probs.tolist():
+            np.multiply(prob[:k], 1.0 - e, out=spare[0:2 * k:2])
+            np.multiply(prob[:k], e, out=spare[1:2 * k:2])
+            prob, spare = spare, prob
+            k *= 2
+        prob.setflags(write=False)
+        return prob
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,19 +72,8 @@ __all__ = [
 ]
 
 
-class _Scheme:
-    """Per-rank weights shared by the schemes; subclasses give ``integral``."""
-
-    def bar_weights(self, lam: int) -> np.ndarray:
-        """Per-rank weights: the integral of w over each rank cell."""
-        if lam < 1:
-            raise InvalidInputError("lam must be >= 1")
-        edges = np.arange(lam + 1) / lam
-        return self.integral(edges[:-1], edges[1:])
-
-
 @dataclass(frozen=True)
-class TruncationScheme(_Scheme):
+class TruncationScheme:
     """Truncation selection: uniform weight ``1/q`` on quantiles ``u <= q``.
 
     ``q`` must be strictly interior, ``0 < q < 1``.
@@ -111,7 +100,7 @@ class TruncationScheme(_Scheme):
 
 
 @dataclass(frozen=True)
-class TabulatedScheme(_Scheme):
+class TabulatedScheme:
     """Selection scheme given directly by its per-cell weights.
 
     ``cells`` holds the integrals of ``w`` over ``n`` equal cells of [0, 1];
@@ -162,11 +151,6 @@ class TabulatedScheme(_Scheme):
             return head[k] + (t - k / n) * n * cells[k]
 
         return prefix(b) - prefix(a)
-
-    def bar_weights(self, lam: int) -> np.ndarray:
-        if lam == len(self.cells):
-            return np.array(self.cells)
-        return super().bar_weights(lam)
 
 
 def rank_bounds(fitness):
@@ -221,14 +205,20 @@ def sample_weights(fitness, scheme) -> SampleWeights:
     """Tie-averaged selection weights of a fitness sample.
 
     Each sample receives the mean of the per-rank weights across the rank
-    range its fitness value occupies; with no ties this is just the weight of
-    its own rank. Weights are non-negative and sum to 1.
+    range its fitness value occupies, ``integral(k-/lam, k+/lam) / (k+ - k-)``
+    with ``k-`` and ``k+`` its rank bounds; with no ties this is just the
+    weight of its own rank. Weights are non-negative and sum to 1.
+
+    Each level's weight is one integral over its own rank interval, so the
+    sum stays within a few ulp of 1 at any ``lam``; differences of a
+    ``lam``-long running sum of per-rank weights drift past the 1e-12 check
+    of :class:`SampleWeights` near ``lam = 10^6``. Every level holds at
+    least its own sample, so the point-value case of :func:`_tie_average`
+    never arises here.
     """
     rk_minus, rk_plus = rank_bounds(fitness)
     lam = rk_minus.size
-    bw = scheme.bar_weights(lam)
-    csum = np.concatenate([[0.0], np.cumsum(bw)])
-    w = (csum[rk_plus] - csum[rk_minus]) / (rk_plus - rk_minus)
+    w = scheme.integral(rk_minus / lam, rk_plus / lam) / (rk_plus - rk_minus)
     return SampleWeights(w)
 
 

@@ -5,7 +5,8 @@ The trace schema is frozen and versioned by the leading comment line
 expectation-parameter snapshot ``eta_0 .. eta_{k-1}`` (fixed layout), then
 ``best_f``, ``emp_quantile_q``, ``j_estimate`` (empty when not computed),
 ``kl_prev``, ``elapsed_ns``. Floats are written with 17 significant digits so
-files parse back bit-exactly.
+files parse back bit-exactly; a csv row is one ``%``-format of its values,
+and a record whose eta width differs from the first record's is refused.
 
 Repeated runs with one seed must produce byte-identical files, so the
 ``elapsed_ns`` column serializes as 0 unless the run's ``timing`` flag is set;
@@ -14,6 +15,7 @@ the in-memory trace always keeps real wall-clock values.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -86,20 +88,19 @@ def render_trace(records, fmt: str = "csv", eta_dim: Optional[int] = None) -> st
             + ["best_f", "emp_quantile_q", "j_estimate", "kl_prev", "elapsed_ns"]
         )
         lines = [TRACE_HEADER, ",".join(cols)]
+        # One format per row: "%.17g" % x is f"{x:.17g}", "%s" is str().
+        row = "%s," + "%.17g," * width + "%.17g,%.17g,%s,%.17g,%s"
         for r in records:
-            row = (
-                [str(r.step)]
-                + [_fmt(v) for v in r.eta]
-                + [
-                    _fmt(r.best_f),
-                    _fmt(r.emp_quantile_q),
-                    "" if r.j_estimate is None else _fmt(r.j_estimate),
-                    _fmt(r.kl_prev),
-                    str(r.elapsed_ns),
-                ]
-            )
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            if len(r.eta) != width:
+                raise InvalidInputError(
+                    f"step {r.step}: {len(r.eta)} eta entries in a trace of {width}"
+                )
+            j_estimate = "" if r.j_estimate is None else _fmt(r.j_estimate)
+            lines.append(row % (r.step, *r.eta, r.best_f, r.emp_quantile_q, j_estimate,
+                                r.kl_prev, r.elapsed_ns))
+        # The final newline joins in: "+" would copy the whole text once more.
+        lines.append("")
+        return "\n".join(lines)
     if fmt == "jsonl":
         lines = []
         for r in records:
@@ -128,17 +129,21 @@ def read_trace(path) -> list:
 
     Malformed content (an unparsable value, a missing column or key, text
     that is neither a trace csv nor JSON lines) raises ``InvalidInputError``.
+    The file is read a line at a time, never held whole as text beside the
+    records parsed from it.
     """
     try:
         with open(path) as fh:
-            lines = [ln for ln in fh.read().split("\n") if ln != ""]
-        if lines and lines[0] == TRACE_HEADER:
-            header = lines[1].split(",")
-            eta_cols = [c for c in header if c.startswith("eta_")]
-            rows = (dict(zip(header, ln.split(","))) for ln in lines[2:])
-            return [_record(row, [row[c] for c in eta_cols], "") for row in rows]
-        return [_record(obj, obj["eta"], None) for obj in map(json.loads, lines)]
-    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            lines = (ln for ln in (raw.rstrip("\n") for raw in fh) if ln != "")
+            first = next(lines, None)
+            if first == TRACE_HEADER:
+                header = next(lines).split(",")
+                eta_cols = [c for c in header if c.startswith("eta_")]
+                rows = (dict(zip(header, ln.split(","))) for ln in lines)
+                return [_record(row, [row[c] for c in eta_cols], "") for row in rows]
+            lines = itertools.chain(() if first is None else (first,), lines)
+            return [_record(obj, obj["eta"], None) for obj in map(json.loads, lines)]
+    except (KeyError, OverflowError, StopIteration, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed trace: {exc!r}") from None
 
 

@@ -40,12 +40,16 @@ accumulates that way without forming ``w_i * r_i``. Centred rows are formed
 one block of about 2^15 floats at a time in one reused buffer, whose first
 row carries the running total in with weight 1.0 (exact), so the blocks
 chain in index order and the exact step on the 2^16-point support writes no
-``(2^16, d)`` temporary. A single column (``k = 1``) is summed as
-``np.sum(w[:, None] * r, axis=0)``, which numpy adds pairwise; einsum does
-not match those bits. A numpy whose einsum fused the multiply and the add
-(FMA) would move result bits, and ``TestSummationOrder`` would fail. No sum
-goes through a BLAS dot product (``a @ b`` on vectors), whose rounding
-depends on the BLAS thread count; a dot is ``np.sum(a * b)``.
+``(2^16, d)`` temporary. A block's centred rows are one subtraction of two
+contiguous arrays, its rows less a block-sized copy of the centre filled
+once per call, so numpy runs one flat loop over the block's floats instead
+of one loop of ``k`` per row; each entry is still ``r - c``. A single
+column (``k = 1``) is summed as ``np.sum(w[:, None] * r, axis=0)``, which
+numpy adds pairwise; einsum does not match those bits. A numpy whose einsum
+fused the multiply and the add (FMA) would move result bits, and
+``TestSummationOrder`` would fail. No sum goes through a BLAS dot product
+(``a @ b`` on vectors), whose rounding depends on the BLAS thread count; a
+dot is ``np.sum(a * b)``.
 
 Rows of zero weight are dropped, once and in index order, before a sum
 over ``k >= 2`` columns. The Gaussian blockwise step (``d >= 2``) always
@@ -103,8 +107,9 @@ def _weighted_sum(w: np.ndarray, rows, center=None) -> np.ndarray:
 
     See the module docstring: for ``k >= 2`` einsum, the rows of zero weight
     dropped when they are at least half, the centred rows formed one block
-    at a time with the running total as the block's first row; numpy's
-    pairwise sum over every row for a single column.
+    at a time, less a copy of the centre, with the running total as the
+    block's first row; numpy's pairwise sum over every row for a single
+    column.
     """
     rows = np.ascontiguousarray(rows)
     if rows.shape[1] == 1:
@@ -119,11 +124,13 @@ def _weighted_sum(w: np.ndarray, rows, center=None) -> np.ndarray:
     block = np.empty((step + 1, k))
     block_w = np.empty(step + 1)
     block_w[0] = 1.0
+    centers = np.empty((step, k))
+    centers[:] = center
     total = np.zeros(k)
     for start in range(0, n, step):
         m = min(step, n - start)
         block[0] = total
-        np.subtract(rows[start:start + m], center, out=block[1:m + 1])
+        np.subtract(rows[start:start + m], centers[:m], out=block[1:m + 1])
         block_w[1:m + 1] = w[start:start + m]
         total = np.einsum("i,ij->j", block_w[:m + 1], block[:m + 1])
     return total

@@ -374,7 +374,9 @@ class TestExactRppEnumeration:
 
 # sha256 of the rendered csv trace, unchanged since the rules' sums were
 # rewritten onto one kernel (the cma one since before the sums dropped their
-# rows of zero weight); any moved bit of a state or a summary shows here.
+# rows of zero weight, the pbil d = 16 one since before support_probs was
+# built by strided multiplies); any moved bit of a state or a summary shows
+# here.
 GOLDEN_TRACES = {
     "rpp-random-reward-d16": (
         dict(algorithm="rpp", objective="random-reward", dim=16, dt=1.0, max_steps=10),
@@ -393,6 +395,12 @@ GOLDEN_TRACES = {
         dict(algorithm="cma_rank_mu", objective="ellipsoid", dim=40, lam=100, q=0.5, dt=0.5,
              domain_exit="safeguard", max_steps=60),
         "ac9ae79b0d1f007b59c4bd0e4b5814765ff8e95a788f5a18fb961a80e057f3c2",
+    ),
+    # j_estimate reads every state's support_probs
+    "pbil-onemax-d16-estimate-j": (
+        dict(algorithm="pbil", objective="onemax", dim=16, lam=200, q=0.25, dt=0.5,
+             estimate_j=True, domain_exit="safeguard", max_steps=30),
+        "5ba95cf2d937a9de28f51e58c09551590a25981cc17c69513e8f5f789bebafe5",
     ),
 }
 

@@ -103,6 +103,15 @@ class TestRunCommand:
         assert summary["steps"] == 10
         assert summary["halvings"] >= 1
 
+    def test_a_million_samples_run(self, tmp_path):
+        # per-level weights that are differences of a million-long running
+        # sum drift past the 1e-12 sum check, and this valid run exited 2
+        out = tmp_path / "t.csv"
+        argv = trace_args(out, **{"--objective": "leadingones", "--dim": "8",
+                                  "--lambda": "1000000", "--q": "0.1", "--steps": "2"})
+        assert run_cli(argv) == 0
+        assert len(read_trace(out)) == 2
+
     def test_zero_steps_writes_header_only(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run_cli(trace_args(out, **{"--steps": "0"})) == 0

@@ -84,6 +84,30 @@ class TestSupportProbabilities:
         got = BernoulliParams(eta).support_probs
         assert got.tobytes() == row_product_probs(eta).tobytes()
 
+    @settings(max_examples=4, deadline=None)
+    @given(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=13, max_size=16))
+    def test_kronecker_build_matches_row_products_at_large_d(self, eta):
+        eta = np.array(eta)
+        got = BernoulliParams(eta).support_probs
+        assert got.tobytes() == row_product_probs(eta).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1, max_size=16))
+    def test_probabilities_are_a_distribution(self, eta):
+        prob = BernoulliParams(eta).support_probs
+        assert ((prob >= 0.0) & (prob < np.inf)).all()
+        assert abs(float(prob.sum()) - 1.0) <= 1e-12
+
+    def test_d16_build_holds_two_support_sized_buffers(self):
+        params = BernoulliParams(np.random.default_rng(5).uniform(0.01, 0.99, 16))
+        tracemalloc.start()
+        try:
+            params.support_probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 2**16 * 8
+
     def test_kronecker_build_matches_row_products_at_d16(self):
         eta = np.random.default_rng(16).uniform(0.01, 0.99, 16)
         got = BernoulliParams(eta).support_probs

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from dataclasses import astuple
@@ -95,29 +96,35 @@ class TestSchemes:
 
     def test_tabulated_resampling(self):
         s = TabulatedScheme((0.6, 0.4))
-        assert np.allclose(s.bar_weights(4), [0.3, 0.3, 0.2, 0.2], atol=1e-15)
-        assert np.array_equal(s.bar_weights(2), [0.6, 0.4])
+        assert np.allclose(bar_weights(s, 4), [0.3, 0.3, 0.2, 0.2], atol=1e-15)
+        assert np.array_equal(bar_weights(s, 2), [0.6, 0.4])
+
+
+def bar_weights(scheme, lam):
+    """Per-rank weights, the integral of w over each rank cell: the sample
+    weights of ``lam`` distinct fitness values in ascending order."""
+    return sample_weights(np.arange(float(lam)), scheme).w
 
 
 class TestBarWeights:
     def test_lambda4_q_half(self):
         assert np.array_equal(
-            TruncationScheme(0.5).bar_weights(4), [0.5, 0.5, 0.0, 0.0]
+            bar_weights(TruncationScheme(0.5), 4), [0.5, 0.5, 0.0, 0.0]
         )
 
     def test_lambda3_q_half(self):
         # interval (1/3, 1/2] contributes (1/2 - 1/3) / (1/2) = 1/3
         expected = [Fraction(2, 3), Fraction(1, 3), Fraction(0)]
-        got = TruncationScheme(0.5).bar_weights(3)
+        got = bar_weights(TruncationScheme(0.5), 3)
         assert np.allclose(got, [float(e) for e in expected], atol=1e-15)
 
     def test_uniform_scheme(self):
-        assert np.array_equal(UNIFORM.bar_weights(2), [0.5, 0.5])
+        assert np.array_equal(bar_weights(UNIFORM, 2), [0.5, 0.5])
 
     @given(lam=st.integers(1, 40), q=st.floats(0.01, 0.99))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, lam, q):
-        bw = TruncationScheme(q).bar_weights(lam)
+        bw = bar_weights(TruncationScheme(q), lam)
         assert np.all(bw >= 0.0)
         assert abs(bw.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(bw) <= 1e-15)  # non-increasing
@@ -194,6 +201,23 @@ class TestSampleWeights:
         assert np.array_equal(
             sample_weights(shifted, scheme).w, sample_weights(shifted**3, scheme).w
         )
+
+    @given(st.integers(2, 2 * 10**6), st.sampled_from([None, 2, 20, 1000]), schemes,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_any_population_size_sums_to_one(self, lam, levels, scheme, seed):
+        # each level's weight is one integral over its rank interval, so the
+        # sum does not drift with lam; the exact preference over the sample's
+        # empirical distribution adds masses of 1/lam, whose rounding grows
+        # like lam * eps
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=lam) if levels is None else rng.integers(0, levels, lam) * 1.0
+        w = sample_weights(f, scheme).w
+        eps = np.finfo(float).eps
+        assert abs(math.fsum(w) - 1.0) <= 4 * eps
+        assert abs(float(w.sum()) - 1.0) <= 4 * eps
+        exact = preference_exact(np.full(lam, 1.0 / lam), f, scheme) / lam
+        assert float(np.abs(w - exact).sum()) <= 4 * lam * eps
 
     def test_weights_type_validation(self):
         with pytest.raises(InvalidInputError):

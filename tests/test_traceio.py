@@ -1,6 +1,8 @@
 import os
 import tempfile
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,3 +76,62 @@ def test_corrupted_traces_parse_or_are_invalid_input(valid, data):
     except InvalidInputError:
         return
     assert all(isinstance(r, TraceRecord) for r in records)
+
+
+# -0.0, subnormals, the extremes of the exponent range and a few non-finite
+# values, beside whatever floats hypothesis draws
+trace_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+                     1e-300, -1.7976931348623157e308, 1e22, 0.1, 1.0 / 3.0, float("inf")]),
+)
+
+
+@st.composite
+def trace_rows(draw):
+    width = draw(st.integers(0, 6))
+    record = st.builds(
+        TraceRecord,
+        step=st.integers(0, 10**9),
+        eta=st.lists(trace_floats, min_size=width, max_size=width).map(tuple),
+        best_f=trace_floats,
+        emp_quantile_q=trace_floats,
+        j_estimate=st.none() | trace_floats,
+        kl_prev=trace_floats,
+        elapsed_ns=st.integers(0, 2**63 - 1),
+    )
+    return draw(st.lists(record, min_size=1, max_size=5))
+
+
+@given(trace_rows())
+@settings(max_examples=300, deadline=None)
+def test_csv_row_is_the_per_value_join(records):
+    def row(r):
+        j_estimate = "" if r.j_estimate is None else f"{r.j_estimate:.17g}"
+        floats = [*r.eta, r.best_f, r.emp_quantile_q]
+        return ",".join([str(r.step), *(f"{v:.17g}" for v in floats), j_estimate,
+                         f"{r.kl_prev:.17g}", str(r.elapsed_ns)])
+
+    assert render_trace(records, "csv").split("\n")[2:-1] == [row(r) for r in records]
+
+
+def test_a_record_of_another_width_is_refused():
+    ragged = [RECORDS[0], TraceRecord(3, (0.5,), 0.0, 0.0, None, 0.0, 0)]
+    with pytest.raises(InvalidInputError, match="1 eta entries in a trace of 2"):
+        render_trace(ragged, "csv")
+
+
+def test_reading_holds_one_line_at_a_time():
+    # beyond the records it returns, a read holds a line, not the whole text
+    rng = np.random.default_rng(0)
+    records = [TraceRecord(i, tuple(rng.random(500).tolist()), 1.0, 2.0, None, 0.5, 0)
+               for i in range(200)]
+    text = render_trace(records, "csv")
+    tracemalloc.start()
+    try:
+        got = read_text(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == records
+    assert peak - kept <= len(text) / 4

@@ -233,6 +233,27 @@ class TestSummationOrder:
         assert (updates._weighted_sum(w, rows).tobytes()
                 == sequential_sum([w[i] * rows[i] for i in range(n)]).tobytes())
 
+    @given(st.data(), st.integers(2, 40), st.integers(1, 3), st.booleans(), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_chain_in_index_order(self, data, k, blocks, mostly_zero, binary, seed):
+        # n spans one to three blocks of _BLOCK // k rows with a ragged tail
+        # (most k do not divide _BLOCK); a zero share above one half makes
+        # the kernel drop those rows first, one below keeps every row
+        step = updates._BLOCK // k
+        n = (blocks - 1) * step + data.draw(st.integers(1, step))
+        zero_share = data.draw(st.floats(0.55, 1.0) if mostly_zero else st.floats(0.0, 0.45))
+        rng = np.random.default_rng(seed)
+        rows = (rng.random((n, k)) < 0.5) * 1.0 if binary else rng.normal(size=(n, k))
+        w = rng.random(n) * (rng.random(n) >= zero_share)
+        center = rng.random(k)
+        # each product w_i * (r_i - c) is elementwise, so it is formed whole;
+        # the reference adds the products row after row
+        assert (updates._weighted_sum(w, rows, center).tobytes()
+                == sequential_sum(w[:, None] * (rows - center)).tobytes())
+        assert (updates._weighted_sum(w, rows).tobytes()
+                == sequential_sum(w[:, None] * rows).tobytes())
+
     def test_block_size_moves_no_bit(self, monkeypatch):
         bits = {}
         for block in (7, 64, 2**15):
