@@ -39,14 +39,16 @@ nothing here does), and a hit returns what a fresh computation would:
 
 A check of an input array that the same frozen array keeps coming back to is
 run once: ``_CheckedOnce`` skips the check for the last such array that
-passed it. The distribution check (finite, non-negative, summing to 1
-within 1e-12), ``_check_distribution``, is one of these; ``FiniteDist``,
-``_level_pass`` and ``_check_weights`` call it (the last checks the weights
-of :class:`SampleWeights` and, in place, the raw weights an update rule is
+passed it, held by a weak reference so that the memo keeps no array alive.
+The distribution check (finite, non-negative, summing to 1 within 1e-12),
+``_check_distribution``, is one of these; ``FiniteDist``, ``_level_pass``
+and ``_check_weights`` call it (the last checks the weights of
+:class:`SampleWeights` and, in place, the raw weights an update rule is
 given), so a state's ``support_probs`` is checked once however many times
-it is enumerated and weighed. The 0/1 check of Bernoulli points is the other, in
-:mod:`igokit.models`. Writable arrays are checked on every call, and a failed
-check keeps nothing.
+it is enumerated and weighed. The 0/1 check of Bernoulli points is the
+other, in :mod:`igokit.models`; ``Bernoulli.sample`` records its own frozen
+draw in it as passed, since the draw is 0/1 by construction. Writable
+arrays are checked on every call, and a failed check keeps nothing.
 
 Each cache is replaced by a single assignment of one tuple or reference, so
 a thread reads either the old entry or the new one, never a mix. Every
@@ -56,6 +58,7 @@ use.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,19 +250,26 @@ class _CheckedOnce:
     """``check(a, ...)``, skipped for the last array that passed it if that
     array is read-only float64 and owns its data (:func:`_owns_frozen`): it
     cannot have changed since. Any other array is checked on every call, and
-    a failed check keeps nothing. The kept array is one reference, replaced
-    by one assignment."""
+    a failed check keeps nothing. The kept array is held by one weak
+    reference, replaced by one assignment, so the memo never keeps an array
+    alive."""
 
     def __init__(self, check):
         self.check = check
         self.passed = None
 
     def __call__(self, a, *args):
-        if a is self.passed:
+        passed = self.passed
+        if passed is not None and passed() is a:
             return
         self.check(a, *args)
         if _owns_frozen(a):
-            self.passed = a
+            self.passed = weakref.ref(a)
+
+    def record(self, a) -> None:
+        """Keep ``a`` as passed without running the check: for a frozen
+        array its builder made to pass it."""
+        self.passed = weakref.ref(a)
 
 
 def _distribution(p: np.ndarray, name: str = "probabilities") -> None:

@@ -102,15 +102,17 @@ def render_trace(records, fmt: str = "csv", eta_dim: Optional[int] = None) -> st
         lines.append("")
         return "\n".join(lines)
     if fmt == "jsonl":
+        # json writes a float's shortest repr, which parses back to the same
+        # float, as a 17-digit one would; float() turns ints into floats.
         lines = []
         for r in records:
             obj = {
                 "step": r.step,
-                "eta": [float(_fmt(v)) for v in r.eta],
-                "best_f": float(_fmt(r.best_f)),
-                "emp_quantile_q": float(_fmt(r.emp_quantile_q)),
-                "j_estimate": None if r.j_estimate is None else float(_fmt(r.j_estimate)),
-                "kl_prev": float(_fmt(r.kl_prev)),
+                "eta": [float(v) for v in r.eta],
+                "best_f": float(r.best_f),
+                "emp_quantile_q": float(r.emp_quantile_q),
+                "j_estimate": None if r.j_estimate is None else float(r.j_estimate),
+                "kl_prev": float(r.kl_prev),
                 "elapsed_ns": r.elapsed_ns,
             }
             lines.append(json.dumps(obj, separators=(",", ":")))

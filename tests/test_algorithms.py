@@ -413,6 +413,25 @@ def test_seeded_trace_digest(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of the rendered jsonl trace of two GOLDEN_TRACES runs (one with a
+# j_estimate per row), taken while jsonl floats still went through a
+# 17-digit format and a parse.
+GOLDEN_JSONL = {
+    "cma_rank_mu-ellipsoid-d40":
+        "5068c09523cbed17cdaebeff0adb1c7cff7349a3b5b30eb79fd43da22146e97e",
+    "pbil-onemax-d16-estimate-j":
+        "7c366066f446d8d69123dbabd1dacc73c914609012a955a14bb07450224e61cf",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_JSONL)
+def test_seeded_jsonl_digest(name):
+    settings, _ = GOLDEN_TRACES[name]
+    trace = run(AlgorithmConfig(**settings, seed=2, objective_seed=2))
+    text = render_trace(trace_records(trace), fmt="jsonl")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_JSONL[name]
+
+
 class TestGaussianRoundTrip:
     """A full-rate cma step on 8 samples puts all weight on 2 winners in
     3 dimensions, so the new covariance is their rank-2 scatter. Rounding

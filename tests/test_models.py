@@ -1,13 +1,21 @@
+import gc
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import igokit
 from igokit import (
+    AlgorithmConfig,
     Bernoulli,
     BernoulliParams,
     DegenerateDistributionError,
@@ -16,6 +24,7 @@ from igokit import (
     GaussianParams,
     InvalidInputError,
     models,
+    run,
 )
 
 
@@ -354,6 +363,169 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * n * d * 8
+
+
+def serial_draw(probs, rng, count):
+    """The draw a single serial fill gives."""
+    return (rng.random((count, probs.size)) < probs).astype(np.float64)
+
+
+def split_into(monkeypatch, parts):
+    """Make ``Bernoulli.sample`` see ``parts`` usable CPUs and split draws
+    of any size."""
+    monkeypatch.setattr(models, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(models, "_MIN_PART", 1)
+
+
+def fill_threads(monkeypatch):
+    """The thread of every part filled while the test runs, with the
+    number of live threads it saw."""
+    seen = []
+    threshold = models._threshold
+
+    def watched(rng, probs, rows):
+        seen.append((threading.current_thread(), threading.active_count()))
+        threshold(rng, probs, rows)
+
+    monkeypatch.setattr(models, "_threshold", watched)
+    return seen
+
+
+class TestSplitDraw:
+    """A draw split over threads has the bits of the serial draw and leaves
+    the generator where the serial draw leaves it, whatever the generator,
+    shape, split and buffered 32-bit value; only PCG64 and PCG64DXSM are
+    split at all."""
+
+    SHAPES = ((1, 1), (7, 3), (1001, 333), (3, 100_000), (1000, 1000))
+
+    @pytest.mark.parametrize("parts", (2, 3, 4))
+    @pytest.mark.parametrize("bit_generator", ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"))
+    def test_split_draw_is_the_serial_draw(self, monkeypatch, bit_generator, parts):
+        split_into(monkeypatch, parts)
+        make = getattr(np.random, bit_generator)
+        for count, d in self.SHAPES:
+            probs = BernoulliParams(np.random.default_rng(d).uniform(0.05, 0.95, d))
+            for buffered in (False, True):
+                rng, reference = np.random.Generator(make(11)), np.random.Generator(make(11))
+                if buffered:
+                    for g in (rng, reference):
+                        g.integers(2**32, dtype=np.uint32)
+                draws = Bernoulli(d).sample(probs, rng, count)
+                assert draws.tobytes() == serial_draw(probs.probs, reference, count).tobytes()
+                assert rng.random() == reference.random()
+                assert (rng.integers(2**32, dtype=np.uint32)
+                        == reference.integers(2**32, dtype=np.uint32))
+
+    def test_buffered_value_survives_the_split(self, monkeypatch):
+        split_into(monkeypatch, 3)
+        rng = np.random.default_rng(4)
+        rng.integers(2**32, dtype=np.uint32)
+        before = rng.bit_generator.state
+        assert before["has_uint32"] == 1
+        Bernoulli(100).sample(BernoulliParams(np.full(100, 0.5)), rng, 300)
+        after = rng.bit_generator.state
+        assert (after["has_uint32"], after["uinteger"]) == (1, before["uinteger"])
+
+
+class TestDrawThreads:
+    """A draw starts at most one thread per usable CPU but its own, none for
+    a small draw or another generator, and leaves none behind."""
+
+    LARGE = BernoulliParams(np.full(1000, 0.3))
+
+    @pytest.mark.parametrize("cpus", (1, 2, 4))
+    def test_a_large_draw_starts_one_thread_per_other_cpu(self, monkeypatch, cpus):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
+        seen = fill_threads(monkeypatch)
+        baseline = threading.active_count()
+        Bernoulli(1000).sample(self.LARGE, np.random.default_rng(1), 1000)
+        assert len(seen) == cpus
+        assert len({thread for thread, _ in seen} - {threading.current_thread()}) == cpus - 1
+        assert max(live for _, live in seen) <= baseline + cpus - 1
+        assert threading.active_count() == baseline
+
+    def test_usable_cpus_bound_the_threads(self, monkeypatch):
+        seen = fill_threads(monkeypatch)
+        baseline = threading.active_count()
+        Bernoulli(1000).sample(self.LARGE, np.random.default_rng(1), 1000)
+        assert 1 <= len(seen) <= models._usable_cpus()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("count, bit_generator", [(100, "PCG64"), (1000, "MT19937")])
+    def test_a_small_draw_or_another_generator_starts_none(self, monkeypatch, count,
+                                                            bit_generator):
+        # 100 x 1000 entries make no part of _MIN_PART over four CPUs
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+        seen = fill_threads(monkeypatch)
+        rng = np.random.Generator(getattr(np.random, bit_generator)(1))
+        Bernoulli(1000).sample(self.LARGE, rng, count)
+        assert [thread for thread, _ in seen] == [threading.current_thread()]
+
+    def test_an_error_in_a_part_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        threshold = models._threshold
+
+        def failing(rng, probs, rows):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("part failed")
+            threshold(rng, probs, rows)
+
+        monkeypatch.setattr(models, "_threshold", failing)
+        baseline = threading.active_count()
+        with pytest.raises(MemoryError, match="part failed"):
+            Bernoulli(1000).sample(self.LARGE, np.random.default_rng(1), 1000)
+        assert threading.active_count() == baseline
+
+
+class TestDrawIsBornChecked:
+    """``Bernoulli.sample`` returns its draw read-only and records it as
+    passing the 0/1 check, by weak reference; the update rule of a sampled
+    step does not scan it again."""
+
+    def test_a_sampled_run_scans_no_draw(self, monkeypatch, checks_run):
+        drawn = []
+        sample = Bernoulli.sample
+
+        def keeping(self, params, rng, count):
+            drawn.append(sample(self, params, rng, count))
+            return drawn[-1]
+
+        monkeypatch.setattr(Bernoulli, "sample", keeping)
+        checked = checks_run(models._check_binary)
+        config = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=50, lam=200,
+                                 q=0.25, dt=0.5, max_steps=10)
+        assert len(run(config).steps) == 10
+        assert len(drawn) == 10
+        assert not any(a is x for a in checked for x in drawn)
+
+    def test_a_draw_is_read_only(self):
+        draws = Bernoulli(3).sample(BernoulliParams([0.2, 0.5, 0.8]),
+                                    np.random.default_rng(2), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0] = 0.5
+
+    def test_the_memo_does_not_keep_a_draw_alive(self):
+        draws = Bernoulli(1000).sample(BernoulliParams(np.full(1000, 0.5)),
+                                       np.random.default_rng(2), 1000)
+        kept = models._check_binary.passed
+        assert kept() is draws
+        del draws
+        gc.collect()
+        assert kept() is None
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, which costs every cli start
+    src = str(Path(igokit.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, igokit, igokit.verify, igokit.cli; "
+            "print('numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestNaturalGradLogDensity:
