@@ -171,14 +171,15 @@ class ImprovementStats:
 
 
 def finite_population_improvement(config, n_steps: int, n_seeds: int,
-                                  holdout: int = 100_000, tol: float = 1e-12) -> ImprovementStats:
+                                  holdout: int = 100_000) -> ImprovementStats:
     """Frequency of exact-quantile improvement along finite-population runs.
 
     For Bernoulli configurations the quantile before and after each executed
     step is exact (full enumeration); Gaussian configurations use a frozen
     holdout sample of at least ``holdout`` draws as a quantile surrogate and
-    are statistical by nature. Seeds derive from ``config.seed`` and the seed
-    index, so the counts are reproducible.
+    are statistical by nature. A step counts as improving or worsening when
+    the quantile moves by more than 1e-12, else as equal. Seeds derive from
+    ``config.seed`` and the seed index, so the counts are reproducible.
     """
     from .algorithms import _prepare_step  # local: avoids import cycle
 
@@ -210,9 +211,9 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
                 break
             q_after = exact_q(params, rng_hold)
             total += 1
-            if q_after < q_before - tol:
+            if q_after < q_before - 1e-12:
                 improved += 1
-            elif q_after > q_before + tol:
+            elif q_after > q_before + 1e-12:
                 worsened += 1
             else:
                 equal += 1

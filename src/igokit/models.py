@@ -23,7 +23,12 @@ Bernoulli points are checked to be 0/1 valued on every call, except the last
 read-only float64 array owning its data that passed (the oracle's cached
 support, handed to every exact step): that one is checked once. A draw of
 ``Bernoulli.sample`` is 0/1 by construction; it is returned read-only and
-recorded as that passed array, so the sampled step does not scan it.
+recorded as that passed array, so the sampled step does not scan it. The
+memo, ``_check_binary``, holds its array by weak reference and keeps none
+alive. It stays while the benchmark's ``sampled-runs`` workload has the run
+loop pass its draw through ``batch_sufficient_statistics`` (the
+``must_call`` list in ``bench/workload.py``); a step that took the draw as
+trusted would need no memo.
 
 The parameter domain is the *open* interior: Bernoulli probabilities strictly
 inside ``(0, 1)``, covariances strictly positive definite. Boundary values are
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +64,6 @@ from .errors import (
     InvalidInputError,
     _check_integer,
 )
-from .selection import _CheckedOnce
 
 __all__ = [
     "MAX_ENUM_DIM",
@@ -70,6 +75,43 @@ __all__ = [
 
 # 2^16 = 65536 support points keeps the whole verification grid in seconds.
 MAX_ENUM_DIM = 16
+
+
+def _owns_frozen(a) -> bool:
+    """Whether ``a`` is a read-only float64 array that owns its data, so that
+    no view elsewhere can change its values."""
+    return (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and not a.flags.writeable
+    )
+
+
+class _CheckedOnce:
+    """``check(a)``, skipped for the last array that passed it if that array
+    is read-only float64 and owns its data (:func:`_owns_frozen`): it cannot
+    have changed since. Any other array is checked on every call, and a
+    failed check keeps nothing. The kept array is held by one weak
+    reference, replaced by one assignment, so the memo never keeps an array
+    alive."""
+
+    def __init__(self, check):
+        self.check = check
+        self.passed = None
+
+    def __call__(self, a):
+        passed = self.passed
+        if passed is not None and passed() is a:
+            return
+        self.check(a)
+        if _owns_frozen(a):
+            self.passed = weakref.ref(a)
+
+    def record(self, a) -> None:
+        """Keep ``a`` as passed without running the check: for a frozen
+        array its builder made to pass it."""
+        self.passed = weakref.ref(a)
 
 
 def _binary(pts: np.ndarray) -> None:

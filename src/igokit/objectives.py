@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, _check_integer
-from .oracle import MAX_ENUM_DIM, _frozen, bernoulli_support
+from .models import _frozen_array
+from .oracle import MAX_ENUM_DIM, bernoulli_support
 
 __all__ = ["Objective", "OBJECTIVE_NAMES", "make_objective"]
 
@@ -58,7 +59,7 @@ class Objective:
             raise InvalidInputError(
                 f"support values need a binary objective, {self.name!r} is {self.space}"
             )
-        return _frozen(self.batch(bernoulli_support(self.dim)))
+        return _frozen_array(self.batch(bernoulli_support(self.dim)))
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)

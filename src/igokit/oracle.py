@@ -12,28 +12,24 @@ are numpy reductions (``np.sum(p * f)``), never a BLAS dot product, so exact
 results do not depend on the BLAS thread count.
 
 The support is built once per dimension and shared, read-only, by every
-:class:`FiniteDist` over it. A state's probabilities on it are the state's
-own :attr:`~igokit.models.BernoulliParams.support_probs`, built once per
-state, so a :class:`FiniteDist` of a state costs at most its validation. A
-fixed fitness table over the support (an objective's ``support_values``) is
-ranked once, and each state is weighed against it once:
-:func:`exact_quantile` and :func:`~igokit.selection.preference_exact` read
-the level masses ``selection._level_pass`` keeps for the last read-only
-``(prob, table)`` pair, so the quantile of a new state and the next step
-from it share one pass, and :func:`exact_J` at the base of a step reuses the
-preference the step kept. Both caches are keyed on the array objects, which
-are read-only and own their data, so a hit equals a fresh computation. For
-the same reason the checks of those arrays run once: the support's 0/1 check
-on the first exact step, and a state's distribution check on its first
-:class:`FiniteDist`, which the level pass then skips.
+distribution :func:`enumerate_bernoulli` builds. A state's probabilities on
+it are the state's own :attr:`~igokit.models.BernoulliParams.support_probs`,
+built once per state from probabilities validated in (0, 1), so enumeration
+neither copies nor checks them; a caller's :class:`FiniteDist` takes checked
+copies. :func:`exact_quantile` and :func:`~igokit.selection.preference_exact`
+share the level pass that :mod:`igokit.selection` keeps; its docstring
+describes the memos. A fixed fitness table (an objective's
+``support_values``) is ranked once, each state is checked and weighed
+against it once, and :func:`exact_J` at the base of a step reuses the
+preference the step kept.
 
 A state comes in as trusted :class:`~igokit.models.BernoulliParams`, and
 the exact steps return the next state as the update rules validated it, so
 no caller converts it again.
 
-All functions are deterministic and, apart from those kept results,
-pure; parallel evaluation across configurations is safe as long as each task
-keeps its own arrays.
+All functions are deterministic and, apart from those kept results, pure;
+parallel evaluation across configurations is safe as long as each task keeps
+its own arrays.
 """
 
 from __future__ import annotations
@@ -45,8 +41,8 @@ import numpy as np
 
 from . import updates
 from .errors import CapacityError, InvalidInputError, _check_integer
-from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams
-from .selection import _check_distribution, _level_pass, _owns_frozen, preference_exact
+from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams, _frozen_array
+from .selection import _check_distribution, _level_pass, preference_exact
 
 __all__ = [
     "MAX_ENUM_DIM",
@@ -61,34 +57,23 @@ __all__ = [
 ]
 
 
-def _frozen(a) -> np.ndarray:
-    """A read-only float64 array with the values of ``a`` that no one else
-    can write through: ``a`` itself when it is already such an array and owns
-    its data (the cached support, a state's ``support_probs``), else a
-    frozen copy."""
-    if _owns_frozen(a):
-        return a
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteDist:
     """An exact finite distribution: support points with probabilities.
 
     Probabilities are non-negative and sum to 1 within 1e-12; the support is
     kept in the order given (enumeration uses the fixed lexicographic order of
-    ``{0,1}^d``). Both arrays are read-only; an input that is a read-only
-    float64 array owning its data is kept as is, anything else is copied.
+    ``{0,1}^d``). Both arrays are checked, read-only float64 copies of the
+    inputs; :func:`enumerate_bernoulli` alone builds one around arrays it
+    trusts, without the copies and the check.
     """
 
     support: np.ndarray
     prob: np.ndarray
 
     def __post_init__(self):
-        support = _frozen(self.support)
-        prob = _frozen(self.prob)
+        support = _frozen_array(self.support)
+        prob = _frozen_array(self.prob)
         if support.ndim != 2 or support.shape[0] < 1:
             raise InvalidInputError("support must be a non-empty (n, d) array")
         if prob.shape != (support.shape[0],):
@@ -136,10 +121,17 @@ def _support(dim: int) -> np.ndarray:
 
 
 def enumerate_bernoulli(params: BernoulliParams) -> FiniteDist:
-    """The full distribution of a product Bernoulli model, exactly. The
-    parameters were validated when they were built, so they are trusted, and
-    the probabilities are the state's own ``support_probs``, not a copy."""
-    return FiniteDist(bernoulli_support(params.dim), params.support_probs)
+    """The full distribution of a product Bernoulli model, exactly.
+
+    The parameters were validated when they were built, so they are trusted:
+    the distribution holds the cached support and the state's own read-only
+    ``support_probs``, a product of factors in (0, 1), neither copied nor
+    checked again. ``FiniteDist.__init__`` does not run.
+    """
+    dist = object.__new__(FiniteDist)
+    object.__setattr__(dist, "support", bernoulli_support(params.dim))
+    object.__setattr__(dist, "prob", params.support_probs)
+    return dist
 
 
 def _sup_quantile_index(lower: np.ndarray, upper: np.ndarray, q: float) -> int:

@@ -17,53 +17,52 @@ serves :func:`preference_exact` and the Monte Carlo estimate in
 :func:`igokit.diagnostics.estimate_J`.
 
 Ties compare by exact floating equality, matching the rank definitions; values
-that differ in the last bit are distinct. The exact oracle asks, state after
-state, about the same fixed support table, so three one-entry caches keep the
-last answer for read-only float64 arrays that own their data (no view can
-write through them; only a caller that turns writing back on could, and
-nothing here does), and a hit returns what a fresh computation would:
+that differ in the last bit are distinct.
 
-* :func:`_levels` keeps the ranking of the last such table: its distinct
-  values and each entry's level index.
-* ``_level_pass`` checks a ``(prob, table)`` pair and sums the mass of each
-  level and the mass at or below it; it keeps the pass of the last pair
-  whose two arrays are both such arrays, keyed on the two objects. The
-  checks are skipped on a hit: the same two objects passed them and cannot
-  have changed. :func:`preference_exact` and
-  :func:`igokit.oracle.exact_quantile` both read it, so the quantile of a
-  new state and the next step from it share one pass.
+The exact oracle asks, state after state, about the same fixed support
+table, and the benchmark's ``verify-exact`` workload calls
+:func:`preference_exact`, :func:`igokit.oracle.exact_quantile` and
+:func:`igokit.oracle.exact_J` on raw arrays, so reuse across those calls can
+only be found by array identity. Two one-entry memos find it. Each trusts a
+table or state that is a read-only float64 array owning its data (no view
+can write through it; only a caller that turns writing back on could, and
+nothing here does), so a hit returns what a fresh computation would:
+
+* ``_level_pass`` checks a ``(prob, table)`` pair, ranks the table
+  (``np.unique``) and sums the mass of each level and the mass at or below
+  it. It keeps the pass over the last such table, with its ``prob`` when
+  that is such an array too. The same two objects get the kept pass back,
+  unchecked; a new state over the same table object reuses its ranking, so
+  a table is ranked once and each state weighed against it once, and a
+  state's distribution check runs on its first pass.
+  :func:`preference_exact` and :func:`igokit.oracle.exact_quantile` both
+  read it, so the quantile of a new state and the next step from it share
+  one pass.
 * :func:`preference_exact` keeps its result for the last such
   ``(prob, table)`` pair and scheme object (schemes are immutable), so the
   progress bound of a step reuses the preference the step used. It returns
   that result read-only.
 
-A check of an input array that the same frozen array keeps coming back to is
-run once: ``_CheckedOnce`` skips the check for the last such array that
-passed it, held by a weak reference so that the memo keeps no array alive.
-The distribution check (finite, non-negative, summing to 1 within 1e-12),
-``_check_distribution``, is one of these; ``FiniteDist``, ``_level_pass``
-and ``_check_weights`` call it (the last checks the weights of
-:class:`SampleWeights` and, in place, the raw weights an update rule is
-given), so a state's ``support_probs`` is checked once however many times
-it is enumerated and weighed. The 0/1 check of Bernoulli points is the
-other, in :mod:`igokit.models`; ``Bernoulli.sample`` records its own frozen
-draw in it as passed, since the draw is 0/1 by construction. Writable
-arrays are checked on every call, and a failed check keeps nothing.
+Each pays for itself: the level pass and the preference memo on the
+benchmark's ``verify-exact`` workload, the kept ranking on ``exact-d16``.
+They stay while the benchmark's ``must_call`` lists (``bench/workload.py``)
+have those calls take raw arrays; once the calls can share one object that
+carries its own results, the memos can go. Any other input is checked and
+computed afresh on every call.
 
-Each cache is replaced by a single assignment of one tuple or reference, so
-a thread reads either the old entry or the new one, never a mix. Every
-function here is otherwise pure over immutable inputs and safe for parallel
-use.
+Each memo is replaced by a single assignment of one tuple, so a thread reads
+either the old entry or the new one, never a mix. Every function here is
+otherwise pure over immutable inputs and safe for parallel use.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .models import _owns_frozen
 
 __all__ = [
     "TruncationScheme",
@@ -234,95 +233,34 @@ def _tie_average(scheme, lo, hi, mass) -> np.ndarray:
     return np.divide(scheme.integral(lo, hi), mass, out=scheme.weight(hi), where=mass != 0.0)
 
 
-def _owns_frozen(a) -> bool:
-    """Whether ``a`` is a read-only float64 array that owns its data, so that
-    no view elsewhere can change its values (the fixed tables of the exact
-    oracle: the cached support and :attr:`Objective.support_values`)."""
-    return (
-        isinstance(a, np.ndarray)
-        and a.dtype == np.float64
-        and a.flags.owndata
-        and not a.flags.writeable
-    )
-
-
-class _CheckedOnce:
-    """``check(a, ...)``, skipped for the last array that passed it if that
-    array is read-only float64 and owns its data (:func:`_owns_frozen`): it
-    cannot have changed since. Any other array is checked on every call, and
-    a failed check keeps nothing. The kept array is held by one weak
-    reference, replaced by one assignment, so the memo never keeps an array
-    alive."""
-
-    def __init__(self, check):
-        self.check = check
-        self.passed = None
-
-    def __call__(self, a, *args):
-        passed = self.passed
-        if passed is not None and passed() is a:
-            return
-        self.check(a, *args)
-        if _owns_frozen(a):
-            self.passed = weakref.ref(a)
-
-    def record(self, a) -> None:
-        """Keep ``a`` as passed without running the check: for a frozen
-        array its builder made to pass it."""
-        self.passed = weakref.ref(a)
-
-
-def _distribution(p: np.ndarray, name: str = "probabilities") -> None:
+def _check_distribution(p: np.ndarray, name: str = "probabilities") -> None:
+    """Refuse a 1-d float64 array unless it is finite, non-negative and sums
+    to 1 within 1e-12."""
     if not ((p >= 0.0) & (p < np.inf)).all():
         raise InvalidInputError(f"{name} must be finite and non-negative")
     if abs(float(p.sum()) - 1.0) > 1e-12:
         raise InvalidInputError(f"{name} must sum to 1 within 1e-12")
 
 
-# Refuses a 1-d float64 array unless it is finite, non-negative and sums to 1
-# within 1e-12; a state's frozen ``support_probs`` is checked once.
-_check_distribution = _CheckedOnce(_distribution)
-
-
-# The last read-only table ranked by ``_levels`` and its levels, the last
-# level pass of a frozen ``(prob, table)`` pair, and the last frozen
-# preference; each replaced whole, by one assignment.
-_last_levels = (None, None)
+# The last level pass over a frozen table (with its ``prob`` when that is
+# frozen too, else None) and the last frozen preference; each replaced whole,
+# by one assignment.
 _last_pass = (None, None, None)
 _last_preference = (None, None, None, None)
-
-
-def _levels(f: np.ndarray):
-    """``np.unique(f, return_inverse=True)``: the ascending distinct values
-    of a 1-d fitness table and each entry's index among them.
-
-    The result for a read-only table that owns its data is kept (read-only)
-    and returned again while the same table object comes back; any other
-    table is ranked afresh on every call.
-    """
-    global _last_levels
-    table, levels = _last_levels
-    if f is table:
-        return levels
-    levels = np.unique(f, return_inverse=True)
-    if _owns_frozen(f):
-        for a in levels:
-            a.setflags(write=False)
-        _last_levels = (f, levels)
-    return levels
 
 
 def _level_pass(p: np.ndarray, f: np.ndarray):
     """The checked level pass of a finite distribution ``p`` over a fitness
     table ``f``, both float64 arrays: ``(values, idx, mass, below)`` with the
-    table's levels (:func:`_levels`), the mass of each level and the mass at
-    or below it.
+    ascending distinct values of ``f`` and each entry's index among them
+    (``np.unique(f, return_inverse=True)``), the mass of each level and the
+    mass at or below it.
 
     ``p`` must be non-empty, 1-d, finite, non-negative and sum to 1 within
-    1e-12, and ``f`` finite with one value per entry of ``p``. The pass of a
-    pair whose two arrays are both read-only and own their data is kept
-    (read-only) and returned again, unchecked, while the same two objects
-    come back: their values cannot have changed since they passed.
+    1e-12, and ``f`` finite with one value per entry of ``p``. The pass over
+    a table that is read-only and owns its data is kept (read-only): it is
+    returned again, unchecked, while the same two objects come back, and a
+    new ``p`` over the same table object reuses its ranking.
     """
     global _last_pass
     kept_prob, kept_table, kept = _last_pass
@@ -336,14 +274,17 @@ def _level_pass(p: np.ndarray, f: np.ndarray):
     if not np.isfinite(f).all():
         raise InvalidInputError("fitness values must be finite")
 
-    values, idx = _levels(f)
+    if f is kept_table:
+        values, idx = kept[0], kept[1]
+    else:
+        values, idx = np.unique(f, return_inverse=True)
     mass = np.bincount(idx, weights=p, minlength=values.size)
     below = mass.cumsum()
     result = (values, idx, mass, below)
-    if _owns_frozen(p) and _owns_frozen(f):
-        mass.setflags(write=False)
-        below.setflags(write=False)
-        _last_pass = (p, f, result)
+    if _owns_frozen(f):
+        for a in result:
+            a.setflags(write=False)
+        _last_pass = (p if _owns_frozen(p) else None, f, result)
     return result
 
 

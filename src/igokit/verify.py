@@ -72,6 +72,7 @@ FIXED_POINT_GUARD = 1e-6
 REWARD_GUARD = 1e-9
 
 _GRID_SIZES = {"small": 200, "large": 600}
+_GRID_MAX_DIM = 10  # improvement-grid dimensions are drawn from 2..10
 _EQUIVALENCE_SIZES = {"small": 1000, "large": 2000}
 _CMA_SIZES = {"small": 500, "large": 1500}
 
@@ -130,7 +131,7 @@ class _GridCase:
     dt_blocks: tuple = ()
 
 
-def _improvement_grid(seed: int, size: int, d_max: int = 10) -> list:
+def _improvement_grid(seed: int, size: int) -> list:
     combos = [
         (f, q, dt)
         for f in ("onemax", "binval", "random-table")
@@ -141,7 +142,7 @@ def _improvement_grid(seed: int, size: int, d_max: int = 10) -> list:
     cases = []
     for i in range(size):
         f, q, dt = combos[i % len(combos)]
-        d = int(rng.integers(2, d_max + 1))
+        d = int(rng.integers(2, _GRID_MAX_DIM + 1))
         theta0 = rng.uniform(0.1, 0.9, d)
         mixed = tuple(
             1.0 if u < 0.25 else lo

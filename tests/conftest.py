@@ -39,7 +39,7 @@ def support_prob_builds(monkeypatch):
 
 @pytest.fixture
 def checks_run(monkeypatch):
-    """``checks_run(memo)`` empties a ``selection._CheckedOnce`` memo and
+    """``checks_run(memo)`` empties a ``models._CheckedOnce`` memo and
     returns the list of arrays its check then really runs on, in order."""
 
     def watch(memo):

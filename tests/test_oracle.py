@@ -26,6 +26,7 @@ from igokit import (
     progress_bound,
     selection,
 )
+from igokit import oracle
 from igokit.oracle import _sup_quantile_index
 
 UNIFORM = TabulatedScheme((1.0,))
@@ -187,36 +188,59 @@ class TestEnumerationTrustsParams:
         assert dist.support is bernoulli_support(params.dim)
 
 
+@pytest.fixture
+def distribution_checks(monkeypatch):
+    """Every array ``selection._check_distribution`` checks while the test
+    runs, from the level pass and from ``FiniteDist``, in order."""
+    checked = []
+    check = selection._check_distribution
+
+    def counting(a, *args):
+        checked.append(a)
+        return check(a, *args)
+
+    for module in (selection, oracle):
+        monkeypatch.setattr(module, "_check_distribution", counting)
+    return checked
+
+
 class TestDistributionCheckedOnce:
-    """A distribution check is skipped only for the last frozen array that
-    passed it, so a state's ``support_probs`` is checked once per visit."""
+    """A state's probabilities are checked once, on its first level pass,
+    however often it is enumerated and weighed; a caller's arrays are checked
+    on every call."""
 
-    def test_state_probabilities_are_checked_once(self, checks_run):
-        checked = checks_run(selection._check_distribution)
-        params = BernoulliParams([0.2, 0.7, 0.4])
+    def test_state_probabilities_are_checked_once(self, distribution_checks):
+        states = [BernoulliParams([0.2, 0.7, 0.4]), BernoulliParams([0.6, 0.1, 0.5])]
         table = make_objective("random-reward", 3, seed=2).support_values
-        for _ in range(2):
-            dist = enumerate_bernoulli(params)
-            exact_quantile(dist, table, 0.3)
-            preference_exact(dist.prob, table, TruncationScheme(0.3))
-        assert [a is params.support_probs for a in checked] == [True]
+        for params in states:
+            for _ in range(2):
+                dist = enumerate_bernoulli(params)
+                exact_quantile(dist, table, 0.3)
+                preference_exact(dist.prob, table, TruncationScheme(0.3))
+        assert len(distribution_checks) == 2
+        assert all(a is params.support_probs
+                   for a, params in zip(distribution_checks, states))
 
-    def test_writable_probabilities_are_checked_on_every_call(self, checks_run):
-        checked = checks_run(selection._check_distribution)
+    def test_writable_probabilities_are_checked_on_every_call(self, distribution_checks):
         prob, f = np.array([0.25, 0.75]), np.array([1.0, 0.0])
         for _ in range(3):
             preference_exact(prob, f, UNIFORM)
-        assert len(checked) == 3
+        assert len(distribution_checks) == 3
 
-    def test_frozen_invalid_probabilities_are_refused_on_every_call(self, checks_run):
-        checked = checks_run(selection._check_distribution)
+    def test_a_callers_distribution_is_checked_on_every_call(self, distribution_checks):
+        prob = frozen([0.25, 0.75])
+        for _ in range(3):
+            assert FiniteDist(bernoulli_support(1), prob).prob is not prob
+        assert len(distribution_checks) == 3
+
+    def test_frozen_invalid_probabilities_are_refused_on_every_call(self, distribution_checks):
         prob = frozen([0.5, 0.75])
         for _ in range(3):
             with pytest.raises(InvalidInputError, match="sum to 1"):
                 FiniteDist(bernoulli_support(1), prob)
             with pytest.raises(InvalidInputError, match="sum to 1"):
                 preference_exact(prob, frozen([1.0, 0.0]), UNIFORM)
-        assert len(checked) == 6 and selection._check_distribution.passed is None
+        assert len(distribution_checks) == 6
 
 
 class TestFiniteDistStorage:

@@ -24,7 +24,6 @@ from igokit import (
     rank_bounds,
     sample_weights,
 )
-from igokit.selection import _levels
 
 UNIFORM = TabulatedScheme((1.0,))
 
@@ -327,79 +326,109 @@ def quantile_bits(report):
     return [float(x).hex() for x in astuple(report)]
 
 
-def assert_unique_levels(got, f):
-    values, idx = np.unique(f, return_inverse=True)
-    assert got[0].tobytes() == values.tobytes()
-    assert got[1].tobytes() == idx.tobytes()
+@pytest.fixture
+def rankings(monkeypatch):
+    """Every table ``np.unique`` ranks while the test runs, in order."""
+    ranked = []
+    unique = np.unique
+
+    def counting(a, *args, **kwargs):
+        ranked.append(a)
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    return ranked
+
+
+def fresh_bits(prob, f, scheme, q):
+    """The preference and quantile bits of writable copies, which no kept
+    result can serve."""
+    dist = FiniteDist(np.zeros((prob.size, 1)), prob)
+    return (preference_exact(np.array(prob), np.array(f), scheme).tobytes(),
+            quantile_bits(exact_quantile(dist, np.array(f), q)))
 
 
 class TestLevels:
-    """One ranking per fixed table: ``_levels`` keeps the last read-only table's
-    levels and ranks every other table afresh."""
+    """One ranking per fixed table: the level pass keeps the ranking of the
+    last read-only table that owns its data for every state weighed against
+    it, and ranks every other table afresh."""
 
-    def test_equals_unique(self):
-        f = np.array([3.0, 1.0, 3.0, -2.0, 1.0])
-        assert_unique_levels(_levels(f), f)
-        assert_unique_levels(_levels(frozen(f)), f)
+    def test_equals_unique(self, rankings):
+        # the levels are ``np.unique``'s, for a frozen table and a writable one
+        f, prob = np.array([3.0, 1.0, 3.0, -2.0, 1.0]), frozen([0.1, 0.3, 0.2, 0.25, 0.15])
+        scheme = TruncationScheme(0.4)
+        for table in (f, frozen(f)):
+            assert np.allclose(preference_exact(prob, table, scheme),
+                               brute_force_preference(prob, table, scheme), rtol=0, atol=1e-15)
+        assert len(rankings) == 2 and all(np.array_equal(a, f) for a in rankings)
 
-    def test_frozen_table_is_ranked_once(self):
-        f = frozen(np.random.default_rng(1).integers(0, 9, 64))
-        assert _levels(f) is _levels(f)
+    def test_frozen_table_is_ranked_once(self, rankings):
+        # across a sequence of states, each checked and weighed against it
+        table = make_objective("random-table", 6, seed=3).support_values
+        scheme = TruncationScheme(0.3)
+        rng = np.random.default_rng(6)
+        states = [BernoulliParams(rng.uniform(0.1, 0.9, 6)) for _ in range(5)]
+        expected = [fresh_bits(s.support_probs, table, scheme, 0.3) for s in states]
+        rankings.clear()
+        for params, bits in zip(states, expected):
+            dist = enumerate_bernoulli(params)
+            q_bits = quantile_bits(exact_quantile(dist, table, 0.3))
+            assert (preference_exact(dist.prob, table, scheme).tobytes(), q_bits) == bits
+        assert len(rankings) == 1 and rankings[0] is table
 
-    def test_writable_table_is_never_reused(self):
+    @staticmethod
+    def assert_ranked_on_every_call(rankings, base, f):
+        prob, scheme = frozen([0.25] * 4), TruncationScheme(0.5)
+        assert preference_exact(prob, f, scheme).tolist() == [0.0, 2.0, 0.0, 2.0]
+        base[1] = 5.0
+        assert preference_exact(prob, f, scheme).tolist() == [0.0, 0.0, 2.0, 2.0]
+        assert exact_quantile(FiniteDist(np.zeros((4, 1)), prob), f, 0.5).value == 2.0
+        assert len(rankings) == 3 and all(a is f for a in rankings)
+
+    def test_writable_table_is_never_reused(self, rankings):
         f = np.array([2.0, 0.0, 1.0, 0.0])
-        first = _levels(f)
-        assert_unique_levels(first, [2.0, 0.0, 1.0, 0.0])
-        f[1] = 5.0
-        second = _levels(f)
-        assert second is not first
-        assert_unique_levels(second, [2.0, 5.0, 1.0, 0.0])
+        self.assert_ranked_on_every_call(rankings, f, f)
 
-    def test_read_only_view_is_never_reused(self):
+    def test_read_only_view_is_never_reused(self, rankings):
         # a read-only view of a writable base can still change under it
-        base = np.array([2.0, 0.0, 1.0])
+        base = np.array([2.0, 0.0, 1.0, 0.0])
         view = base[:]
         view.setflags(write=False)
-        first = _levels(view)
-        base[0] = -1.0
-        assert _levels(view) is not first
-        assert_unique_levels(_levels(view), [-1.0, 0.0, 1.0])
+        self.assert_ranked_on_every_call(rankings, base, view)
 
     def test_alternating_frozen_tables(self):
         a = frozen([1.0, 1.0, 0.0, 4.0])
         b = frozen([7.0, 2.0, 2.0])
+        states = {3: frozen([0.5, 0.25, 0.25]), 4: frozen([0.125, 0.25, 0.5, 0.125])}
+        scheme = TruncationScheme(0.3)
         for f in (a, b, a, b, a):
-            assert_unique_levels(_levels(f), f)
+            prob = states[f.size]
+            assert (preference_exact(prob, f, scheme).tobytes()
+                    == brute_force_preference(prob, f, scheme).tobytes())
 
     def test_threads_sharing_the_kept_entry_get_their_own_levels(self):
-        # more threads than cores, each with its own frozen tables, switching
-        # often: a torn read of a one-entry cache would pair one thread's
-        # table with another's levels
+        # more threads than cores, all switching often between two states on
+        # each of eight frozen tables: a torn read of a one-entry memo would
+        # pair one table or state with another's ranking, pass or preference
         tables = [frozen(np.random.default_rng(i).integers(0, 5 + i, 40 + i)) for i in range(8)]
-        expected = [np.unique(t, return_inverse=True) for t in tables]
-        # each thread also drives its own frozen (prob, table) pairs, so the
-        # kept level pass and the kept preference switch as often
         scheme = TruncationScheme(0.3)
-        pairs = []
-        for k in range(6):
-            pair_rng = np.random.default_rng([k, 1])
-            for j in range(2):
-                table = tables[(k + j) % len(tables)]
-                prob = pair_rng.random(table.size)
-                prob = frozen(prob / prob.sum())
-                dist = FiniteDist(np.zeros((prob.size, 1)), prob)
-                pairs.append((k, dist, table, preference_exact(prob.copy(), table.copy(), scheme),
-                              quantile_bits(exact_quantile(dist, table.copy(), 0.3))))
-        # and its own frozen inputs to the check-once memos, one valid and
-        # one invalid of each: a skipped check of an invalid one would pass it
-        memo_inputs = []
+        states = []
+        for j, table in enumerate(tables):
+            state_rng = np.random.default_rng([j, 1])
+            for _ in range(2):
+                prob = state_rng.random(table.size)
+                dist = FiniteDist(np.zeros((prob.size, 1)), prob / prob.sum())
+                states.append((dist, table, fresh_bits(dist.prob, table, scheme, 0.3)))
+        # and each its own frozen inputs to the checks, one valid and one
+        # invalid of each: a skipped check of an invalid one would pass it
+        check_inputs = []
         for k in range(6):
             points = frozen(np.random.default_rng([k, 2]).integers(0, 2, (5 + k, 3)))
             bad_points = np.array(points)
             bad_points[k % 5, 1] = 2.0
             bad_points.setflags(write=False)
-            prob = pairs[2 * k][1].prob
-            memo_inputs.append((points, bad_points, prob, frozen(prob * 1.5)))
+            prob = states[2 * k][0].prob
+            check_inputs.append((points, bad_points, prob, frozen(prob * 1.5)))
         errors = []
 
         def refused(call, *args):
@@ -410,24 +439,22 @@ class TestLevels:
             return False
 
         def work(k):
-            own = [pair for pair in pairs if pair[0] == k]
-            for i in range(400):
-                j = (k + i) % len(tables)
-                values, idx = _levels(tables[j])
-                if not (np.array_equal(values, expected[j][0])
-                        and np.array_equal(idx, expected[j][1])):
-                    errors.append((k, j))
-                _, dist, table, pref, q_bits = own[i % len(own)]
-                if not (preference_exact(dist.prob, table, scheme).tobytes() == pref.tobytes()
-                        and quantile_bits(exact_quantile(dist, table, 0.3)) == q_bits):
-                    errors.append((k, "pair", i % len(own)))
-                points, bad_points, prob, bad_prob = memo_inputs[k]
-                support = np.zeros((prob.size, 1))
-                if (refused(Bernoulli(3).batch_sufficient_statistics, points)
-                        or not refused(Bernoulli(3).batch_sufficient_statistics, bad_points)
-                        or refused(FiniteDist, support, prob)
-                        or not refused(FiniteDist, support, bad_prob)):
-                    errors.append((k, "memo", i))
+            try:
+                for i in range(400):
+                    dist, table, bits = states[(k + i) % len(states)]
+                    got = (preference_exact(dist.prob, table, scheme).tobytes(),
+                           quantile_bits(exact_quantile(dist, table, 0.3)))
+                    if got != bits:
+                        errors.append((k, i))
+                    points, bad_points, prob, bad_prob = check_inputs[k]
+                    support = np.zeros((prob.size, 1))
+                    if (refused(Bernoulli(3).batch_sufficient_statistics, points)
+                            or not refused(Bernoulli(3).batch_sufficient_statistics, bad_points)
+                            or refused(FiniteDist, support, prob)
+                            or not refused(FiniteDist, support, bad_prob)):
+                        errors.append((k, "check", i))
+            except Exception as exc:  # a crashed worker fails the test
+                errors.append((k, repr(exc)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -442,27 +469,32 @@ class TestLevels:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
 
-    def test_kept_levels_are_read_only(self):
-        values, idx = _levels(frozen([0.0, 2.0, 0.0]))
-        assert not values.flags.writeable and not idx.flags.writeable
-
-    @given(dyadic_tables(), schemes, st.floats(0.01, 0.99))
+    @given(dyadic_tables(), schemes, st.floats(0.01, 0.99), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_frozen_and_writable_tables_give_the_same_bits(self, table, scheme, q):
+    def test_frozen_and_writable_tables_give_the_same_bits(self, table, scheme, q, data):
         prob, f = table
-        f_frozen = frozen(f)
-        # a second state on the same table; A, B, A shows a kept entry is
+        g = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=f.size, max_size=f.size)),
+                     dtype=float)
+        # two frozen tables of one length, and a writable one that starts with
+        # the first one's values and then takes the second one's: a kept
+        # ranking must never serve another table
+        f_frozen, g_frozen, writable = frozen(f), frozen(g), f.copy()
+        # a second state on the same tables; A, B, A shows a kept entry is
         # never read for another state
         state_a, state_b = frozen(prob), frozen(prob[::-1])
-        for p in (prob, state_a, state_b, state_a):
-            dist = FiniteDist(np.zeros((p.size, 1)), p)
-            for _ in range(2):  # the second call reads what the first kept
-                assert (preference_exact(p, f_frozen, scheme).tobytes()
-                        == preference_exact(p.copy(), f.copy(), scheme).tobytes())
-                assert (quantile_bits(exact_quantile(dist, f_frozen, q))
-                        == quantile_bits(exact_quantile(dist, f.copy(), q)))
-                assert (preference_exact(dist.prob, f_frozen, scheme).tobytes()
-                        == preference_exact(p.copy(), f.copy(), scheme).tobytes())
+        for values in (f, g):
+            writable[...] = values
+            for p in (prob, state_a, state_b, state_a):
+                dist = FiniteDist(np.zeros((p.size, 1)), p)
+                for t in (f_frozen, g_frozen, writable, f_frozen, writable, g_frozen):
+                    bits = fresh_bits(p, t, scheme, q)
+                    # a reference that shares no code with the kept entries
+                    assert np.allclose(np.frombuffer(bits[0]), brute_force_preference(p, t, scheme),
+                                       rtol=0, atol=1e-12)
+                    for _ in range(2):  # the second call reads what the first kept
+                        assert (preference_exact(p, t, scheme).tobytes(),
+                                quantile_bits(exact_quantile(dist, t, q))) == bits
+                        assert preference_exact(dist.prob, t, scheme).tobytes() == bits[0]
 
     def test_kept_preference_is_read_only(self):
         prob, f = frozen([0.25, 0.5, 0.25]), frozen([1.0, 0.0, 1.0])
