@@ -46,7 +46,7 @@ import numpy as np
 
 from . import updates
 from .diagnostics import empirical_quantile, estimate_preference_mean
-from .errors import DomainExitError, InvalidInputError, _check_integer
+from .errors import DomainExitError, InvalidInputError, _check_integer, _check_real
 from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams, Gaussian, GaussianParams
 from .objectives import OBJECTIVE_NAMES, Objective, make_objective
 from .oracle import enumerate_bernoulli, exact_quantile
@@ -67,19 +67,6 @@ _MAX_HALVINGS = 30
 # The sample-weighted rule of each rank-based algorithm, named in ``updates``
 # and looked up there at call time, so a replaced module attribute is seen.
 _SAMPLE_RULES = {"pbil": "igo_step", "igo_generic": "igo_step", "ce_ml": "igo_ml_step"}
-
-
-def _check_real(key: str, value, requirement: str,
-                accept: Callable[[float], bool] = math.isfinite) -> None:
-    """As :func:`~igokit.errors._check_integer`, for a real number (not a
-    string, not NaN) that ``accept`` admits."""
-    try:
-        number = float(value)
-        valid = number == value and bool(accept(number))
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise InvalidInputError(f"{key}: {requirement}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExitError, InvalidInputError
+from .errors import DomainExitError, InvalidInputError, _check_real
 from .models import Bernoulli, BernoulliParams, Gaussian
 from .oracle import (
     MAX_ENUM_DIM,
@@ -36,6 +36,9 @@ __all__ = [
     "finite_population_improvement",
     "check_kl_expansion",
 ]
+
+# Draws whose empirical quantile stands in for a Gaussian state's exact one.
+_GAUSSIAN_HOLDOUT = 100_000
 
 
 def empirical_quantile(values, q: float) -> float:
@@ -67,15 +70,12 @@ class PreferenceEstimate:
     n: int
 
 
-def _batch_fn(f):
-    return f.batch if hasattr(f, "batch") else f
-
-
 def estimate_J(model, params_eval, params_base, f, scheme, rng, n: int) -> PreferenceEstimate:
     """Monte Carlo estimate of the expected base-preference under ``params_eval``.
 
     The quantile structure of the base state is estimated from a holdout
-    sample of ``n`` draws from ``params_base``, and the preference of each of
+    sample of ``n`` draws from ``params_base``, each valued by the
+    :class:`~igokit.objectives.Objective` ``f``, and the preference of each of
     ``n`` draws from ``params_eval`` is its tie-averaged weight against that
     holdout, so the result is statistical on both sides. The reported
     standard error covers the evaluation draws only. For the exact value on
@@ -83,11 +83,10 @@ def estimate_J(model, params_eval, params_base, f, scheme, rng, n: int) -> Prefe
     """
     if n < 100:
         raise InvalidInputError("n must be >= 100")
-    batch = _batch_fn(f)
     holdout = model.sample(params_base, rng, n)
-    base_f = np.sort(batch(holdout))
+    base_f = np.sort(f.batch(holdout))
     draws = model.sample(params_eval, rng, n)
-    f_draws = batch(draws)
+    f_draws = f.batch(draws)
     u_minus = np.searchsorted(base_f, f_draws, side="left") / n
     u_plus = np.searchsorted(base_f, f_draws, side="right") / n
     w_draws = _tie_average(scheme, u_minus, u_plus, u_plus - u_minus)
@@ -129,7 +128,9 @@ class BoundReport:
 def progress_bound(params_t: BernoulliParams, params_next: BernoulliParams, fitness, scheme,
                    dt: float) -> BoundReport:
     """Exact progress report for one Bernoulli step (enumerable dimensions),
-    read from the validated states before and after it; neither is converted."""
+    read from the validated states before and after it; neither is converted.
+    ``dt`` must be finite and positive."""
+    _check_real("dt", dt, "must be finite and > 0", lambda v: 0.0 < v < np.inf)
     j_value = exact_J(params_next, params_t, fitness, scheme)
     kl_value = Bernoulli(params_t.dim).kl_divergence(params_t, params_next)
     if dt == 1.0:
@@ -170,13 +171,12 @@ class ImprovementStats:
         return (self.steps_improved + self.steps_equal) / self.steps_total
 
 
-def finite_population_improvement(config, n_steps: int, n_seeds: int,
-                                  holdout: int = 100_000) -> ImprovementStats:
+def finite_population_improvement(config, n_steps: int, n_seeds: int) -> ImprovementStats:
     """Frequency of exact-quantile improvement along finite-population runs.
 
     For Bernoulli configurations the quantile before and after each executed
-    step is exact (full enumeration); Gaussian configurations use a frozen
-    holdout sample of at least ``holdout`` draws as a quantile surrogate and
+    step is exact (full enumeration); Gaussian configurations use a seeded
+    holdout sample of ``_GAUSSIAN_HOLDOUT`` draws as a quantile surrogate and
     are statistical by nature. A step counts as improving or worsening when
     the quantile moves by more than 1e-12, else as equal. Seeds derive from
     ``config.seed`` and the seed index, so the counts are reproducible.
@@ -189,12 +189,10 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int,
     scheme = config.make_scheme() if config.algorithm != "rpp" else None
     q = float(config.q) if config.q is not None else 0.5
     gaussian = isinstance(model, Gaussian)
-    if gaussian and holdout < 100_000:
-        raise InvalidInputError("Gaussian surrogate quantiles need holdout >= 1e5")
 
     def exact_q(params, rng_hold):
         if gaussian:
-            pts = model.sample(params, rng_hold, holdout)
+            pts = model.sample(params, rng_hold, _GAUSSIAN_HOLDOUT)
             return empirical_quantile(objective.batch(pts), q)
         return exact_quantile(enumerate_bernoulli(params), objective.support_values, q).value
 

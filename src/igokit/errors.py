@@ -1,8 +1,11 @@
-"""Exception hierarchy for igo-kit, and the integer check every module shares.
+"""Exception hierarchy for igo-kit, and the number checks modules share.
 
 Updates that would leave the valid open parameter region raise rather than
 clamp or project, so callers (and the guarantee checks) observe the raw dynamics.
 """
+
+import math
+from typing import Callable
 
 
 class IgoKitError(Exception):
@@ -36,6 +39,19 @@ def _check_integer(key: str, value, minimum: int, requirement: str) -> None:
     the same way, never as a raw ``TypeError`` or ``ValueError``."""
     try:
         valid = int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"{key}: {requirement}, got {value!r}")
+
+
+def _check_real(key: str, value, requirement: str,
+                accept: Callable[[float], bool] = math.isfinite) -> None:
+    """As :func:`_check_integer`, for a real number (not a string, not NaN)
+    that ``accept`` admits."""
+    try:
+        number = float(value)
+        valid = number == value and bool(accept(number))
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:

@@ -23,34 +23,31 @@ The exact oracle asks, state after state, about the same fixed support
 table, and the benchmark's ``verify-exact`` workload calls
 :func:`preference_exact`, :func:`igokit.oracle.exact_quantile` and
 :func:`igokit.oracle.exact_J` on raw arrays, so reuse across those calls can
-only be found by array identity. Two one-entry memos find it. Each trusts a
-table or state that is a read-only float64 array owning its data (no view
-can write through it; only a caller that turns writing back on could, and
-nothing here does), so a hit returns what a fresh computation would:
+only be found by array identity. One one-entry memo, ``_last_pass``, finds
+it. It trusts a table or state that is a read-only float64 array owning its
+data (no view can write through it; only a caller that turns writing back on
+could, and nothing here does), so a hit returns what a fresh computation
+would. ``_level_pass`` checks a ``(prob, table)`` pair, ranks the table
+(``np.unique``) and sums the mass of each level and the mass at or below it;
+the entry holds its pass over the last such table, with the ``prob`` when
+that is such an array too, and the scheme and read-only preference that
+:func:`preference_exact` last computed from that pass:
 
-* ``_level_pass`` checks a ``(prob, table)`` pair, ranks the table
-  (``np.unique``) and sums the mass of each level and the mass at or below
-  it. It keeps the pass over the last such table, with its ``prob`` when
-  that is such an array too. The same two objects get the kept pass back,
-  unchecked; a new state over the same table object reuses its ranking, so
-  a table is ranked once and each state weighed against it once, and a
-  state's distribution check runs on its first pass.
-  :func:`preference_exact` and :func:`igokit.oracle.exact_quantile` both
-  read it, so the quantile of a new state and the next step from it share
-  one pass.
-* :func:`preference_exact` keeps its result for the last such
-  ``(prob, table)`` pair and scheme object (schemes are immutable), so the
-  progress bound of a step reuses the preference the step used. It returns
-  that result read-only.
+* the same two objects get the kept pass back, unchecked, so the quantile
+  of a new state and the next step from it share one pass and one check;
+* a new state over the same table object reuses its ranking, so a table is
+  ranked once and each state weighed against it once;
+* the same two objects and scheme object (schemes are immutable) get the
+  kept preference back, so a step's progress bound, asked before the next
+  state's quantile, reuses the preference the step used.
 
-Each pays for itself: the level pass and the preference memo on the
-benchmark's ``verify-exact`` workload, the kept ranking on ``exact-d16``.
-They stay while the benchmark's ``must_call`` lists (``bench/workload.py``)
-have those calls take raw arrays; once the calls can share one object that
-carries its own results, the memos can go. Any other input is checked and
-computed afresh on every call.
+It pays for itself: the pass and the preference on the benchmark's
+``verify-exact`` workload, the ranking on ``exact-d16``. It stays while the
+benchmark's ``must_call`` lists (``bench/workload.py``) have those calls
+take raw arrays. Any other input is checked and computed afresh on every
+call.
 
-Each memo is replaced by a single assignment of one tuple, so a thread reads
+The entry is replaced by a single assignment of one tuple, so a thread reads
 either the old entry or the new one, never a mix. Every function here is
 otherwise pure over immutable inputs and safe for parallel use.
 """
@@ -242,11 +239,10 @@ def _check_distribution(p: np.ndarray, name: str = "probabilities") -> None:
         raise InvalidInputError(f"{name} must sum to 1 within 1e-12")
 
 
-# The last level pass over a frozen table (with its ``prob`` when that is
-# frozen too, else None) and the last frozen preference; each replaced whole,
-# by one assignment.
-_last_pass = (None, None, None)
-_last_preference = (None, None, None, None)
+# The last level pass over a frozen table, with its ``prob`` when that is
+# frozen too (else None), and the scheme and frozen preference last computed
+# from that pass (else None); replaced whole, by one assignment.
+_last_pass = (None, None, None, None, None)
 
 
 def _level_pass(p: np.ndarray, f: np.ndarray):
@@ -263,7 +259,7 @@ def _level_pass(p: np.ndarray, f: np.ndarray):
     new ``p`` over the same table object reuses its ranking.
     """
     global _last_pass
-    kept_prob, kept_table, kept = _last_pass
+    kept_prob, kept_table, kept, _, _ = _last_pass
     if p is kept_prob and f is kept_table:
         return kept
     if p.ndim != 1 or p.size < 1:
@@ -284,7 +280,7 @@ def _level_pass(p: np.ndarray, f: np.ndarray):
     if _owns_frozen(f):
         for a in result:
             a.setflags(write=False)
-        _last_pass = (p if _owns_frozen(p) else None, f, result)
+        _last_pass = (p if _owns_frozen(p) else None, f, result, None, None)
     return result
 
 
@@ -303,15 +299,16 @@ def preference_exact(prob, fitness, scheme) -> np.ndarray:
     their data, the result is read-only, and it is kept and returned again
     for the same ``prob``, ``fitness`` and ``scheme`` objects.
     """
-    global _last_preference
+    global _last_pass
     p = np.asarray(prob, dtype=np.float64)
     f = np.asarray(fitness, dtype=np.float64)
-    kept_prob, kept_table, kept_scheme, kept = _last_preference
+    kept_prob, kept_table, _, kept_scheme, kept = _last_pass
     if p is kept_prob and f is kept_table and scheme is kept_scheme:
         return kept
-    _, idx, mass, q_plus = _level_pass(p, f)
+    level_pass = _level_pass(p, f)
+    _, idx, mass, q_plus = level_pass
     w = _tie_average(scheme, q_plus - mass, q_plus, mass)[idx]
     if _owns_frozen(p) and _owns_frozen(f):
         w.setflags(write=False)
-        _last_preference = (p, f, scheme, w)
+        _last_pass = (p, f, level_pass, scheme, w)
     return w

@@ -188,24 +188,25 @@ def _exact_improvement_case(case: _GridCase, steps: int, blockwise: bool,
             stopped_early = True
             break
         executed += 1
+        move = float(np.abs(params_next.probs - params.probs).max())
+        # The bound first: it reads the preference the step just used, which
+        # the next state's level pass would replace.
+        if check_bound and move > 1e-12:
+            report = progress_bound(params, params_next, fvals, scheme, case.dt)
+            margin = report.j_value - report.bound
+            min_margin = min(min_margin, margin)
+            if move > FIXED_POINT_GUARD:
+                if not report.satisfied:
+                    bound_violations += 1
+            elif margin < -QUANTILE_TOL:
+                bound_violations += 1
         q_after = exact_quantile(enumerate_bernoulli(params_next), fvals, case.q)
         increase = q_after.value - q_before.value
         max_increase = max(max_increase, increase)
-        move = float(np.abs(params_next.probs - params.probs).max())
         if abs(increase) <= QUANTILE_TOL and move > 1e-12:
             mass_at_level = float(params_next.support_probs[fvals == q_before.value].sum())
             if not mass_at_level > 0.0:
                 unexplained += 1
-        if check_bound:
-            if move > 1e-12:
-                report = progress_bound(params, params_next, fvals, scheme, case.dt)
-                margin = report.j_value - report.bound
-                min_margin = min(min_margin, margin)
-                if move > FIXED_POINT_GUARD:
-                    if not report.satisfied:
-                        bound_violations += 1
-                elif margin < -QUANTILE_TOL:
-                    bound_violations += 1
         params = params_next
         q_before = q_after
     detail = {
@@ -373,10 +374,9 @@ def _smoothed_ce_reference(model, eta, samples, w, dt) -> np.ndarray:
     return (1.0 - dt) * eta + dt * eta_ml
 
 
-def _equivalence_case(case) -> CaseResult:
+def _equivalence_case(family: str, index: int, seed: int) -> CaseResult:
     """Float rounding can park either update exactly on the boundary of the
     domain; such draws are rejected and redrawn deterministically."""
-    family, index, seed = case
     rng = np.random.default_rng([seed, 444, index, 0 if family == "bernoulli" else 1])
     dt = (0.1, 0.5, 1.0)[index % 3]
     for _ in range(200):
@@ -400,7 +400,7 @@ def _equivalence_case(case) -> CaseResult:
 def suite_equivalence(grid, seed) -> list:
     per_family = _EQUIVALENCE_SIZES[grid]
     return [
-        _equivalence_case((family, i, seed))
+        _equivalence_case(family, i, seed)
         for family in ("bernoulli", "gaussian")
         for i in range(per_family)
     ]
@@ -410,8 +410,7 @@ def suite_equivalence(grid, seed) -> list:
 # rank-mu recovery
 
 
-def _cma_case(case) -> CaseResult:
-    index, seed = case
+def _cma_case(index: int, seed: int) -> CaseResult:
     rng = np.random.default_rng([seed, 333, index])
     d = (1, 2, 5)[index % 3]
     model = Gaussian(d)
@@ -447,7 +446,7 @@ def _cma_case(case) -> CaseResult:
 
 
 def suite_cma_recovery(grid, seed) -> list:
-    return [_cma_case((i, seed)) for i in range(_CMA_SIZES[grid])]
+    return [_cma_case(i, seed) for i in range(_CMA_SIZES[grid])]
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +476,7 @@ def _kl_committed_set(seed: int) -> list:
     return cases
 
 
-def _kl_case(case) -> CaseResult:
-    index, family, d, eta, delta = case
+def _kl_case(index: int, family: str, d: int, eta, delta) -> CaseResult:
     model = Bernoulli(d) if family == "bernoulli" else Gaussian(d)
     errs = check_kl_expansion(model, eta, delta, halvings=6)
     # The remainder is quartic (ideal ratio 16); no absolute slack, since
@@ -489,11 +487,10 @@ def _kl_case(case) -> CaseResult:
 
 
 def suite_kl_expansion(grid, seed) -> list:
-    return [_kl_case((i, *c)) for i, c in enumerate(_kl_committed_set(seed))]
+    return [_kl_case(i, *c) for i, c in enumerate(_kl_committed_set(seed))]
 
 
-def _natural_gradient_case(case) -> CaseResult:
-    index, seed = case
+def _natural_gradient_case(index: int, seed: int) -> CaseResult:
     rng = np.random.default_rng([seed, 111, index])
     d = int(rng.integers(1, 5))
     model = Bernoulli(d)
@@ -520,7 +517,7 @@ def _natural_gradient_case(case) -> CaseResult:
 
 def suite_natural_gradient(grid, seed) -> list:
     size = 200 if grid == "small" else 500
-    return [_natural_gradient_case((i, seed)) for i in range(size)]
+    return [_natural_gradient_case(i, seed) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,13 @@ class TestProgressBound:
         assert from_eta_calls == []
         assert report.kl_value == Bernoulli(3).kl_divergence(before, after)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
+    def test_refuses_a_step_size_that_is_not_finite_and_positive(self, dt):
+        f = bernoulli_support(2).sum(axis=1)
+        params = BernoulliParams([0.5, 0.5])
+        with pytest.raises(InvalidInputError, match="^dt: must be finite and > 0"):
+            progress_bound(params, params, f, TruncationScheme(0.5), dt)
+
 
 class TestFinitePopulationImprovement:
     def test_zero_step_size_only_stalls(self):
@@ -220,12 +227,6 @@ class TestFinitePopulationImprovement:
         stats = finite_population_improvement(cfg, n_steps=4, n_seeds=2)
         assert stats.steps_total == 8
         assert stats.improvement_rate >= 0.75
-
-    def test_gaussian_surrogate_requires_large_holdout(self):
-        cfg = AlgorithmConfig(algorithm="cma_rank_mu", objective="sphere", dim=2,
-                              lam=300, q=0.25, dt=0.5, max_steps=2, seed=13)
-        with pytest.raises(InvalidInputError):
-            finite_population_improvement(cfg, n_steps=2, n_seeds=1, holdout=1000)
 
 
 class TestKlExpansionCheck:

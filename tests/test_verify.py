@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from igokit import Bernoulli, Gaussian, InvalidInputError, bernoulli_support, make_objective
+from igokit import selection
 from igokit.verify import SUITES, _cma_case, _exact_improvement_case, _GridCase, run_suite
 
 
@@ -40,7 +41,7 @@ def test_integer_arguments_share_one_check(argument):
 
 def test_cases_depend_only_on_their_index_and_seed():
     report = run_suite("cma-recovery", seed=3)
-    assert _cma_case((7, 3)) == report.cases[7]
+    assert _cma_case(7, 3) == report.cases[7]
     again = run_suite("cma-recovery", seed=3).to_dict()
     first = report.to_dict()
     first.pop("elapsed_s")
@@ -110,21 +111,32 @@ def test_kl_expansion_mutants_fail_on_every_seed(family, mutant, monkeypatch):
 def test_one_level_pass_per_state(blockwise, monkeypatch):
     """An exact case ranks each state it visits once: the quantile of a new
     state, the next step from it and the progress bound of that step share
-    one level-mass pass (``np.bincount``) over the fixed table."""
+    one level-mass pass (``np.bincount``) over the fixed table, and the step
+    and its bound share one preference (``_tie_average``) of the state the
+    step leaves."""
     rng = np.random.default_rng(10)
     case = _GridCase(index=0, d=10, objective="random-table", objective_seed=1010, q=0.25,
                      dt=0.5, theta0=tuple(rng.uniform(0.1, 0.9, 10)),
                      dt_blocks=tuple(rng.uniform(0.05, 1.0, 10)))
     passes = []
+    preferences = []
     bincount = np.bincount
+    tie_average = selection._tie_average
 
     def counting(*args, **kwargs):
         passes.append(args)
         return bincount(*args, **kwargs)
 
+    def counting_preferences(*args):
+        preferences.append(args)
+        return tie_average(*args)
+
     monkeypatch.setattr(np, "bincount", counting)
+    monkeypatch.setattr(selection, "_tie_average", counting_preferences)
     result = _exact_improvement_case(case, 100, blockwise=blockwise, check_bound=not blockwise)
     assert result.passed
     steps = result.detail["steps_executed"]
     assert steps >= 10
     assert len(passes) == steps + 1
+    # A step that leaves the domain still weighed its state first.
+    assert len(preferences) == steps + result.detail["stopped_early"]
