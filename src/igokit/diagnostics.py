@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExitError, InvalidInputError, _check_real
+from .errors import DomainExitError, InvalidInputError, _check_integer, _check_real
 from .models import Bernoulli, BernoulliParams, Gaussian
 from .oracle import (
     MAX_ENUM_DIM,
@@ -81,8 +81,7 @@ def estimate_J(model, params_eval, params_base, f, scheme, rng, n: int) -> Prefe
     standard error covers the evaluation draws only. For the exact value on
     enumerable models see :func:`~igokit.oracle.exact_J`.
     """
-    if n < 100:
-        raise InvalidInputError("n must be >= 100")
+    n = _check_integer("n", n, 100, "must be an integer >= 100")
     holdout = model.sample(params_base, rng, n)
     base_f = np.sort(f.batch(holdout))
     draws = model.sample(params_eval, rng, n)
@@ -183,6 +182,8 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int) -> Improve
     """
     from .algorithms import _prepare_step  # local: avoids import cycle
 
+    n_steps = _check_integer("n_steps", n_steps, 1, "must be a positive integer")
+    n_seeds = _check_integer("n_seeds", n_seeds, 1, "must be a positive integer")
     config.validate()
     objective = config.make_objective()
     model = config.make_model()
@@ -231,8 +232,7 @@ def check_kl_expansion(model, eta, delta, halvings: int) -> np.ndarray:
     shrink the error by about 16x. Raises a domain exit if ``eta + delta`` is
     not a valid state.
     """
-    if halvings < 0:
-        raise InvalidInputError("halvings must be >= 0")
+    halvings = _check_integer("halvings", halvings, 0, "must be a non-negative integer")
     eta = np.asarray(eta, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != eta.shape:

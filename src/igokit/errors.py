@@ -33,16 +33,17 @@ class DegenerateDistributionError(DomainExitError):
     positive definite."""
 
 
-def _check_integer(key: str, value, minimum: int, requirement: str) -> None:
-    """Raise ``InvalidInputError`` naming ``key`` unless ``value`` is a whole
-    number no smaller than ``minimum``; a ``None`` or a non-number is refused
-    the same way, never as a raw ``TypeError`` or ``ValueError``."""
+def _check_integer(key: str, value, minimum: int, requirement: str) -> int:
+    """``value`` as an ``int`` once it is a whole number no smaller than
+    ``minimum``; anything else, ``None`` or a non-number too, raises
+    ``InvalidInputError`` naming ``key``, never a raw ``TypeError``."""
     try:
         valid = int(value) == value and value >= minimum
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
         raise InvalidInputError(f"{key}: {requirement}, got {value!r}")
+    return int(value)
 
 
 def _check_real(key: str, value, requirement: str,

@@ -309,8 +309,7 @@ class Bernoulli:
     """
 
     def __init__(self, dim: int):
-        _check_integer("dim", dim, 1, "must be a positive integer")
-        self.dim = int(dim)
+        self.dim = _check_integer("dim", dim, 1, "must be a positive integer")
         self.eta_dim = self.dim
 
     def __repr__(self):
@@ -334,10 +333,6 @@ class Bernoulli:
                 f"eta must have shape ({self.eta_dim},), got {eta.shape}"
             )
         return eta
-
-    def sufficient_statistics(self, x) -> np.ndarray:
-        """T(x) = x, in the flat expectation-parameter layout."""
-        return self._check_point(x).copy()
 
     def _check_points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -401,11 +396,6 @@ class Bernoulli:
         _check_binary.record(out)
         return out
 
-    def natural_grad_log_density(self, eta, x) -> np.ndarray:
-        """Natural gradient of ``ln p_eta`` at ``x``: exactly ``T(x) - eta``."""
-        eta = self._check_eta(eta)
-        return self.sufficient_statistics(x) - eta
-
     # -- divergence and information --------------------------------------
 
     def kl_divergence(self, p: BernoulliParams, q: BernoulliParams) -> float:
@@ -448,8 +438,7 @@ class Gaussian:
     """
 
     def __init__(self, dim: int):
-        _check_integer("dim", dim, 1, "must be a positive integer")
-        self.dim = int(dim)
+        self.dim = _check_integer("dim", dim, 1, "must be a positive integer")
         rows, cols = np.triu_indices(self.dim)
         self._rows = rows
         self._cols = cols
@@ -495,11 +484,6 @@ class Gaussian:
             )
         return eta
 
-    def sufficient_statistics(self, x) -> np.ndarray:
-        """``T(x) = (x, pack(x x^T))`` in the flat layout."""
-        x = self._check_point(x)
-        return np.concatenate([x, x[self._rows] * x[self._cols]])
-
     def _check_points(self, points) -> np.ndarray:
         """An ``(n, d)`` float array of finite points. A NaN or infinite
         point is refused, so the update rules may drop rows of zero weight
@@ -514,6 +498,8 @@ class Gaussian:
         return pts
 
     def batch_sufficient_statistics(self, points) -> np.ndarray:
+        """Stack of ``T(x) = (x, pack(x x^T))`` rows for an ``(n, d)`` array
+        of points."""
         pts = self._check_points(points)
         return np.hstack([pts, pts[:, self._rows] * pts[:, self._cols]])
 
@@ -563,11 +549,6 @@ class Gaussian:
             raise InvalidInputError("count must be >= 1")
         z = rng.standard_normal((count, self.dim))
         return params.mean + z @ params.chol.T
-
-    def natural_grad_log_density(self, eta, x) -> np.ndarray:
-        """``T(x) - eta`` in the flat layout."""
-        eta = self._check_eta(eta)
-        return self.sufficient_statistics(x) - eta
 
     # -- divergence and information ------------------------------------------
 

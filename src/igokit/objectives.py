@@ -202,6 +202,5 @@ def make_objective(name: str, dim: int, seed: int = 1) -> Objective:
         raise InvalidInputError(
             f"unknown objective {name!r}; known: {', '.join(OBJECTIVE_NAMES)}"
         )
-    _check_integer("dim", dim, 1, "must be a positive integer")
-    return _FACTORIES[name](int(dim), seed)
+    return _FACTORIES[name](_check_integer("dim", dim, 1, "must be a positive integer"), seed)
 

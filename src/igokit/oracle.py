@@ -104,12 +104,12 @@ class QuantileReport:
 def bernoulli_support(dim: int) -> np.ndarray:
     """All points of ``{0,1}^dim`` in lexicographic order, leftmost coordinate
     most significant. Cached and write-protected."""
-    _check_integer("dim", dim, 1, "must be a positive integer")
+    dim = _check_integer("dim", dim, 1, "must be a positive integer")
     if dim > MAX_ENUM_DIM:
         raise CapacityError(
             f"exact enumeration supports dim <= {MAX_ENUM_DIM}, got {dim}"
         )
-    return _support(int(dim))
+    return _support(dim)
 
 
 @lru_cache(maxsize=None)

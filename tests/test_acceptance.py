@@ -137,12 +137,15 @@ def test_criterion_08_kl_expansion():
 
 def test_criterion_09_natural_gradient_identity():
     rep = run_suite("natural-gradient", grid="small", seed=1)
-    worst = max(c.detail["rel_err"] for c in rep.cases)
+    # a case whose step left the domain reports no error (None)
+    worst = max(float("inf") if c.detail["rel_err"] is None else c.detail["rel_err"]
+                for c in rep.cases)
     assert _verdict(
         9,
-        "inverse-Fisher finite-difference gradient equals T(x) - eta",
-        rep.passed and worst <= 1e-5,
-        f"max relative error {worst:.2e}",
+        "shipped igo_step direction equals the inverse-Fisher finite-difference "
+        "gradient, Bernoulli and Gaussian",
+        rep.passed and len(rep.cases) == 400 and worst <= 1e-5,
+        f"200 cases per family, max relative error {worst:.2e}",
     )
 
 

@@ -25,7 +25,9 @@ from igokit import (
     InvalidInputError,
     models,
     run,
+    updates,
 )
+from igokit.verify import _natural_gradient_error
 
 
 def random_spd(rng, d, cond_max=1e6):
@@ -169,23 +171,23 @@ class TestDomainPredicate:
 class TestSufficientStatistics:
     def test_bernoulli(self):
         m = Bernoulli(2)
-        assert np.array_equal(m.sufficient_statistics([1, 0]), [1.0, 0.0])
+        assert np.array_equal(m.batch_sufficient_statistics([[1, 0]]), [[1.0, 0.0]])
 
     def test_gaussian_1d(self):
         m = Gaussian(1)
-        assert np.array_equal(m.sufficient_statistics([2.0]), [2.0, 4.0])
+        assert np.array_equal(m.batch_sufficient_statistics([[2.0]]), [[2.0, 4.0]])
 
     def test_gaussian_2d_ones(self):
         m = Gaussian(2)
-        t = m.sufficient_statistics([1.0, 1.0])
-        assert np.array_equal(t[:2], [1.0, 1.0])
-        assert np.array_equal(t[2:], [1.0, 1.0, 1.0])
+        t = m.batch_sufficient_statistics([[1.0, 1.0]])
+        assert np.array_equal(t[0, :2], [1.0, 1.0])
+        assert np.array_equal(t[0, 2:], [1.0, 1.0, 1.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            Bernoulli(2).sufficient_statistics([1, 0, 1])
+            Bernoulli(2).batch_sufficient_statistics([[1, 0, 1]])
         with pytest.raises(InvalidInputError):
-            Bernoulli(2).sufficient_statistics([0.5, 0.5])
+            Bernoulli(2).batch_sufficient_statistics([[0.5, 0.5]])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_gaussian_points_must_be_finite(self, value):
@@ -528,43 +530,48 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def rule_direction(model, params, x):
+    """Direction of the one-point natural-gradient step at ``x``:
+    ``(eta(igo_step(x, w = 1, dt = 1/2)) - eta) / (1/2)``."""
+    stepped = updates.igo_step(model, params, [x], [1.0], 0.5)
+    return (model.to_eta(stepped) - model.to_eta(params)) / 0.5
+
+
+@st.composite
+def states_and_points(draw):
+    """A Bernoulli state (d <= 4, p in [0.05, 0.95]) and a 0/1 point, or a
+    Gaussian state (d <= 3, condition number <= 10) and a real point."""
+    if draw(st.booleans()):
+        probs = draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4))
+        x = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(probs),
+                          max_size=len(probs)))
+        return Bernoulli(len(probs)), BernoulliParams(probs), np.array(x)
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = GaussianParams(rng.normal(0, 0.5, d), random_spd(rng, d, 10.0))
+    return Gaussian(d), params, rng.normal(size=d)
+
+
 class TestNaturalGradLogDensity:
+    """The natural gradient of ``ln p_eta(x)`` is ``T(x) - eta``: the
+    direction of the shipped update rule."""
+
     def test_examples(self):
-        b = Bernoulli(1)
-        assert np.allclose(b.natural_grad_log_density([0.3], [1]), [0.7], atol=1e-15)
-        b2 = Bernoulli(2)
+        assert np.allclose(rule_direction(Bernoulli(1), BernoulliParams([0.3]), [1.0]),
+                           [0.7], atol=1e-15)
         assert np.allclose(
-            b2.natural_grad_log_density([0.5, 0.5], [0, 0]), [-0.5, -0.5], atol=1e-15
+            rule_direction(Bernoulli(2), BernoulliParams([0.5, 0.5]), [0.0, 0.0]),
+            [-0.5, -0.5], atol=1e-15,
         )
         g = Gaussian(1)
-        assert np.allclose(g.natural_grad_log_density([0.0, 1.0], [2.0]), [2.0, 3.0])
+        assert np.allclose(rule_direction(g, g.from_eta([0.0, 1.0]), [2.0]), [2.0, 3.0])
 
-    def test_matches_finite_difference_through_fisher(self):
-        # inverse Fisher times the plain gradient recovers T(x) - eta
-        rng = np.random.default_rng(4242)
-        cases = []
-        for _ in range(25):
-            d = int(rng.integers(1, 5))
-            eta = rng.uniform(0.1, 0.9, d)
-            cases.append((Bernoulli(d), eta, rng.integers(0, 2, d).astype(float)))
-        for d in (1, 2, 3):
-            m = Gaussian(d)
-            for _ in range(5):
-                eta = m.to_eta(GaussianParams(rng.normal(0, 0.5, d), random_spd(rng, d, 10.0)))
-                cases.append((m, eta, rng.normal(size=d)))
-        for m, eta, x in cases:
-            h = 1e-6
-            grad = np.empty(eta.size)
-            for i in range(eta.size):
-                up, dn = eta.copy(), eta.copy()
-                up[i] += h
-                dn[i] -= h
-                grad[i] = (
-                    m.log_density(m.from_eta(up), x) - m.log_density(m.from_eta(dn), x)
-                ) / (2 * h)
-            natural = np.linalg.solve(m.fisher_information(eta), grad)
-            expected = m.natural_grad_log_density(eta, x)
-            assert np.max(np.abs(natural - expected)) <= 1e-5 * np.max(np.abs(expected))
+    @settings(max_examples=200, deadline=None)
+    @given(states_and_points())
+    def test_matches_finite_difference_through_fisher(self, case):
+        # the inverse Fisher matrix times the plain gradient of ln p
+        rel = _natural_gradient_error(*case)
+        assert rel is not None and rel <= 1e-5
 
 
 class TestKL:

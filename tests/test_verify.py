@@ -3,8 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from igokit import Bernoulli, Gaussian, InvalidInputError, bernoulli_support, make_objective
-from igokit import selection
+from igokit import (
+    AlgorithmConfig,
+    Bernoulli,
+    BernoulliParams,
+    Gaussian,
+    InvalidInputError,
+    TruncationScheme,
+    bernoulli_support,
+    check_kl_expansion,
+    estimate_J,
+    finite_population_improvement,
+    make_objective,
+)
+from igokit import selection, updates
+from igokit.updates import _weight_array, _weighted_sum
 from igokit.verify import SUITES, _cma_case, _exact_improvement_case, _GridCase, run_suite
 
 
@@ -15,6 +28,9 @@ def test_unknown_suite_and_grid():
         run_suite("cma-recovery", grid="huge")
 
 
+_SHORT_RUN = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4, lam=10,
+                             q=0.5, dt=0.2, max_steps=2, seed=7)
+
 # Each integer argument, with a reader of the value it went on with.
 _INTEGER_ARGUMENTS = {
     "Bernoulli(dim)": ("dim", Bernoulli, lambda model: model.dim),
@@ -24,6 +40,15 @@ _INTEGER_ARGUMENTS = {
                             lambda objective: objective.dim),
     "run_suite(seed)": ("seed", lambda seed: run_suite("kl-expansion", seed=seed),
                         lambda report: report.seed),
+    "finite_population_improvement(n_steps)": (
+        "n_steps", lambda n: finite_population_improvement(_SHORT_RUN, n_steps=n, n_seeds=1),
+        lambda stats: stats.steps_total),
+    "finite_population_improvement(n_seeds)": (
+        "n_seeds", lambda n: finite_population_improvement(_SHORT_RUN, n_steps=1, n_seeds=n),
+        lambda stats: stats.steps_total),
+    "check_kl_expansion(halvings)": (
+        "halvings", lambda k: check_kl_expansion(Bernoulli(1), [0.5], [0.1], halvings=k),
+        lambda errs: len(errs) - 1),
 }
 
 
@@ -37,6 +62,23 @@ def test_integer_arguments_share_one_check(argument):
             build(bad)
     value = read(build(2.0))
     assert value == 2 and type(value) is int
+
+
+def test_estimate_j_draw_count_is_checked():
+    """As ``test_integer_arguments_share_one_check``, for ``estimate_J``'s
+    ``n``, whose floor of 100 draws does not fit the table's 2.0 row: the
+    same bad values and a few near the floor."""
+    params = BernoulliParams([0.5, 0.5])
+
+    def estimate(n):
+        return estimate_J(Bernoulli(2), params, params, make_objective("onemax", 2),
+                          TruncationScheme(0.5), np.random.default_rng(0), n)
+
+    for bad in ("x", None, [2], 1.5, float("nan"), -1, 99, 150.5, "200"):
+        with pytest.raises(InvalidInputError, match="^n: "):
+            estimate(bad)
+    n = estimate(150.0).n
+    assert n == 150 and type(n) is int
 
 
 def test_cases_depend_only_on_their_index_and_seed():
@@ -140,3 +182,63 @@ def test_one_level_pass_per_state(blockwise, monkeypatch):
     assert len(passes) == steps + 1
     # A step that leaves the domain still weighed its state first.
     assert len(preferences) == steps + result.detail["stopped_early"]
+
+
+def _igo_step_about_zero(model, params, samples, weights, dt):
+    """``eta + dt sum_i w_i T(x_i)``: the step without its centre."""
+    stats = model.batch_sufficient_statistics(samples)
+    w = _weight_array(weights, stats.shape[0])
+    return model.from_eta(model.to_eta(params) + dt * _weighted_sum(w, stats))
+
+
+def _plain_gradient_step(model, params, samples, weights, dt):
+    """``eta + dt F(eta) sum_i w_i (T(x_i) - eta)``: the plain gradient of
+    ``ln p`` in ``eta`` in place of the natural one."""
+    eta = model.to_eta(params)
+    stats = model.batch_sufficient_statistics(samples)
+    w = _weight_array(weights, stats.shape[0])
+    return model.from_eta(eta + dt * model.fisher_information(eta) @ _weighted_sum(w, stats, eta))
+
+
+def _fisher_without_cross_block(original):
+    def fisher(self, eta):
+        f = original(self, eta).copy()
+        f[:self.dim, self.dim:] = 0.0
+        f[self.dim:, :self.dim] = 0.0
+        return f
+
+    return fisher
+
+
+# (owner, attribute, replacement of the original, families whose cases fail)
+NATURAL_GRADIENT_MUTANTS = {
+    "igo-step-about-zero": (updates, "igo_step", lambda original: _igo_step_about_zero,
+                            {"bernoulli", "gaussian"}),
+    "plain-gradient-step": (updates, "igo_step", lambda original: _plain_gradient_step,
+                            {"bernoulli", "gaussian"}),
+    "gaussian-fisher-cross-block-dropped": (Gaussian, "fisher_information",
+                                            _fisher_without_cross_block, {"gaussian"}),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_natural_gradient_passes_for_both_families(seed):
+    cases = run_suite("natural-gradient", seed=seed).cases
+    assert all(c.passed for c in cases)
+    families = [c.detail["family"] for c in cases]
+    assert families.count("bernoulli") == families.count("gaussian") == 200
+
+
+@pytest.mark.parametrize("mutant", sorted(NATURAL_GRADIENT_MUTANTS))
+def test_natural_gradient_mutants_fail_on_every_seed(mutant, monkeypatch):
+    """The suite compares the shipped rule's one-point direction with the
+    inverse Fisher matrix times a finite-difference gradient: a rule that
+    drops the centre ``eta`` or steps along the plain gradient, or a
+    Gaussian Fisher matrix without its mean/second-moment block, fails it on
+    every seed, in each family it touches, while the other family passes."""
+    owner, name, mutate, families = NATURAL_GRADIENT_MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    for seed in (1, 2):
+        cases = run_suite("natural-gradient", seed=seed).cases
+        failed = {c.detail["family"] for c in cases if not c.passed}
+        assert failed == families, f"seed {seed}"
