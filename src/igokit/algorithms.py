@@ -46,7 +46,7 @@ import numpy as np
 
 from . import updates
 from .diagnostics import empirical_quantile, estimate_preference_mean
-from .errors import DomainExitError, InvalidInputError, _check_integer, _check_real
+from .errors import DomainExitError, InvalidInputError, _check_integer, _check_q, _check_real
 from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams, Gaussian, GaussianParams
 from .objectives import OBJECTIVE_NAMES, Objective, make_objective
 from .oracle import enumerate_bernoulli, exact_quantile
@@ -121,7 +121,7 @@ class AlgorithmConfig:
             except (TypeError, ValueError) as exc:
                 raise InvalidInputError(f"weights_table: {exc}") from None
         if self.q is not None or (rank_based and self.weights_table is None):
-            _check_real("q", self.q, "must satisfy 0 < q < 1", lambda v: 0.0 < v < 1.0)
+            _check_q(self.q)
         for key, value in (("dt", self.dt), ("dt-m", self.dt_mean), ("dt-c", self.dt_cov),
                            ("target_fitness", self.target_fitness)):
             if value is not None or key == "dt":
@@ -156,6 +156,9 @@ class AlgorithmConfig:
             )
         if self.algorithm == "cma_rank_mu" and obj.space != "continuous":
             raise InvalidInputError("objective: cma_rank_mu runs on continuous objectives")
+
+    def resolved_q(self) -> float:
+        return 0.5 if self.q is None else float(self.q)
 
     def resolved_dt_mean(self) -> float:
         return self.dt if self.dt_mean is None else self.dt_mean
@@ -319,7 +322,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     params = config.initial_params()
     rng = np.random.default_rng([config.seed, 0])
     rng_aux = np.random.default_rng([config.seed, 1])
-    q_for_trace = float(config.q) if config.q is not None else 0.5
+    q_for_trace = config.resolved_q()
 
     trace = Trace(config=config)
     t0 = time.monotonic_ns()

@@ -2,20 +2,20 @@
 
 Everything here cross-checks the core machinery from an independent angle:
 empirical quantiles against exact ones, Monte Carlo preference means against
-exact sums, the cubic KL expansion against closed-form divergences, and
-finite-population improvement frequencies against the infinite-population
-guarantee. Monte Carlo assertions elsewhere in the suite run on fixed seed
-sets so CI stays deterministic.
+exact sums, the cubic KL expansion against closed-form divergences, and the
+exact quantile along seeded runs against the infinite-population guarantee.
+Monte Carlo assertions elsewhere in the suite run on fixed seed sets so CI
+stays deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainExitError, InvalidInputError, _check_integer, _check_real
-from .models import Bernoulli, BernoulliParams, Gaussian
+from .errors import InvalidInputError, _check_integer, _check_q, _check_real
+from .models import Bernoulli, BernoulliParams
 from .oracle import (
     MAX_ENUM_DIM,
     _sup_quantile_index,
@@ -37,8 +37,8 @@ __all__ = [
     "check_kl_expansion",
 ]
 
-# Draws whose empirical quantile stands in for a Gaussian state's exact one.
-_GAUSSIAN_HOLDOUT = 100_000
+# Draws per side of the trace's Monte Carlo expected preference.
+_MC_DRAWS = 2000
 
 
 def empirical_quantile(values, q: float) -> float:
@@ -47,8 +47,7 @@ def empirical_quantile(values, q: float) -> float:
     Returns the largest value ``m`` in the sample with at least a ``q``
     fraction at or below ``m`` and at least a ``1 - q`` fraction at or above.
     """
-    if not (0.0 < q < 1.0):
-        raise InvalidInputError("q must satisfy 0 < q < 1")
+    q = _check_q(q)
     f = np.asarray(values, dtype=np.float64)
     if f.ndim != 1 or f.size < 1:
         raise InvalidInputError("values must be a non-empty 1-d sequence")
@@ -94,8 +93,7 @@ def estimate_J(model, params_eval, params_base, f, scheme, rng, n: int) -> Prefe
     return PreferenceEstimate(value=value, stderr=stderr, n=n)
 
 
-def estimate_preference_mean(model, params_eval, params_base, objective, scheme, rng,
-                             n: int = 2000) -> float:
+def estimate_preference_mean(model, params_eval, params_base, objective, scheme, rng) -> float:
     """Trace helper: exact expected preference when enumerable, else Monte Carlo.
 
     The exact branch reads ``objective.support_values``, so a run evaluates
@@ -104,7 +102,7 @@ def estimate_preference_mean(model, params_eval, params_base, objective, scheme,
     """
     if isinstance(model, Bernoulli) and model.dim <= MAX_ENUM_DIM:
         return exact_J(params_eval, params_base, objective.support_values, scheme)
-    return estimate_J(model, params_eval, params_base, objective, scheme, rng, n).value
+    return estimate_J(model, params_eval, params_base, objective, scheme, rng, _MC_DRAWS).value
 
 
 @dataclass(frozen=True)
@@ -170,46 +168,34 @@ class ImprovementStats:
         return (self.steps_improved + self.steps_equal) / self.steps_total
 
 
-def finite_population_improvement(config, n_steps: int, n_seeds: int) -> ImprovementStats:
-    """Frequency of exact-quantile improvement along finite-population runs.
-
-    For Bernoulli configurations the quantile before and after each executed
-    step is exact (full enumeration); Gaussian configurations use a seeded
-    holdout sample of ``_GAUSSIAN_HOLDOUT`` draws as a quantile surrogate and
-    are statistical by nature. A step counts as improving or worsening when
-    the quantile moves by more than 1e-12, else as equal. Seeds derive from
-    ``config.seed`` and the seed index, so the counts are reproducible.
+def finite_population_improvement(config, n_seeds: int) -> ImprovementStats:
+    """Frequency of exact-quantile improvement along the traces of
+    :func:`~igokit.algorithms.run` at seeds ``n_seeds * config.seed`` to
+    ``n_seeds * config.seed + n_seeds - 1``: two ``config.seed`` values share
+    no run, and ``run`` at its seed replays each. Runs end as the config
+    says (steps, domain exit, target). The quantile of the initial and each
+    traced state is exact, so the objective must be binary with
+    ``dim <= MAX_ENUM_DIM`` (else ``InvalidInputError`` or ``CapacityError``).
+    A step improves or worsens when the quantile moves by more than 1e-12,
+    else counts as equal.
     """
-    from .algorithms import _prepare_step  # local: avoids import cycle
+    from .algorithms import run  # local: algorithms imports this module
 
-    n_steps = _check_integer("n_steps", n_steps, 1, "must be a positive integer")
     n_seeds = _check_integer("n_seeds", n_seeds, 1, "must be a positive integer")
     config.validate()
     objective = config.make_objective()
-    model = config.make_model()
-    scheme = config.make_scheme() if config.algorithm != "rpp" else None
-    q = float(config.q) if config.q is not None else 0.5
-    gaussian = isinstance(model, Gaussian)
+    fitness = objective.support_values
+    q = config.resolved_q()
 
-    def exact_q(params, rng_hold):
-        if gaussian:
-            pts = model.sample(params, rng_hold, _GAUSSIAN_HOLDOUT)
-            return empirical_quantile(objective.batch(pts), q)
-        return exact_quantile(enumerate_bernoulli(params), objective.support_values, q).value
+    def quantile(params):
+        return exact_quantile(enumerate_bernoulli(params), fitness, q).value
 
-    improved = equal = worsened = total = 0
-    for seed_index in range(n_seeds):
-        rng = np.random.default_rng([config.seed, seed_index, 0])
-        rng_hold = np.random.default_rng([config.seed, seed_index, 1])
-        params = config.initial_params()
-        q_before = exact_q(params, rng_hold)
-        for _ in range(n_steps):
-            try:
-                params = _prepare_step(config, model, params, scheme, objective, rng)(1.0).params
-            except DomainExitError:
-                break
-            q_after = exact_q(params, rng_hold)
-            total += 1
+    start = quantile(config.initial_params())
+    improved = equal = worsened = 0
+    for seed in range(n_seeds * config.seed, n_seeds * (config.seed + 1)):
+        q_before = start
+        for step in run(replace(config, seed=seed), objective).steps:
+            q_after = quantile(BernoulliParams(step.eta))
             if q_after < q_before - 1e-12:
                 improved += 1
             elif q_after > q_before + 1e-12:
@@ -217,7 +203,7 @@ def finite_population_improvement(config, n_steps: int, n_seeds: int) -> Improve
             else:
                 equal += 1
             q_before = q_after
-    return ImprovementStats(total, improved, equal, worsened)
+    return ImprovementStats(improved + equal + worsened, improved, equal, worsened)
 
 
 def check_kl_expansion(model, eta, delta, halvings: int) -> np.ndarray:

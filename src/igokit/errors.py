@@ -47,9 +47,9 @@ def _check_integer(key: str, value, minimum: int, requirement: str) -> int:
 
 
 def _check_real(key: str, value, requirement: str,
-                accept: Callable[[float], bool] = math.isfinite) -> None:
+                accept: Callable[[float], bool] = math.isfinite) -> float:
     """As :func:`_check_integer`, for a real number (not a string, not NaN)
-    that ``accept`` admits."""
+    that ``accept`` admits; returns it as a ``float``."""
     try:
         number = float(value)
         valid = number == value and bool(accept(number))
@@ -57,3 +57,9 @@ def _check_real(key: str, value, requirement: str,
         valid = False
     if not valid:
         raise InvalidInputError(f"{key}: {requirement}, got {value!r}")
+    return number
+
+
+def _check_q(q) -> float:
+    """The one check of a quantile or truncation level ``q``."""
+    return _check_real("q", q, "must satisfy 0 < q < 1", lambda v: 0.0 < v < 1.0)

@@ -388,8 +388,7 @@ class Bernoulli:
         :func:`_bernoulli_fill`); any other draw fills in the calling
         thread. The result is recorded as passing the 0/1 check, so the
         update rule of a sampled step does not scan it again."""
-        if count < 1:
-            raise InvalidInputError("count must be >= 1")
+        count = _check_integer("count", count, 1, "must be a positive integer")
         out = np.empty((count, self.dim))
         _bernoulli_fill(rng, params.probs, out)
         out.setflags(write=False)
@@ -545,8 +544,7 @@ class Gaussian:
 
     def sample(self, params: GaussianParams, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` i.i.d. draws via the symmetric (Cholesky) factor."""
-        if count < 1:
-            raise InvalidInputError("count must be >= 1")
+        count = _check_integer("count", count, 1, "must be a positive integer")
         z = rng.standard_normal((count, self.dim))
         return params.mean + z @ params.chol.T
 

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import updates
-from .errors import CapacityError, InvalidInputError, _check_integer
+from .errors import CapacityError, InvalidInputError, _check_integer, _check_q
 from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams, _frozen_array
 from .selection import _check_distribution, _level_pass, preference_exact
 
@@ -155,8 +155,7 @@ def exact_quantile(dist: FiniteDist, fitness, q: float) -> QuantileReport:
     Returns the largest distinct fitness value ``m`` with ``P[f <= m] >= q``
     and ``P[f >= m] >= 1 - q``.
     """
-    if not (0.0 < q < 1.0):
-        raise InvalidInputError("q must satisfy 0 < q < 1")
+    q = _check_q(q)
     f = np.asarray(fitness, dtype=np.float64)
     if f.shape != (dist.size,):
         raise InvalidInputError("fitness must have one value per support point")

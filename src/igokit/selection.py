@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_q
 from .models import _owns_frozen
 
 __all__ = [
@@ -81,10 +81,7 @@ class TruncationScheme:
     q: float
 
     def __post_init__(self):
-        q = float(self.q)
-        if not (0.0 < q < 1.0) or not np.isfinite(q):
-            raise InvalidInputError(f"q must satisfy 0 < q < 1, got {self.q!r}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _check_q(self.q))
 
     def weight(self, u):
         """Point values w(u), elementwise."""

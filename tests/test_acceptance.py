@@ -5,6 +5,7 @@ lines; every criterion is pinned to its stated tolerance here, nothing is
 deferred to later calibration.
 """
 
+import json
 import time
 
 import pytest
@@ -19,6 +20,12 @@ def _verdict(number, title, passed, detail=""):
     return passed
 
 
+def _round_trips(report):
+    """The report survives a JSON round trip with its name and case count."""
+    payload = json.loads(json.dumps(report.to_dict()))
+    return payload["suite"] == report.suite and payload["cases_total"] == len(report.cases)
+
+
 @pytest.fixture(scope="module")
 def quantile_report():
     return run_suite("quantile-improvement", grid="small", seed=1)
@@ -29,7 +36,7 @@ def test_criterion_01_exact_quantile_improvement(quantile_report):
     worst = max(c.detail["max_q_increase"] for c in rep.cases)
     steps = sum(c.detail["steps_executed"] for c in rep.cases)
     ok = rep.passed and worst <= 1e-12 and len(rep.cases) == 200
-    ok = ok and rep.elapsed_s < 60.0
+    ok = ok and rep.elapsed_s < 60.0 and _round_trips(rep)
     assert _verdict(
         1,
         "exact quantile improvement over the 200-config grid",
@@ -78,7 +85,7 @@ def test_criterion_05_blockwise_quantile_improvement():
     assert _verdict(
         5,
         "coordinate-blocked steps with mixed rates never raise the quantile",
-        rep.passed and worst <= 1e-12,
+        rep.passed and worst <= 1e-12 and _round_trips(rep),
         f"max increase {worst:.2e}",
     )
 
@@ -91,7 +98,7 @@ def test_criterion_06_fitness_proportional_improvement():
         for c in rep.cases
         if c.detail["full_step_err"] is not None
     ]
-    ok = rep.passed and worst_drop <= 1e-12 and max(full_errs) <= 1e-12
+    ok = rep.passed and worst_drop <= 1e-12 and max(full_errs) <= 1e-12 and _round_trips(rep)
     assert _verdict(
         6,
         "expected reward never drops; full step equals the reward-weighted mean",
@@ -106,6 +113,7 @@ def test_criterion_07_progress_bound():
     violations = sum(c.detail.get("bound_violations", 0) for c in rep.cases)
     ok = (
         rep.passed
+        and _round_trips(rep)
         and violations == 0
         and abs(worked.detail["j_value"] - 1.25) <= 1e-6
         and abs(worked.detail["bound"] - 1.06667) <= 1e-5
@@ -155,6 +163,7 @@ def test_criterion_10_finite_population_improvement():
     elapsed = time.monotonic() - t0
     detail = rep.cases[0].detail
     ok = rep.passed and detail["improvement_rate"] >= 0.9 and elapsed < 120.0
+    ok = ok and _round_trips(rep)
     assert _verdict(
         10,
         "large-population runs keep the exact quantile from worsening",

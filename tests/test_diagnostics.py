@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from igokit import (
     AlgorithmConfig,
     Bernoulli,
     BernoulliParams,
+    CapacityError,
     Gaussian,
     GaussianParams,
+    ImprovementStats,
     InvalidInputError,
     Objective,
     TabulatedScheme,
@@ -26,6 +29,7 @@ from igokit import (
     finite_population_improvement,
     make_objective,
     progress_bound,
+    run,
     updates,
 )
 
@@ -187,18 +191,30 @@ class TestProgressBound:
             progress_bound(params, params, f, TruncationScheme(0.5), dt)
 
 
+_FINITE_BASE = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=6, lam=10, q=0.3,
+                               dt=0.8, max_steps=30, seed=3)
+# Each config with what its runs must show, so the recount covers that path.
+_FINITE_CONFIGS = {
+    "halt": (_FINITE_BASE, lambda t: t.stop_reason == "domain_exit" and t.steps),
+    "safeguard": (replace(_FINITE_BASE, domain_exit="safeguard"),
+                  lambda t: t.halvings > 0 and len(t.steps) == 30),
+    "target": (replace(_FINITE_BASE, dim=8, lam=6, dt=0.2, target_fitness=0.0),
+               lambda t: t.stop_reason == "target" and len(t.steps) < 30),
+}
+
+
 class TestFinitePopulationImprovement:
     def test_zero_step_size_only_stalls(self):
         cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=5, lam=30,
                               q=0.25, dt=0.0, max_steps=5, seed=3)
-        stats = finite_population_improvement(cfg, n_steps=5, n_seeds=2)
+        stats = finite_population_improvement(cfg, n_seeds=2)
         assert stats.steps_equal == stats.steps_total == 10
         assert stats.improvement_rate == 1.0
 
     def test_counts_partition(self):
         cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=6, lam=2,
                               q=0.5, dt=0.2, max_steps=10, seed=7)
-        stats = finite_population_improvement(cfg, n_steps=10, n_seeds=3)
+        stats = finite_population_improvement(cfg, n_seeds=3)
         # tiny populations wander; nothing asserted beyond bookkeeping
         total = stats.steps_improved + stats.steps_equal + stats.steps_worsened
         assert total == stats.steps_total > 0
@@ -206,7 +222,7 @@ class TestFinitePopulationImprovement:
     def test_large_population_rarely_worsens(self):
         cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=6, lam=2000,
                               q=0.25, dt=0.5, max_steps=10, seed=21)
-        stats = finite_population_improvement(cfg, n_steps=10, n_seeds=3)
+        stats = finite_population_improvement(cfg, n_seeds=3)
         assert stats.improvement_rate >= 0.9
 
     def test_only_domain_exits_end_a_seed(self, monkeypatch):
@@ -217,16 +233,39 @@ class TestFinitePopulationImprovement:
         cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4, lam=10,
                               q=0.5, dt=0.2, max_steps=2, seed=7)
         with pytest.raises(RuntimeError, match="not a domain exit"):
-            finite_population_improvement(cfg, n_steps=2, n_seeds=1)
+            finite_population_improvement(cfg, n_seeds=1)
 
-    def test_gaussian_surrogate_quantile(self):
-        # continuous models fall back to a large holdout sample; statistical
-        # only, so just require the bookkeeping and a sane rate
+    @pytest.mark.parametrize("name", sorted(_FINITE_CONFIGS))
+    def test_recounts_the_runs_of_run(self, name):
+        """The counts are the quantile moves along ``run``'s traces at seeds
+        ``3 * seed .. 3 * seed + 2``, from the initial state on, each run
+        ending where its config ends it."""
+        config, shows = _FINITE_CONFIGS[name]
+        fitness = config.make_objective().support_values
+        moves = []
+        for seed in (9, 10, 11):
+            trace = run(replace(config, seed=seed))
+            assert shows(trace)
+            states = [config.initial_params()] + [BernoulliParams(s.eta) for s in trace.steps]
+            levels = [exact_quantile(enumerate_bernoulli(p), fitness, 0.3).value
+                      for p in states]
+            moves.extend(np.diff(levels))
+        moves = np.array(moves)
+        improved, worsened = int(np.sum(moves < -1e-12)), int(np.sum(moves > 1e-12))
+        assert finite_population_improvement(config, n_seeds=3) == ImprovementStats(
+            moves.size, improved, moves.size - improved - worsened, worsened)
+
+    def test_refuses_a_continuous_config(self):
         cfg = AlgorithmConfig(algorithm="cma_rank_mu", objective="sphere", dim=2,
-                              lam=300, q=0.25, dt=0.5, max_steps=4, seed=13)
-        stats = finite_population_improvement(cfg, n_steps=4, n_seeds=2)
-        assert stats.steps_total == 8
-        assert stats.improvement_rate >= 0.75
+                              lam=20, q=0.25, dt=0.5, max_steps=2, seed=1)
+        with pytest.raises(InvalidInputError, match="binary"):
+            finite_population_improvement(cfg, n_seeds=1)
+
+    def test_refuses_a_dimension_past_enumeration(self):
+        cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=17, lam=20,
+                              q=0.25, dt=0.5, max_steps=2, seed=1)
+        with pytest.raises(CapacityError):
+            finite_population_improvement(cfg, n_seeds=1)
 
 
 class TestKlExpansionCheck:

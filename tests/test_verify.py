@@ -8,11 +8,15 @@ from igokit import (
     Bernoulli,
     BernoulliParams,
     Gaussian,
+    GaussianParams,
     InvalidInputError,
     TruncationScheme,
     bernoulli_support,
     check_kl_expansion,
+    empirical_quantile,
+    enumerate_bernoulli,
     estimate_J,
+    exact_quantile,
     finite_population_improvement,
     make_objective,
 )
@@ -29,7 +33,7 @@ def test_unknown_suite_and_grid():
 
 
 _SHORT_RUN = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4, lam=10,
-                             q=0.5, dt=0.2, max_steps=2, seed=7)
+                             q=0.5, dt=0.2, max_steps=1, seed=7)
 
 # Each integer argument, with a reader of the value it went on with.
 _INTEGER_ARGUMENTS = {
@@ -40,12 +44,15 @@ _INTEGER_ARGUMENTS = {
                             lambda objective: objective.dim),
     "run_suite(seed)": ("seed", lambda seed: run_suite("kl-expansion", seed=seed),
                         lambda report: report.seed),
-    "finite_population_improvement(n_steps)": (
-        "n_steps", lambda n: finite_population_improvement(_SHORT_RUN, n_steps=n, n_seeds=1),
-        lambda stats: stats.steps_total),
     "finite_population_improvement(n_seeds)": (
-        "n_seeds", lambda n: finite_population_improvement(_SHORT_RUN, n_steps=1, n_seeds=n),
+        "n_seeds", lambda n: finite_population_improvement(_SHORT_RUN, n_seeds=n),
         lambda stats: stats.steps_total),
+    "Bernoulli.sample(count)": (
+        "count", lambda n: Bernoulli(2).sample(BernoulliParams([0.5, 0.5]),
+                                               np.random.default_rng(0), n), len),
+    "Gaussian.sample(count)": (
+        "count", lambda n: Gaussian(2).sample(GaussianParams(np.zeros(2), np.eye(2)),
+                                              np.random.default_rng(0), n), len),
     "check_kl_expansion(halvings)": (
         "halvings", lambda k: check_kl_expansion(Bernoulli(1), [0.5], [0.1], halvings=k),
         lambda errs: len(errs) - 1),
@@ -62,6 +69,31 @@ def test_integer_arguments_share_one_check(argument):
             build(bad)
     value = read(build(2.0))
     assert value == 2 and type(value) is int
+
+
+# Each quantile level ``q``: a call taking it, and what that call gives at
+# ``q = 0.25``.
+_Q_ARGUMENTS = {
+    "TruncationScheme(q)": (lambda q: TruncationScheme(q).q, 0.25),
+    "exact_quantile(q)": (
+        lambda q: exact_quantile(enumerate_bernoulli(BernoulliParams([0.5])), [0.0, 1.0],
+                                 q).value,
+        0.0),
+    "empirical_quantile(q)": (lambda q: empirical_quantile([0.0, 1.0, 2.0, 3.0], q), 1.0),
+    "AlgorithmConfig(q)": (
+        lambda q: (AlgorithmConfig(q=q).validate(), AlgorithmConfig(q=q).resolved_q()), (None, 0.25)),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_Q_ARGUMENTS))
+def test_quantile_levels_share_one_check(argument):
+    """A level strictly inside (0, 1) goes on as a ``float``; anything else,
+    a string or ``None`` too, is refused by name as ``InvalidInputError``."""
+    call, expected = _Q_ARGUMENTS[argument]
+    for bad in ("0.5", None, [0.5], 0.0, 1.0, -0.25, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="^q: must satisfy 0 < q < 1"):
+            call(bad)
+    assert call(np.float64(0.25)) == expected
 
 
 def test_estimate_j_draw_count_is_checked():
@@ -91,11 +123,11 @@ def test_cases_depend_only_on_their_index_and_seed():
     assert first == again
 
 
-@pytest.mark.parametrize("name", sorted(SUITES))
+# The heavy suites' reports round-trip in tests/test_acceptance.py, which
+# builds them anyway.
+@pytest.mark.parametrize("name", ["cma-recovery", "determinism", "equivalence",
+                                  "kl-expansion", "natural-gradient"])
 def test_reports_serialize_to_json(name):
-    if name in ("quantile-improvement", "blockwise-improvement",
-                "fitness-improvement", "progress-bound", "finite-population"):
-        pytest.skip("heavy grids exercised by the acceptance suite")
     report = run_suite(name, seed=4)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["suite"] == name
