@@ -4,7 +4,8 @@ Each named algorithm is one update rule under one weighting, and
 :func:`_prepare_step` is the single place that maps a name to its rule:
 
 * ``pbil`` - rank-weighted natural-gradient step on a product Bernoulli
-  model (:func:`igokit.updates.igo_step`).
+  model (:func:`igokit.updates.igo_step`); a continuous objective is
+  refused.
 * ``igo_generic`` - the same natural-gradient step on whichever model the
   objective lives on.
 * ``ce_ml`` - the smoothed cross-entropy/ML step
@@ -13,8 +14,10 @@ Each named algorithm is one update rule under one weighting, and
   Gaussian blockwise weighted-ML step (covariance about the current mean,
   then mean) with the rates ``(dt_cov, dt_mean)``. No evolution paths, no
   step-size control, no rank-one term.
-* ``rpp`` - reward-proportional update; ``dt = 1`` is the classic form
-  ``theta <- E[x r(x)] / E[r(x)]``, smaller ``dt`` the smoothed variant.
+* ``rpp`` - reward-proportional update
+  (:func:`igokit.updates.fitness_proportional_step`), on a sample or, exact,
+  on the whole support with rewards ``P(x) r(x)``; ``dt = 1`` is the classic
+  form ``theta <- E[x r(x)] / E[r(x)]``, smaller ``dt`` the smoothed variant.
 
 Runs are deterministic given the seed: the sampling stream is derived as
 ``default_rng([seed, 0])`` and an auxiliary stream (preference estimation)
@@ -156,6 +159,8 @@ class AlgorithmConfig:
             )
         if self.algorithm == "cma_rank_mu" and obj.space != "continuous":
             raise InvalidInputError("objective: cma_rank_mu runs on continuous objectives")
+        if self.algorithm == "pbil" and obj.space != "binary":
+            raise InvalidInputError("objective: pbil runs on binary objectives")
 
     def resolved_q(self) -> float:
         return 0.5 if self.q is None else float(self.q)
@@ -198,14 +203,15 @@ class AlgorithmConfig:
 class StepResult:
     """One executed step: the validated new state plus what produced it.
 
-    Exact reward updates carry no sample; ``fitness`` then holds the reward of
-    every support point and ``weights`` is empty.
+    Every step carries the weights its rule used. Exact reward updates carry
+    no sample; ``fitness`` then holds the reward of every support point and
+    ``weights`` the normalised ``P(x) r(x)`` over the support.
     """
 
     params: BernoulliParams | GaussianParams
     samples: Optional[np.ndarray]
     fitness: np.ndarray
-    weights: Optional[SampleWeights]
+    weights: SampleWeights
     dt_used: tuple
 
 
@@ -238,8 +244,7 @@ class Trace:
         if not self.steps:
             return None
         values = [s.best_f for s in self.steps]
-        direction = self.config.make_objective().direction
-        return max(values) if direction == "max" else min(values)
+        return max(values) if self.config.algorithm == "rpp" else min(values)
 
 
 class _ZeroRewardSample(InvalidInputError):
@@ -252,24 +257,27 @@ def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[fl
     The population is drawn from (or the support enumerated under) the
     validated state ``params``, and the rule moves that same state. The
     rewards on the support are the objective's ``support_values``, evaluated
-    once per objective.
+    once per objective; the exact reward step runs its rule on the support
+    with rewards ``P(x) r(x)``.
     """
     algo = config.algorithm
     if algo == "rpp":
         if config.rpp_exact:
-            samples = None
-            source = enumerate_bernoulli(params)
-            rewards = objective.support_values
+            dist = enumerate_bernoulli(params)
+            samples, points = None, dist.support
+            fitness = objective.support_values
+            rewards = dist.prob * fitness
         else:
-            samples = source = model.sample(params, rng, config.lam)
-            rewards = objective.batch(samples)
+            samples = points = model.sample(params, rng, config.lam)
+            fitness = rewards = objective.batch(samples)
             if not np.any(rewards > 0.0):
                 raise _ZeroRewardSample("rewards must not be all zero")
 
         def apply(scale: float) -> StepResult:
             dt = config.dt * scale
-            params_next = updates.fitness_proportional_step(model, params, source, rewards, dt)
-            return StepResult(params_next, samples, rewards, None, (dt,))
+            params_next = updates.fitness_proportional_step(model, params, points, rewards, dt)
+            weights = SampleWeights(updates._reward_weights(rewards))
+            return StepResult(params_next, samples, fitness, weights, (dt,))
 
         return apply
 
@@ -318,7 +326,8 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     elif objective.dim != config.dim:
         raise InvalidInputError("objective override dimension mismatch")
     model = config.make_model()
-    scheme = config.make_scheme() if config.algorithm != "rpp" else None
+    maximize = config.algorithm == "rpp"
+    scheme = None if maximize else config.make_scheme()
     params = config.initial_params()
     rng = np.random.default_rng([config.seed, 0])
     rng_aux = np.random.default_rng([config.seed, 1])
@@ -345,22 +354,15 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         except _ZeroRewardSample:
             trace.stop_reason = "zero_reward"
             break
-        params = result.params
+        params, samples, fitness = result.params, result.samples, result.fitness
+        entropy = result.weights.entropy()
+        del applier, result  # free an exact step's 2^d vectors before the summaries
 
-        if config.algorithm == "rpp":
-            # The weights the step used: over the support, those of the state
-            # it moved from; over a sample, the normalised rewards.
-            prob = prev_params.support_probs if result.samples is None else None
-            entropy = SampleWeights(updates._reward_weights(prob, result.fitness)).entropy()
-            if result.samples is None:
-                best_f, emp_q = _reward_trace_fields(params, result.fitness, q_for_trace)
-            else:
-                best_f = float(np.max(result.fitness))
-                emp_q = empirical_quantile(result.fitness, q_for_trace)
+        if samples is None:
+            best_f, emp_q = _reward_trace_fields(params, fitness, q_for_trace)
         else:
-            best_f = float(np.min(result.fitness))
-            emp_q = empirical_quantile(result.fitness, q_for_trace)
-            entropy = result.weights.entropy()
+            best_f = float(np.max(fitness) if maximize else np.min(fitness))
+            emp_q = empirical_quantile(fitness, q_for_trace)
         kl_prev = model.kl_divergence(prev_params, params)
         j_est = None
         if config.estimate_j and scheme is not None:
@@ -379,9 +381,7 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         )
         if config.target_fitness is not None:
             reached = (
-                best_f >= config.target_fitness
-                if objective.direction == "max"
-                else best_f <= config.target_fitness
+                best_f >= config.target_fitness if maximize else best_f <= config.target_fitness
             )
             if reached:
                 trace.stop_reason = "target"

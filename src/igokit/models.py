@@ -34,7 +34,9 @@ The parameter domain is the *open* interior: Bernoulli probabilities strictly
 inside ``(0, 1)``, covariances strictly positive definite. Boundary values are
 rejected, never clipped: log-densities and Fisher information blow up there,
 and silent clamping would mask violations of the monotone-improvement
-guarantees exercised by the test suite.
+guarantees exercised by the test suite. A family takes only states of its
+own class and dimension (``_check_params``); any other is refused before
+it is read.
 
 Concurrency: models and parameter objects are immutable value objects and safe
 to share read-only across threads. Sampling mutates the caller-supplied numpy
@@ -195,6 +197,18 @@ def _bernoulli_fill(rng: np.random.Generator, probs: np.ndarray, out: np.ndarray
     bit_generator.state = end
 
 
+def _points_array(points, dim: int) -> np.ndarray:
+    """``points`` as an ``(n, dim)`` float64 array; anything else is refused."""
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError):  # a value numpy cannot convert
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != dim:
+        got = type(points).__name__ if pts is None else pts.shape
+        raise InvalidInputError(f"points must have shape (n, {dim}), got {got}")
+    return pts
+
+
 def _frozen_array(value, dtype=np.float64) -> np.ndarray:
     out = np.array(value, dtype=dtype)
     out.setflags(write=False)
@@ -335,11 +349,7 @@ class Bernoulli:
         return eta
 
     def _check_points(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"points must have shape (n, {self.dim}), got {pts.shape}"
-            )
+        pts = _points_array(points, self.dim)
         _check_binary(pts)
         return pts
 
@@ -351,11 +361,17 @@ class Bernoulli:
 
     # -- parameter conversions ------------------------------------------
 
+    def _check_params(self, params) -> BernoulliParams:
+        """``params`` if it is a state of this family and dimension."""
+        if not isinstance(params, BernoulliParams) or params.dim != self.dim:
+            raise InvalidInputError(
+                f"parameter dimension mismatch: {self!r} takes BernoulliParams of dim {self.dim}"
+            )
+        return params
+
     def to_eta(self, params: BernoulliParams) -> np.ndarray:
         """Expectation parameters; the identity map on the probabilities."""
-        if params.dim != self.dim:
-            raise InvalidInputError("parameter dimension mismatch")
-        return params.probs.copy()
+        return self._check_params(params).probs.copy()
 
     def from_eta(self, eta) -> BernoulliParams:
         """Inverse conversion. Raises ``DomainExitError`` if any coordinate
@@ -371,7 +387,7 @@ class Bernoulli:
     def log_density(self, params: BernoulliParams, x) -> float:
         """Log probability mass of ``x`` (counting measure)."""
         x = self._check_point(x)
-        p = params.probs
+        p = self._check_params(params).probs
         return float(np.sum(np.where(x == 1.0, np.log(p), np.log1p(-p))))
 
     def sample(self, params: BernoulliParams, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -389,8 +405,9 @@ class Bernoulli:
         thread. The result is recorded as passing the 0/1 check, so the
         update rule of a sampled step does not scan it again."""
         count = _check_integer("count", count, 1, "must be a positive integer")
+        probs = self._check_params(params).probs
         out = np.empty((count, self.dim))
-        _bernoulli_fill(rng, params.probs, out)
+        _bernoulli_fill(rng, probs, out)
         out.setflags(write=False)
         _check_binary.record(out)
         return out
@@ -404,9 +421,7 @@ class Bernoulli:
         parameters (where the true value is far under float resolution); the
         result is floored at exactly 0.
         """
-        if p.dim != self.dim or q.dim != self.dim:
-            raise InvalidInputError("parameter dimension mismatch")
-        a, b = p.probs, q.probs
+        a, b = self._check_params(p).probs, self._check_params(q).probs
         terms = a * (np.log(a) - np.log(b)) + (1.0 - a) * (np.log1p(-a) - np.log1p(-b))
         return max(0.0, float(np.sum(terms)))
 
@@ -487,11 +502,7 @@ class Gaussian:
         """An ``(n, d)`` float array of finite points. A NaN or infinite
         point is refused, so the update rules may drop rows of zero weight
         from their sums exactly (see :mod:`igokit.updates`)."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"points must have shape (n, {self.dim}), got {pts.shape}"
-            )
+        pts = _points_array(points, self.dim)
         if not np.isfinite(pts).all():
             raise InvalidInputError("Gaussian points must be finite")
         return pts
@@ -504,11 +515,17 @@ class Gaussian:
 
     # -- parameter conversions --------------------------------------------
 
+    def _check_params(self, params) -> GaussianParams:
+        """``params`` if it is a state of this family and dimension."""
+        if not isinstance(params, GaussianParams) or params.dim != self.dim:
+            raise InvalidInputError(
+                f"parameter dimension mismatch: {self!r} takes GaussianParams of dim {self.dim}"
+            )
+        return params
+
     def to_eta(self, params: GaussianParams) -> np.ndarray:
         """``(mean, pack(cov + mean mean^T))``."""
-        if params.dim != self.dim:
-            raise InvalidInputError("parameter dimension mismatch")
-        m = params.mean
+        m = self._check_params(params).mean
         second = params.cov + np.outer(m, m)
         return np.concatenate([m, second[self._rows, self._cols]])
 
@@ -536,7 +553,7 @@ class Gaussian:
     def log_density(self, params: GaussianParams, x) -> float:
         """Log density of ``x`` w.r.t. Lebesgue measure."""
         x = self._check_point(x)
-        diff = x - params.mean
+        diff = x - self._check_params(params).mean
         L = params.chol
         y = np.linalg.solve(L, diff)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -545,6 +562,7 @@ class Gaussian:
     def sample(self, params: GaussianParams, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` i.i.d. draws via the symmetric (Cholesky) factor."""
         count = _check_integer("count", count, 1, "must be a positive integer")
+        params = self._check_params(params)
         z = rng.standard_normal((count, self.dim))
         return params.mean + z @ params.chol.T
 
@@ -553,8 +571,7 @@ class Gaussian:
     def kl_divergence(self, p: GaussianParams, q: GaussianParams) -> float:
         """Closed-form two-Gaussian KL divergence KL(P_p || P_q), floored at 0
         against rounding on nearly identical parameters."""
-        if p.dim != self.dim or q.dim != self.dim:
-            raise InvalidInputError("parameter dimension mismatch")
+        p, q = self._check_params(p), self._check_params(q)
         Lq = q.chol
         x = np.linalg.solve(Lq, p.chol)
         trace_term = float(np.sum(x * x))

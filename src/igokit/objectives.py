@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, _check_integer
-from .models import _frozen_array
+from .models import _frozen_array, _points_array
 from .oracle import MAX_ENUM_DIM, bernoulli_support
 
 __all__ = ["Objective", "OBJECTIVE_NAMES", "make_objective"]
@@ -39,12 +39,7 @@ class Objective:
 
     def batch(self, points) -> np.ndarray:
         """Objective values of an ``(n, d)`` array of points."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"points must have shape (n, {self.dim}), got {pts.shape}"
-            )
-        return np.asarray(self.fn(pts), dtype=np.float64)
+        return np.asarray(self.fn(_points_array(points, self.dim)), dtype=np.float64)
 
     @cached_property
     def support_values(self) -> np.ndarray:

@@ -7,7 +7,10 @@ functions are the ground truth against which the monotone-improvement
 properties of the update rules are checked. The exact steps are the shipped
 rules of :mod:`igokit.updates` run on the whole support with weights
 ``P(x) W(x)``, so a check of an exact step is a check of the rule itself;
-the blockwise one has one block, and one rate, per coordinate. Expectations
+the blockwise one has one block, and one rate, per coordinate. The exact
+reward-proportional step follows the same pattern: callers run
+:func:`~igokit.updates.fitness_proportional_step` on the support with
+rewards ``P(x) r(x)``. Expectations
 are numpy reductions (``np.sum(p * f)``), never a BLAS dot product, so exact
 results do not depend on the BLAS thread count.
 

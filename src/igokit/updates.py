@@ -15,8 +15,9 @@ state is converted once, by the rule that builds it:
   fixes the blocks: covariance then mean for a Gaussian (rank-mu
   recombination), one block per coordinate for Bernoulli.
 * :func:`fitness_proportional_step` - natural-gradient step under
-  reward-proportional weights, exact (finite distribution) or Monte Carlo;
-  it forms the weights and runs :func:`igo_step`.
+  reward-proportional weights ``r_i / sum r``; it forms the weights and runs
+  :func:`igo_step`. On a sample it is the Monte Carlo step; on the whole
+  support with rewards ``P(x) r(x)`` it is the exact one.
 
 :func:`igo_step` and :func:`igo_ml_step` read ``eta = model.to_eta(params)``
 and validate their result with ``model.from_eta``; they coincide
@@ -27,8 +28,10 @@ projected away. :func:`safeguarded_step` wraps any of these with step-size
 halving for harness use.
 
 The weights need not come from a sample: the exact oracle passes the whole
-enumerated support with weights ``P(x) W(x)``, so the infinite-population
-steps it checks are these same functions.
+enumerated support with weights ``P(x) W(x)``, and the exact reward step
+passes it with rewards ``P(x) r(x)``, so the infinite-population steps it
+checks are these same functions. Every rule takes points; none knows the
+oracle.
 
 Every weighted sum of rows, ``sum_i w_i (r_i - c)`` or ``sum_i w_i r_i``,
 goes through one kernel, ``_weighted_sum``. It adds the rounded products
@@ -74,8 +77,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainExitError, InvalidInputError
-from .models import Gaussian, GaussianParams
-from .oracle import FiniteDist
+from .models import Gaussian, GaussianParams, _points_array
 from .selection import SampleWeights, _check_weights
 
 __all__ = [
@@ -199,8 +201,7 @@ def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
 
     An invalid block output raises a domain exit.
     """
-    if params.dim != model.dim:
-        raise InvalidInputError("parameter dimension mismatch")
+    params = model._check_params(params)
     gaussian = isinstance(model, Gaussian)
     blocks = 2 if gaussian else model.dim
     dts = np.asarray(dt_per_block, dtype=np.float64)
@@ -232,40 +233,33 @@ def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
     return model.from_eta((1.0 - dts) * model.to_eta(params) + dts * weighted_mean)
 
 
-def fitness_proportional_step(model, params, source, rewards, dt: float):
+def fitness_proportional_step(model, params, points, rewards, dt: float):
     """Natural-gradient step under reward-proportional selection.
 
-    ``eta' = eta + dt * E[(r(x) / E[r]) (T(x) - eta)]`` from the state
-    ``params``, returned validated. ``source`` is either a
-    :class:`~igokit.oracle.FiniteDist` (expectation taken exactly over its
-    support) or an ``(n, d)`` sample array (Monte Carlo, uniform 1/n sample
-    weights). ``rewards`` holds the per-point rewards, all non-negative with
-    at least one positive. The step itself is :func:`igo_step` with weights
-    ``P(x) r(x) / E[r]`` on the support, or ``r_i / sum r`` on the sample.
+    :func:`igo_step` from the state ``params`` with weights ``r_i / sum_j r_j``,
+    returned validated. ``points`` is an ``(n, d)`` array and ``rewards``
+    holds one reward per point, finite and non-negative, not all zero. On a
+    sample the rewards are ``r(x_i)``: the Monte Carlo estimate of
+    ``eta' = eta + dt * E[(r(x) / E[r]) (T(x) - eta)]``. The exact step runs
+    this rule on the whole support with rewards ``P(x) r(x)``, so its weights
+    are ``P(x) r(x) / E_P[r]`` and its checks read ``P(x) r(x)``; that
+    differs from checking ``r(x)`` only where ``P(x)`` underflows to 0, where
+    a negative reward weighs ``-0.0`` and passes.
     """
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim != 1 or np.any(r < 0.0) or not np.all(np.isfinite(r)):
         raise InvalidInputError("rewards must be finite and non-negative")
     if not np.any(r > 0.0):
         raise InvalidInputError("rewards must not be all zero")
-
-    if isinstance(source, FiniteDist):
-        if r.size != source.size:
-            raise InvalidInputError("one reward per support point required")
-        points, prob = source.support, source.prob
-    else:
-        points, prob = source, None
-        if r.size != len(points):
-            raise InvalidInputError("one reward per sample required")
-    return igo_step(model, params, points, _reward_weights(prob, r), dt)
+    points = _points_array(points, model.dim)  # igo_step checks the values
+    if r.size != points.shape[0]:
+        raise InvalidInputError("one reward per point required")
+    return igo_step(model, params, points, _reward_weights(r), dt)
 
 
-def _reward_weights(prob, rewards: np.ndarray) -> np.ndarray:
-    """The weights of a reward-proportional step: ``P(x) r(x) / E_P[r]`` on
-    a support with probabilities ``prob``, or ``r_i / sum r`` on a sample
-    (``prob`` None)."""
-    weighted = rewards if prob is None else prob * rewards
-    return weighted / float(np.sum(weighted))
+def _reward_weights(rewards: np.ndarray) -> np.ndarray:
+    """The weights of a reward-proportional step, ``r_i / sum r``."""
+    return rewards / float(np.sum(rewards))
 
 
 def safeguarded_step(step, dt: float, max_halvings: int = 30):

@@ -331,8 +331,9 @@ class TestExactRppEnumeration:
         params = config.initial_params()
         for step in trace.steps:
             dist = enumerate_bernoulli(params)
-            params_next = updates.fitness_proportional_step(model, params, dist, rewards,
-                                                            config.dt)
+            params_next = updates.fitness_proportional_step(
+                model, params, dist.support, dist.prob * rewards, config.dt
+            )
             after = enumerate_bernoulli(params_next)
             assert step.eta.tobytes() == params_next.probs.tobytes()
             assert step.best_f == float(np.sum(after.prob * rewards))
@@ -363,6 +364,22 @@ class TestExactRppEnumeration:
         r = config.make_objective().batch(samples)
         w = r[r > 0.0] / r.sum()
         assert step.weight_entropy == float(-np.sum(w * np.log(w)))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    def test_step_weights_are_the_normalised_rewards(self, exact):
+        # the weights a step carries are those its rule used: P(x) r(x) / E_P[r]
+        # over the support, r_i / sum r over a sample
+        config = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=6, dt=0.5,
+                                 lam=30, rpp_exact=exact)
+        objective = config.make_objective()
+        params = BernoulliParams(np.linspace(0.2, 0.7, 6))
+        result = one_step(config, Bernoulli(6), params, objective, np.random.default_rng(2))
+        if exact:
+            assert result.samples is None and result.fitness is objective.support_values
+            rewards = params.support_probs * objective.support_values
+        else:
+            rewards = objective.batch(result.samples)
+        assert result.weights.w.tobytes() == (rewards / np.sum(rewards)).tobytes()
 
     def test_support_is_checked_once(self, checks_run):
         checked = checks_run(models._check_binary)
@@ -521,6 +538,13 @@ class TestConfigValidation:
     def test_cma_needs_continuous_objective(self):
         with pytest.raises(InvalidInputError, match="continuous"):
             AlgorithmConfig(algorithm="cma_rank_mu", objective="onemax").validate()
+
+    def test_pbil_needs_binary_objective(self):
+        # pbil is the product Bernoulli step; on a continuous objective it
+        # would silently run igo_generic's Gaussian step
+        with pytest.raises(InvalidInputError, match="^objective: pbil runs on binary"):
+            AlgorithmConfig(algorithm="pbil", objective="sphere", dim=2).validate()
+        AlgorithmConfig(algorithm="igo_generic", objective="sphere", dim=2).validate()
 
     def test_unknown_algorithm(self):
         with pytest.raises(InvalidInputError, match="algorithm"):

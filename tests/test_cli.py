@@ -144,6 +144,13 @@ class TestRunCommand:
         assert "configuration error: objective_seed:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pbil_on_a_continuous_objective_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli(trace_args(out, **{"--algo": "pbil", "--objective": "sphere",
+                                          "--dim": "2"})) == 2
+        assert "configuration error: objective: pbil" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_capacity_errors_are_config_errors(self, tmp_path, capsys):
         argv = trace_args(tmp_path / "t.csv",
                           **{"--objective": "random-table", "--dim": "20"})

@@ -276,6 +276,50 @@ class TestParamConvert:
             assert err <= 1e-12
 
 
+def _good_state(model):
+    if isinstance(model, Gaussian):
+        return GaussianParams(np.zeros(model.dim), np.eye(model.dim))
+    return BernoulliParams(np.full(model.dim, 0.5))
+
+
+def _blockwise(model, params):
+    dts = (0.5, 0.5) if isinstance(model, Gaussian) else np.full(model.dim, 0.5)
+    return updates.blockwise_igo_ml_step(model, params, np.zeros((1, model.dim)), [1.0], dts)
+
+
+# Every method that reads a state, each handed a state of another dimension
+# or of the other family. Before the one state check, Bernoulli(3) sampled a
+# d = 1 state as if it had three coordinates and gave its log density, and a
+# state of the other family raised AttributeError.
+_STATE_READERS = {
+    "to_eta": lambda m, s: m.to_eta(s),
+    "sample": lambda m, s: m.sample(s, np.random.default_rng(0), 4),
+    "log_density": lambda m, s: m.log_density(s, np.zeros(m.dim)),
+    "kl_divergence(p)": lambda m, s: m.kl_divergence(s, _good_state(m)),
+    "kl_divergence(q)": lambda m, s: m.kl_divergence(_good_state(m), s),
+    "blockwise_igo_ml_step": _blockwise,
+}
+_BAD_STATES = [
+    (Bernoulli(3), BernoulliParams([0.3])),
+    (Bernoulli(3), BernoulliParams([0.3, 0.4])),
+    (Bernoulli(3), GaussianParams(np.zeros(3), np.eye(3))),
+    (Gaussian(2), GaussianParams([0.0], [[1.0]])),
+    (Gaussian(2), GaussianParams(np.zeros(3), np.eye(3))),
+    (Gaussian(2), BernoulliParams([0.3, 0.4])),
+]
+
+
+@pytest.mark.parametrize("model, bad", _BAD_STATES, ids=[
+    "bernoulli3-d1", "bernoulli3-d2", "bernoulli3-gaussian3",
+    "gaussian2-d1", "gaussian2-d3", "gaussian2-bernoulli2",
+])
+@pytest.mark.parametrize("method", list(_STATE_READERS))
+def test_a_state_of_another_dimension_or_family_is_refused(model, bad, method):
+    with pytest.raises(InvalidInputError, match="parameter dimension mismatch"):
+        _STATE_READERS[method](model, bad)
+    _STATE_READERS[method](model, _good_state(model))  # the call itself is valid
+
+
 class TestLogDensity:
     def test_uniform_bernoulli(self):
         m = Bernoulli(2)

@@ -675,20 +675,21 @@ HALF = BernoulliParams([0.5])
 
 
 class TestFitnessProportional:
+    # The exact step is the rule on the whole support with rewards P(x) r(x).
     def test_full_step_boundary(self):
         model = bern(1)
         dist = enumerate_bernoulli(HALF)
-        rewards = dist.support[:, 0]  # r(x) = x
+        rewards = dist.prob * dist.support[:, 0]  # r(x) = x
         with pytest.raises(DomainExitError):
-            fitness_proportional_step(model, HALF, dist, rewards, 1.0)
-        eta = fitness_proportional_step(model, HALF, dist, rewards, 1.0 - 1e-6).probs
+            fitness_proportional_step(model, HALF, dist.support, rewards, 1.0)
+        eta = fitness_proportional_step(model, HALF, dist.support, rewards, 1.0 - 1e-6).probs
         assert eta[0] == pytest.approx(1.0 - 5e-7, abs=1e-12)
 
     def test_shifted_reward(self):
         model = bern(1)
         dist = enumerate_bernoulli(HALF)
         rewards = 1.0 + dist.support[:, 0]
-        out = fitness_proportional_step(model, HALF, dist, rewards, 1.0)
+        out = fitness_proportional_step(model, HALF, dist.support, dist.prob * rewards, 1.0)
         assert out.probs[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
         before = float(dist.prob @ rewards)
         after = float(enumerate_bernoulli(out).prob @ rewards)
@@ -698,18 +699,33 @@ class TestFitnessProportional:
     def test_half_step(self):
         model = bern(1)
         dist = enumerate_bernoulli(HALF)
-        eta = fitness_proportional_step(model, HALF, dist, dist.support[:, 0], 0.5).probs
+        rewards = dist.prob * dist.support[:, 0]
+        eta = fitness_proportional_step(model, HALF, dist.support, rewards, 0.5).probs
         assert eta[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_all_zero_rewards(self):
         model = bern(1)
-        dist = enumerate_bernoulli(HALF)
-        with pytest.raises(InvalidInputError):
-            fitness_proportional_step(model, HALF, dist, [0.0, 0.0], 1.0)
-        with pytest.raises(InvalidInputError):
-            fitness_proportional_step(model, HALF, dist, [0.5, -0.1], 1.0)
+        support = enumerate_bernoulli(HALF).support
+        with pytest.raises(InvalidInputError, match="all zero"):
+            fitness_proportional_step(model, HALF, support, [0.0, 0.0], 1.0)
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            fitness_proportional_step(model, HALF, support, [0.5, -0.1], 1.0)
         with pytest.raises(InvalidInputError, match="all zero"):
             fitness_proportional_step(model, HALF, np.zeros((1, 1)), [0.0], 1.0)
+
+    @pytest.mark.parametrize("points", [
+        enumerate_bernoulli(HALF), None, object(), [[0.0], [1.0, 1.0]], np.zeros(2),
+        np.zeros((2, 3)), np.zeros((1, 2, 1)),
+    ], ids=["finite-dist", "none", "object", "ragged", "1-d", "wrong-d", "3-d"])
+    def test_refuses_points_that_are_not_an_n_by_d_array(self, points):
+        # a FiniteDist is not points: the exact step passes its support and
+        # P(x) r(x); nothing reaches the caller as a raw numpy error
+        with pytest.raises(InvalidInputError, match=r"points must have shape \(n, 1\)"):
+            fitness_proportional_step(bern(1), HALF, points, [1.0, 1.0], 1.0)
+
+    def test_one_reward_per_point(self):
+        with pytest.raises(InvalidInputError, match="one reward per point"):
+            fitness_proportional_step(bern(1), HALF, np.zeros((3, 1)), [1.0, 1.0], 1.0)
 
     def test_monte_carlo_mode(self):
         # sample weights are 1/n: the update reduces to reward-share averages
