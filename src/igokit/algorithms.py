@@ -121,7 +121,7 @@ class AlgorithmConfig:
         if self.weights_table is not None:
             try:  # the table is built here, so a bad one fails before any work
                 self.make_scheme()
-            except (TypeError, ValueError) as exc:
+            except InvalidInputError as exc:
                 raise InvalidInputError(f"weights_table: {exc}") from None
         if self.q is not None or (rank_based and self.weights_table is None):
             _check_q(self.q)
@@ -176,7 +176,7 @@ class AlgorithmConfig:
 
     def make_scheme(self):
         if self.weights_table is not None:
-            return TabulatedScheme(tuple(self.weights_table))
+            return TabulatedScheme(self.weights_table)
         return TruncationScheme(float(self.q))
 
     def make_model(self):
@@ -317,14 +317,21 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
     """Execute one seeded run and return its trace.
 
     Deterministic: the same config yields a bit-identical trace. ``objective``
-    overrides the registry lookup (it must match the configured dimension);
-    the config echo keeps the registry name either way.
+    overrides the registry lookup; it must share the registry objective's
+    dimension, space and direction, which ``validate`` checks against the
+    algorithm. The config echo keeps the registry name either way.
     """
     config.validate()
+    registered = config.make_objective()
     if objective is None:
-        objective = config.make_objective()
-    elif objective.dim != config.dim:
-        raise InvalidInputError("objective override dimension mismatch")
+        objective = registered
+    elif ((objective.dim, objective.space, objective.direction)
+          != (registered.dim, registered.space, registered.direction)):
+        raise InvalidInputError(
+            f"objective: an override must match {config.objective!r} in dim, space and "
+            f"direction ({registered.dim}, {registered.space}, {registered.direction}), "
+            f"got ({objective.dim}, {objective.space}, {objective.direction})"
+        )
     model = config.make_model()
     maximize = config.algorithm == "rpp"
     scheme = None if maximize else config.make_scheme()

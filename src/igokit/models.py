@@ -42,17 +42,12 @@ Concurrency: models and parameter objects are immutable value objects and safe
 to share read-only across threads. Sampling mutates the caller-supplied numpy
 ``Generator``; for parallel sampling derive one independent stream per worker
 from a master seed, e.g. ``np.random.default_rng([master_seed, worker_index])``.
-A large Bernoulli draw from a PCG64 or PCG64DXSM generator starts up to one
-thread per usable CPU for its own fill and joins them before it returns; it
-gives the bits, and the end state of the generator, of a serial draw. No
-thread outlives the call, and importing the module touches neither threads
-nor ``numpy.random``.
+Every draw is filled in the calling thread: the module starts no threads,
+and importing it does not load ``numpy.random``.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,78 +119,6 @@ def _binary(pts: np.ndarray) -> None:
 # The exact oracle hands the cached support to every step; it is checked once.
 # ``Bernoulli.sample`` records its own draws as checked.
 _check_binary = _CheckedOnce(_binary)
-
-# The fewest entries a thread of a split Bernoulli draw fills: below about
-# this many, starting and joining the thread costs more than it saves.
-_MIN_PART = 1 << 17
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _threshold(rng: np.random.Generator, probs: np.ndarray, rows: np.ndarray) -> None:
-    """Fill ``rows`` with uniforms from ``rng``, then with ``u < probs``."""
-    rng.random(out=rows)
-    np.less(rows, probs, out=rows)
-
-
-def _bernoulli_fill(rng: np.random.Generator, probs: np.ndarray, out: np.ndarray) -> None:
-    """Fill the C-ordered ``(count, d)`` array ``out`` with 0/1 draws, in
-    ``min(usable CPUs, count * d // _MIN_PART, count)`` parts of whole rows:
-    the first in the calling thread from ``rng``, each other one in its own
-    short-lived thread.
-
-    A part starting at row ``r`` draws from a copy of ``rng``'s bit generator
-    advanced by ``r * d`` outputs, which is where a serial fill would be at
-    that row. That needs one 64-bit output per double and an exact
-    ``advance``, as PCG64 and PCG64DXSM give; any other bit generator fills
-    in one part. ``rng`` then takes the state of the last copy, keeping its
-    own buffered 32-bit value, so it ends where the serial fill would. An
-    exception raised in a part reaches the caller after every thread has
-    ended.
-    """
-    parts = min(_usable_cpus(), out.size // _MIN_PART, out.shape[0])
-    if parts < 2 or type(rng.bit_generator) not in (np.random.PCG64, np.random.PCG64DXSM):
-        _threshold(rng, probs, out)
-        return
-    count, d = out.shape
-    bounds = [count * j // parts for j in range(parts + 1)]
-    bit_generator = rng.bit_generator
-    start = bit_generator.state
-    copies = []
-    for first in bounds[1:-1]:
-        copy = type(bit_generator)()
-        copy.state = start
-        copies.append(copy.advance(first * d))
-    errors = []
-
-    def fill_part(copy, rows):
-        try:
-            _threshold(np.random.Generator(copy), probs, rows)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=fill_part, args=(copy, out[first:stop]))
-               for copy, first, stop in zip(copies, bounds[1:-1], bounds[2:])]
-    try:
-        for thread in threads:
-            thread.start()
-        _threshold(rng, probs, out[:bounds[1]])
-    finally:
-        for thread in threads:
-            if thread.is_alive():  # one that failed to start is not
-                thread.join()
-    if errors:
-        raise errors[0]
-    end = copies[-1].state
-    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-    bit_generator.state = end
-
 
 def _points_array(points, dim: int) -> np.ndarray:
     """``points`` as an ``(n, dim)`` float64 array; anything else is refused."""
@@ -393,21 +316,18 @@ class Bernoulli:
     def sample(self, params: BernoulliParams, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` i.i.d. draws as a read-only ``(count, d)`` 0/1 float array.
 
-        The uniforms are thresholded in place, ``1.0`` where ``u < p``: the
-        draw allocates only its result, and gives the bits (and leaves the
-        generator in the state) of
-        ``(rng.random((count, d)) < p).astype(np.float64)``.
-
-        A large draw from a PCG64 or PCG64DXSM generator (``default_rng``'s
-        kind) is filled in up to one part per usable CPU, all but the first
-        in short-lived threads that end before it returns (see
-        :func:`_bernoulli_fill`); any other draw fills in the calling
-        thread. The result is recorded as passing the 0/1 check, so the
-        update rule of a sampled step does not scan it again."""
+        The uniforms are drawn into the result and thresholded in place,
+        ``1.0`` where ``u < p``, in the calling thread: the draw allocates
+        only its result, and gives the bits (and leaves the generator in the
+        state) of ``(rng.random((count, d)) < p).astype(np.float64)``, for
+        every bit generator. The result is recorded as passing the 0/1
+        check, so the update rule of a sampled step does not scan it
+        again."""
         count = _check_integer("count", count, 1, "must be a positive integer")
         probs = self._check_params(params).probs
         out = np.empty((count, self.dim))
-        _bernoulli_fill(rng, probs, out)
+        rng.random(out=out)
+        np.less(out, probs, out=out)
         out.setflags(write=False)
         _check_binary.record(out)
         return out

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_q
+from .errors import InvalidInputError, _check_q, _check_real
 from .models import _owns_frozen
 
 __all__ = [
@@ -111,12 +111,15 @@ class TabulatedScheme:
     cells: tuple
 
     def __post_init__(self):
-        cells = tuple(float(c) for c in self.cells)
+        try:
+            cells = tuple(_check_real("cells", c, "must be finite numbers") for c in self.cells)
+        except TypeError:  # not a sequence
+            raise InvalidInputError(
+                f"cells: must be a sequence of real numbers, got {self.cells!r}"
+            ) from None
         if len(cells) < 1:
             raise InvalidInputError("cells must be non-empty")
         arr = np.array(cells)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("cells must be finite")
         if np.any(arr < 0.0):
             raise InvalidInputError("cells must be non-negative")
         if np.any(np.diff(arr) > 1e-15):

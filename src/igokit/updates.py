@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainExitError, InvalidInputError
+from .errors import DomainExitError, InvalidInputError, _check_integer, _check_real
 from .models import Gaussian, GaussianParams, _points_array
 from .selection import SampleWeights, _check_weights
 
@@ -138,11 +138,8 @@ def _weighted_sum(w: np.ndarray, rows, center=None) -> np.ndarray:
     return total
 
 
-def _check_dt(dt: float) -> float:
-    dt = float(dt)
-    if not np.isfinite(dt) or dt < 0.0:
-        raise InvalidInputError(f"dt must be finite and >= 0, got {dt!r}")
-    return dt
+# What every step size must be, as ``_check_real`` takes it.
+_STEP_SIZE = ("must be finite and >= 0", lambda v: 0.0 <= v < np.inf)
 
 
 def igo_step(model, params, samples, weights, dt: float):
@@ -152,7 +149,7 @@ def igo_step(model, params, samples, weights, dt: float):
     ``eta = model.to_eta(params)``. Returns the validated next state; raises
     ``DomainExitError`` when ``eta'`` leaves the valid region.
     """
-    dt = _check_dt(dt)
+    dt = _check_real("dt", dt, *_STEP_SIZE)
     eta = model.to_eta(params)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
@@ -171,7 +168,7 @@ def igo_ml_step(model, params, samples, weights, dt: float):
     while at ``dt = 1`` the blend *is* the ML point and a degenerate one
     (e.g. a single Gaussian sample) raises a domain exit.
     """
-    dt = _check_dt(dt)
+    dt = _check_real("dt", dt, *_STEP_SIZE)
     eta = model.to_eta(params)
     stats = model.batch_sufficient_statistics(samples)
     w = _weight_array(weights, stats.shape[0])
@@ -204,14 +201,15 @@ def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
     params = model._check_params(params)
     gaussian = isinstance(model, Gaussian)
     blocks = 2 if gaussian else model.dim
-    dts = np.asarray(dt_per_block, dtype=np.float64)
-    if dts.shape != (blocks,):
+    try:
+        dts = np.array([_check_real("dt_per_block", dt, *_STEP_SIZE) for dt in dt_per_block])
+    except TypeError:  # not a sequence
+        dts = None
+    if dts is None or dts.shape != (blocks,):
+        got = "no sequence" if dts is None else dts.size
         raise InvalidInputError(
-            f"dt_per_block must give one step size per block: {blocks} expected, "
-            f"got shape {dts.shape}"
+            f"dt_per_block: must give one step size per block: {blocks} expected, got {got}"
         )
-    for dt in dts:
-        _check_dt(dt)
     # The blocks read the points themselves; neither family needs T(x) here.
     samples = model._check_points(samples)
     w = _weight_array(weights, samples.shape[0])
@@ -269,7 +267,9 @@ def safeguarded_step(step, dt: float, max_halvings: int = 30):
     ``max_halvings`` halvings are exhausted. Intended for harness runs; the
     raw update functions never shrink steps on their own.
     """
-    dt = _check_dt(dt)
+    dt = _check_real("dt", dt, *_STEP_SIZE)
+    max_halvings = _check_integer("max_halvings", max_halvings, 0,
+                                  "must be a non-negative integer")
     attempt = dt
     for _ in range(max_halvings + 1):
         try:

@@ -123,6 +123,32 @@ class TestScaleInvariance:
             assert sb.best_f == 2.0 * sa.best_f + 1.0
 
 
+# A config, and an override objective of another direction, space or
+# dimension than the config's registry objective.
+_MISMATCHED_OVERRIDES = {
+    "rpp count-reward, onemax (direction)": (
+        AlgorithmConfig(algorithm="rpp", objective="count-reward", dim=4, lam=20, dt=0.5),
+        make_objective("onemax", 4)),
+    "pbil onemax, sphere (space)": (
+        AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4, lam=20, q=0.5),
+        make_objective("sphere", 4)),
+    "cma_rank_mu sphere, onemax (space)": (
+        AlgorithmConfig(algorithm="cma_rank_mu", objective="sphere", dim=4, lam=20, q=0.5),
+        make_objective("onemax", 4)),
+    "pbil onemax, onemax (dim)": (
+        AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4, lam=20, q=0.5),
+        make_objective("onemax", 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISMATCHED_OVERRIDES))
+def test_a_mismatched_objective_override_is_refused(case):
+    config, override = _MISMATCHED_OVERRIDES[case]
+    run(config)
+    with pytest.raises(InvalidInputError, match="^objective: an override must match"):
+        run(config, objective=override)
+
+
 class TestRunLoop:
     def test_zero_steps(self):
         cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4,

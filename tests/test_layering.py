@@ -1,8 +1,10 @@
-"""The package's modules import one another without a cycle.
+"""The package's modules import one another without a cycle, and none
+imports a way to start threads or processes.
 
-The graph is read from the source with ``ast``; nothing is imported. An
-import inside a function body runs when the function is called, not when
-the module loads, so it is not an edge here.
+Both are read from the source with ``ast``; nothing is imported. An import
+inside a function body runs when the function is called, not when the
+module loads, so it is not an edge of the graph; it does count as a
+threading import.
 """
 
 import ast
@@ -76,3 +78,36 @@ def test_module_level_import_graph_is_acyclic():
 def test_find_cycle_reports_a_cycle():
     assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+# Standard-library packages that start threads or processes.
+THREADING = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+def _absolute_imports(tree):
+    """The top-level packages of every absolute import anywhere in a module,
+    function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_threading():
+    imports = {path.name: _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+               for path in PACKAGE.glob("*.py")}
+    # the reader sees the package's real imports, so an empty read cannot pass
+    assert "numpy" in imports["models.py"]
+    offending = {name: sorted(found & THREADING) for name, found in imports.items()
+                 if found & THREADING}
+    assert not offending, f"igokit starts no threads of its own: {offending}"
+
+
+def test_threading_imports_are_found_in_function_bodies():
+    source = ("def f():\n    import threading\n"
+              "class A:\n    def g(self):\n        from concurrent.futures import Executor\n"
+              "import multiprocessing.pool\nfrom _thread import start_new_thread\n")
+    assert _absolute_imports(ast.parse(source)) >= THREADING

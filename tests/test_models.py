@@ -389,13 +389,37 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             Bernoulli(1).sample(BernoulliParams([0.5]), np.random.default_rng(0), 0)
 
-    @pytest.mark.parametrize("d, n, seed", [(1, 5, 0), (7, 33, 1), (1000, 200, 2)])
-    def test_bernoulli_draw_is_the_thresholded_stream(self, d, n, seed):
+    @pytest.mark.parametrize("d, n, seed, bit_generator, buffered", [
+        *(pytest.param(d, n, seed, "PCG64", False, id=f"{d}-{n}-{seed}")
+          for d, n, seed in ((1, 5, 0), (7, 33, 1), (1000, 200, 2))),
+        *(pytest.param(d, n, 11, bit_generator, buffered,
+                       id=f"{n}x{d}-{bit_generator}{'-buffered' * buffered}")
+          for n, d in ((1, 1), (7, 3), (1001, 333), (3, 100_000), (1000, 1000))
+          for bit_generator in ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
+          for buffered in (False, True)),
+    ])
+    def test_bernoulli_draw_is_the_thresholded_stream(self, d, n, seed, bit_generator, buffered):
+        """The draw has the bits of ``rng.random((n, d)) < p`` and leaves the
+        generator, a buffered 32-bit value too, where that leaves it."""
         p = BernoulliParams(np.random.default_rng(seed).uniform(0.01, 0.99, d))
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        make = getattr(np.random, bit_generator)
+        rng, reference = np.random.Generator(make(seed)), np.random.Generator(make(seed))
+        if buffered:
+            for g in (rng, reference):
+                g.integers(2**32, dtype=np.uint32)
         draws = Bernoulli(d).sample(p, rng, n)
         assert draws.tobytes() == (reference.random((n, d)) < p.probs).astype(np.float64).tobytes()
         assert rng.random() == reference.random()
+        assert rng.integers(2**32, dtype=np.uint32) == reference.integers(2**32, dtype=np.uint32)
+
+    def test_a_large_draw_starts_no_thread(self, monkeypatch):
+        def refused(thread):
+            raise RuntimeError("a draw started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        draws = Bernoulli(1000).sample(BernoulliParams(np.full(1000, 0.3)),
+                                       np.random.default_rng(1), 1000)
+        assert draws.shape == (1000, 1000)
 
     def test_bernoulli_draw_allocates_only_its_result(self):
         m, n, d = Bernoulli(1000), 1000, 1000
@@ -409,119 +433,6 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * n * d * 8
-
-
-def serial_draw(probs, rng, count):
-    """The draw a single serial fill gives."""
-    return (rng.random((count, probs.size)) < probs).astype(np.float64)
-
-
-def split_into(monkeypatch, parts):
-    """Make ``Bernoulli.sample`` see ``parts`` usable CPUs and split draws
-    of any size."""
-    monkeypatch.setattr(models, "_usable_cpus", lambda: parts)
-    monkeypatch.setattr(models, "_MIN_PART", 1)
-
-
-def fill_threads(monkeypatch):
-    """The thread of every part filled while the test runs, with the
-    number of live threads it saw."""
-    seen = []
-    threshold = models._threshold
-
-    def watched(rng, probs, rows):
-        seen.append((threading.current_thread(), threading.active_count()))
-        threshold(rng, probs, rows)
-
-    monkeypatch.setattr(models, "_threshold", watched)
-    return seen
-
-
-class TestSplitDraw:
-    """A draw split over threads has the bits of the serial draw and leaves
-    the generator where the serial draw leaves it, whatever the generator,
-    shape, split and buffered 32-bit value; only PCG64 and PCG64DXSM are
-    split at all."""
-
-    SHAPES = ((1, 1), (7, 3), (1001, 333), (3, 100_000), (1000, 1000))
-
-    @pytest.mark.parametrize("parts", (2, 3, 4))
-    @pytest.mark.parametrize("bit_generator", ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"))
-    def test_split_draw_is_the_serial_draw(self, monkeypatch, bit_generator, parts):
-        split_into(monkeypatch, parts)
-        make = getattr(np.random, bit_generator)
-        for count, d in self.SHAPES:
-            probs = BernoulliParams(np.random.default_rng(d).uniform(0.05, 0.95, d))
-            for buffered in (False, True):
-                rng, reference = np.random.Generator(make(11)), np.random.Generator(make(11))
-                if buffered:
-                    for g in (rng, reference):
-                        g.integers(2**32, dtype=np.uint32)
-                draws = Bernoulli(d).sample(probs, rng, count)
-                assert draws.tobytes() == serial_draw(probs.probs, reference, count).tobytes()
-                assert rng.random() == reference.random()
-                assert (rng.integers(2**32, dtype=np.uint32)
-                        == reference.integers(2**32, dtype=np.uint32))
-
-    def test_buffered_value_survives_the_split(self, monkeypatch):
-        split_into(monkeypatch, 3)
-        rng = np.random.default_rng(4)
-        rng.integers(2**32, dtype=np.uint32)
-        before = rng.bit_generator.state
-        assert before["has_uint32"] == 1
-        Bernoulli(100).sample(BernoulliParams(np.full(100, 0.5)), rng, 300)
-        after = rng.bit_generator.state
-        assert (after["has_uint32"], after["uinteger"]) == (1, before["uinteger"])
-
-
-class TestDrawThreads:
-    """A draw starts at most one thread per usable CPU but its own, none for
-    a small draw or another generator, and leaves none behind."""
-
-    LARGE = BernoulliParams(np.full(1000, 0.3))
-
-    @pytest.mark.parametrize("cpus", (1, 2, 4))
-    def test_a_large_draw_starts_one_thread_per_other_cpu(self, monkeypatch, cpus):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
-        seen = fill_threads(monkeypatch)
-        baseline = threading.active_count()
-        Bernoulli(1000).sample(self.LARGE, np.random.default_rng(1), 1000)
-        assert len(seen) == cpus
-        assert len({thread for thread, _ in seen} - {threading.current_thread()}) == cpus - 1
-        assert max(live for _, live in seen) <= baseline + cpus - 1
-        assert threading.active_count() == baseline
-
-    def test_usable_cpus_bound_the_threads(self, monkeypatch):
-        seen = fill_threads(monkeypatch)
-        baseline = threading.active_count()
-        Bernoulli(1000).sample(self.LARGE, np.random.default_rng(1), 1000)
-        assert 1 <= len(seen) <= models._usable_cpus()
-        assert threading.active_count() == baseline
-
-    @pytest.mark.parametrize("count, bit_generator", [(100, "PCG64"), (1000, "MT19937")])
-    def test_a_small_draw_or_another_generator_starts_none(self, monkeypatch, count,
-                                                            bit_generator):
-        # 100 x 1000 entries make no part of _MIN_PART over four CPUs
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
-        seen = fill_threads(monkeypatch)
-        rng = np.random.Generator(getattr(np.random, bit_generator)(1))
-        Bernoulli(1000).sample(self.LARGE, rng, count)
-        assert [thread for thread, _ in seen] == [threading.current_thread()]
-
-    def test_an_error_in_a_part_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        threshold = models._threshold
-
-        def failing(rng, probs, rows):
-            if threading.current_thread() is not threading.main_thread():
-                raise MemoryError("part failed")
-            threshold(rng, probs, rows)
-
-        monkeypatch.setattr(models, "_threshold", failing)
-        baseline = threading.active_count()
-        with pytest.raises(MemoryError, match="part failed"):
-            Bernoulli(1000).sample(self.LARGE, np.random.default_rng(1), 1000)
-        assert threading.active_count() == baseline
 
 
 class TestDrawIsBornChecked:

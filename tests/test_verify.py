@@ -7,18 +7,25 @@ from igokit import (
     AlgorithmConfig,
     Bernoulli,
     BernoulliParams,
+    DomainExitError,
     Gaussian,
     GaussianParams,
     InvalidInputError,
+    TabulatedScheme,
     TruncationScheme,
     bernoulli_support,
+    blockwise_igo_ml_step,
     check_kl_expansion,
     empirical_quantile,
     enumerate_bernoulli,
     estimate_J,
     exact_quantile,
     finite_population_improvement,
+    fitness_proportional_step,
+    igo_ml_step,
+    igo_step,
     make_objective,
+    safeguarded_step,
 )
 from igokit import selection, updates
 from igokit.updates import _weight_array, _weighted_sum
@@ -30,6 +37,19 @@ def test_unknown_suite_and_grid():
         run_suite("nope")
     with pytest.raises(InvalidInputError, match="unknown grid"):
         run_suite("cma-recovery", grid="huge")
+
+
+def _halvings_tried(max_halvings):
+    """The step sizes ``safeguarded_step`` tries on a step that always exits."""
+    tried = []
+
+    def exits(dt):
+        tried.append(dt)
+        raise DomainExitError("always exits")
+
+    with pytest.raises(DomainExitError):
+        safeguarded_step(exits, 1.0, max_halvings)
+    return tried
 
 
 _SHORT_RUN = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=4, lam=10,
@@ -56,6 +76,8 @@ _INTEGER_ARGUMENTS = {
     "check_kl_expansion(halvings)": (
         "halvings", lambda k: check_kl_expansion(Bernoulli(1), [0.5], [0.1], halvings=k),
         lambda errs: len(errs) - 1),
+    "safeguarded_step(max_halvings)": (
+        "max_halvings", _halvings_tried, lambda tried: len(tried) - 1),
 }
 
 
@@ -94,6 +116,50 @@ def test_quantile_levels_share_one_check(argument):
         with pytest.raises(InvalidInputError, match="^q: must satisfy 0 < q < 1"):
             call(bad)
     assert call(np.float64(0.25)) == expected
+
+
+# Each step size: its name in the message, a call taking it, and what that
+# call gives at 0.25. The steps move p = 1/2 toward the point 1 by a quarter.
+_HALF, _ONE = BernoulliParams([0.5]), [[1.0]]
+_STEP_SIZES = {
+    "igo_step(dt)": ("dt", lambda dt: igo_step(Bernoulli(1), _HALF, _ONE, [1.0], dt).probs[0],
+                     0.625),
+    "igo_ml_step(dt)": (
+        "dt", lambda dt: igo_ml_step(Bernoulli(1), _HALF, _ONE, [1.0], dt).probs[0], 0.625),
+    "fitness_proportional_step(dt)": (
+        "dt", lambda dt: fitness_proportional_step(Bernoulli(1), _HALF, _ONE, [2.0], dt)
+        .probs[0], 0.625),
+    "blockwise_igo_ml_step(dt_per_block)": (
+        "dt_per_block",
+        lambda dt: blockwise_igo_ml_step(Bernoulli(1), _HALF, _ONE, [1.0], [dt]).probs[0],
+        0.625),
+    "safeguarded_step(dt)": ("dt", lambda dt: safeguarded_step(lambda a: a, dt)[1], 0.25),
+    "AlgorithmConfig(dt)": ("dt", lambda dt: AlgorithmConfig(dt=dt).validate(), None),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_STEP_SIZES))
+def test_step_sizes_share_one_check(argument):
+    """A finite step size ``>= 0`` goes on as a number; anything else, a
+    string or ``None`` too, is refused by name as ``InvalidInputError``."""
+    key, call, expected = _STEP_SIZES[argument]
+    for bad in ("0.5", None, [0.5], -0.25, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match=f"^{key}: "):
+            call(bad)
+    assert call(np.float64(0.25)) == expected
+
+
+@pytest.mark.parametrize("call, good", [
+    (TabulatedScheme, [1.0]),
+    (lambda rates: blockwise_igo_ml_step(Bernoulli(1), _HALF, _ONE, [1.0], rates), [0.25]),
+], ids=["TabulatedScheme(cells)", "blockwise_igo_ml_step(dt_per_block)"])
+def test_sequences_of_numbers_refuse_anything_else(call, good):
+    """A sequence of real numbers is taken; anything else is refused as
+    ``InvalidInputError``, never as a raw ``TypeError``."""
+    for bad in (None, 0.5, [[1.0]], {"a": 1}, "1"):
+        with pytest.raises(InvalidInputError):
+            call(bad)
+    call(good)
 
 
 def test_estimate_j_draw_count_is_checked():
