@@ -361,11 +361,14 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         except _ZeroRewardSample:
             trace.stop_reason = "zero_reward"
             break
-        params, samples, fitness = result.params, result.samples, result.fitness
+        params, fitness = result.params, result.fitness
+        exact = result.samples is None
         entropy = result.weights.entropy()
-        del applier, result  # free an exact step's 2^d vectors before the summaries
+        # Free the draw (or an exact step's 2^d vectors) before the summaries,
+        # so the next draw is made with no earlier population alive.
+        del applier, result
 
-        if samples is None:
+        if exact:
             best_f, emp_q = _reward_trace_fields(params, fitness, q_for_trace)
         else:
             best_f = float(np.max(fitness) if maximize else np.min(fitness))

@@ -117,9 +117,14 @@ def bernoulli_support(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _support(dim: int) -> np.ndarray:
-    codes = np.arange(2**dim, dtype=np.int64)
-    shifts = np.arange(dim - 1, -1, -1, dtype=np.int64)
-    pts = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+    # Filled in place, by doubling: rows [2^k, 2^(k+1)) are a copy of rows
+    # [0, 2^k) with coordinate dim-1-k set to 1.
+    pts = np.empty((2**dim, dim))
+    pts[0] = 0.0
+    for k in range(dim):
+        half = 1 << k
+        pts[half:2 * half] = pts[:half]
+        pts[half:2 * half, dim - 1 - k] = 1.0
     pts.setflags(write=False)
     return pts
 

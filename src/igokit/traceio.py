@@ -11,12 +11,18 @@ and a record whose eta width differs from the first record's is refused.
 Repeated runs with one seed must produce byte-identical files, so the
 ``elapsed_ns`` column serializes as 0 unless the run's ``timing`` flag is set;
 the in-memory trace always keeps real wall-clock values.
+
+A ``TraceRecord`` holds its eta snapshot packed, as an ``array('d')`` of
+8 bytes per value rather than a tuple of Python floats (about 32), so the
+records of a wide trace take about as much memory as the trace's own eta
+arrays. Records compare by value and are not hashable.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,15 +48,27 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One serialized trace row."""
+    """One serialized trace row.
+
+    ``eta`` is held packed, as an ``array('d')`` of 8 bytes per value;
+    any sequence of floats given for it is converted. Records compare by
+    value, so a record built from a tuple equals the same record read back
+    from a file. An array is mutable, so records have no hash.
+    """
 
     step: int
-    eta: tuple
+    eta: array
     best_f: float
     emp_quantile_q: float
     j_estimate: Optional[float]
     kl_prev: float
     elapsed_ns: int
+
+    __hash__ = None
+
+    def __post_init__(self):
+        if not (isinstance(self.eta, array) and self.eta.typecode == "d"):
+            object.__setattr__(self, "eta", array("d", self.eta))
 
 
 def trace_records(trace) -> list:
@@ -59,7 +77,7 @@ def trace_records(trace) -> list:
     return [
         TraceRecord(
             step=s.step,
-            eta=tuple(s.eta.tolist()),
+            eta=array("d", s.eta.tobytes()),
             best_f=s.best_f,
             emp_quantile_q=s.emp_quantile,
             j_estimate=s.j_estimate,
@@ -103,12 +121,13 @@ def render_trace(records, fmt: str = "csv", eta_dim: Optional[int] = None) -> st
         return "\n".join(lines)
     if fmt == "jsonl":
         # json writes a float's shortest repr, which parses back to the same
-        # float, as a 17-digit one would; float() turns ints into floats.
+        # float, as a 17-digit one would; float() turns ints into floats,
+        # and a packed eta holds floats already.
         lines = []
         for r in records:
             obj = {
                 "step": r.step,
-                "eta": [float(v) for v in r.eta],
+                "eta": r.eta.tolist(),
                 "best_f": float(r.best_f),
                 "emp_quantile_q": float(r.emp_quantile_q),
                 "j_estimate": None if r.j_estimate is None else float(r.j_estimate),
@@ -155,7 +174,7 @@ def _record(row, eta, missing) -> TraceRecord:
     j_estimate = row["j_estimate"]
     return TraceRecord(
         step=int(row["step"]),
-        eta=tuple(float(v) for v in eta),
+        eta=array("d", map(float, eta)),
         best_f=float(row["best_f"]),
         emp_quantile_q=float(row["emp_quantile_q"]),
         j_estimate=None if j_estimate == missing else float(j_estimate),

@@ -54,10 +54,18 @@ fused the multiply and the add (FMA) would move result bits, and
 (``a @ b`` on vectors), whose rounding depends on the BLAS thread count; a
 dot is ``np.sum(a * b)``.
 
+The Gaussian blockwise step's rank-mu scatter is
+``np.einsum("ij,ik->jk", w[:, None] * c, c)`` over the centred points ``c``
+(``d >= 2``): the products ``(w_i c_ij) c_ik`` added row by row, as the
+three-operand ``einsum("i,ij,ik->jk", w, c, c)`` forms and adds them, at
+about a third of its time. With one column, einsum would add the two-operand
+product in an unrolled order, so ``d = 1`` keeps the three-operand form.
+``TestSummationOrder`` pins both the covariance and the mean.
+
 Rows of zero weight are dropped, once and in index order, before a sum
 over ``k >= 2`` columns. The Gaussian blockwise step (``d >= 2``) always
-drops them before its rank-mu scatter ``einsum("i,ij,ik->jk")``, which costs
-``d`` times the copy of the kept rows. ``_weighted_sum`` drops them when
+drops them before its rank-mu scatter, which costs ``d`` times the copy of
+the kept rows. ``_weighted_sum`` drops them when
 they are at least half the rows, where the copy costs no more than the sum
 it spares: a sampled population under truncation weights is summed over its
 winners, and a support with a few zero-reward points is summed whole,
@@ -217,11 +225,16 @@ def blockwise_igo_ml_step(model, params, samples, weights, dt_per_block):
     if gaussian:
         dt_cov, dt_mean = dts
         if model.dim > 1:
-            # A single column keeps every row: its mean is a pairwise sum.
             nz = w != 0.0
             w, samples = w.compress(nz), samples.compress(nz, axis=0)
-        centered = samples - params.mean
-        scatter = np.einsum("i,ij,ik->jk", w, centered, centered)
+            centered = samples - params.mean
+            scatter = np.einsum("ij,ik->jk", w[:, None] * centered, centered)
+        else:
+            # A single column keeps every row, since its mean is a pairwise
+            # sum, and its scatter takes three operands: einsum would add the
+            # (n, 1) product of two in an unrolled order, not row by row.
+            centered = samples - params.mean
+            scatter = np.einsum("i,ij,ik->jk", w, centered, centered)
         scatter = (scatter + scatter.T) / 2.0
         params = GaussianParams(params.mean, params.cov + dt_cov * (scatter - params.cov))
         mean = params.mean + dt_mean * _weighted_sum(w, centered)

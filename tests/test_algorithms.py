@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +249,30 @@ class TestRunLoop:
         trace = run(config)
         assert len(trace.steps) == config.max_steps
         assert sum(rows) == config.max_steps * config.lam + 2**config.dim
+
+    @pytest.mark.parametrize("config", [
+        AlgorithmConfig(algorithm="pbil", objective="onemax", dim=50, lam=40, q=0.25,
+                        dt=0.3, max_steps=6, seed=1),
+        AlgorithmConfig(algorithm="cma_rank_mu", objective="ellipsoid", dim=5, lam=20,
+                        q=0.5, dt=0.5, max_steps=6, seed=1),
+    ], ids=["pbil", "cma_rank_mu"])
+    def test_a_new_draw_finds_no_earlier_draw_alive(self, config, monkeypatch):
+        # a run holds one population at a time: each step's draw is freed
+        # before the next step draws
+        family = type(config.make_model())
+        sample = family.sample
+        draws, alive = [], []
+
+        def tracked(self, params, rng, count):
+            alive.append(sum(ref() is not None for ref in draws))
+            out = sample(self, params, rng, count)
+            draws.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(family, "sample", tracked)
+        trace = run(config)
+        assert len(trace.steps) == config.max_steps
+        assert alive == [0] * config.max_steps
 
     def test_pbil_reaches_optimum_on_committed_seeds(self):
         hits = 0

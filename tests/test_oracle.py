@@ -64,6 +64,14 @@ class TestEnumerate:
         with pytest.raises(CapacityError):
             bernoulli_support(17)
 
+    def test_support_is_the_binary_expansion(self):
+        # row c holds the bits of c, leftmost coordinate most significant
+        for d in range(1, 17):
+            codes = np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)
+            support = bernoulli_support(d)
+            assert support.dtype == np.float64 and not support.flags.writeable
+            assert support.tobytes() == (codes & 1).astype(np.float64).tobytes()
+
     def test_finitedist_validation(self):
         with pytest.raises(InvalidInputError):
             FiniteDist(np.zeros((2, 1)), [0.6, 0.3])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igokit import InvalidInputError
-from igokit.traceio import TRACE_HEADER, TraceRecord, read_trace, render_trace
+from igokit import AlgorithmConfig, InvalidInputError, run
+from igokit.traceio import TRACE_HEADER, TraceRecord, read_trace, render_trace, trace_records
 
 RECORDS = [
     TraceRecord(step=1, eta=(0.25, 0.75), best_f=1.0, emp_quantile_q=2.0,
@@ -127,11 +127,43 @@ def test_reading_holds_one_line_at_a_time():
     records = [TraceRecord(i, tuple(rng.random(500).tolist()), 1.0, 2.0, None, 0.5, 0)
                for i in range(200)]
     text = render_trace(records, "csv")
-    tracemalloc.start()
+    fd, path = tempfile.mkstemp(suffix=".trace")
     try:
-        got = read_text(text)
-        kept, peak = tracemalloc.get_traced_memory()
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        # only the read is traced: writing the 2 MB text is not the reader's
+        tracemalloc.start()
+        try:
+            got = read_trace(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        os.unlink(path)
     assert got == records
     assert peak - kept <= len(text) / 4
+
+
+def test_records_hold_eta_packed():
+    # about 8 bytes per eta value, not a tuple of Python floats (about 32)
+    config = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=2000, lam=10,
+                             q=0.3, dt=0.2, max_steps=10, seed=1)
+    trace = run(config)
+    tracemalloc.start()
+    try:
+        records = trace_records(trace)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    values = sum(len(r.eta) for r in records)
+    assert values == config.max_steps * config.dim
+    assert kept <= 10 * values
+    assert [list(r.eta) for r in records] == [s.eta.tolist() for s in trace.steps]
+
+
+def test_records_compare_by_value_and_have_no_hash():
+    packed = TraceRecord(1, np.array([0.25, 0.75]), 1.0, 2.0, None, 0.125, 0)
+    assert packed == RECORDS[0]
+    assert packed != TraceRecord(1, (0.25, 0.5), 1.0, 2.0, None, 0.125, 0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(packed)

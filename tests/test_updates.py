@@ -104,8 +104,7 @@ def pbil_sample_case():
     return model, w, samples, BernoulliParams(np.full(d, 0.5))
 
 
-def gaussian_case():
-    d = 5
+def gaussian_case(d=5):
     model = Gaussian(d)
     params = GaussianParams(np.zeros(d), np.eye(d))
     samples = model.sample(params, np.random.default_rng(2), 200)
@@ -166,6 +165,22 @@ class TestSummationOrder:
         )
         blockwise_igo_ml_step(model, params, samples, w, dts)
         assert [e.tobytes() for e in from_eta_calls] == [expected.tobytes()]
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_gaussian_covariance_is_sequential(self, d):
+        # the rank-mu scatter adds the products (w_i c_ij) c_ik row by row;
+        # with one column as well, where a two-operand einsum would unroll.
+        # A covariance far under the scatter's keeps its last bits in the blend.
+        model, w, samples, params = gaussian_case(d)
+        params = GaussianParams(params.mean, 1e-3 * params.cov)
+        centered = samples - params.mean
+        scatter = sequential_sum(
+            [(w[i] * centered[i])[:, None] * centered[i] for i in range(w.size)]
+        )
+        scatter = (scatter + scatter.T) / 2.0
+        expected = params.cov + 0.3 * (scatter - params.cov)
+        out = blockwise_igo_ml_step(model, params, samples, w, (0.3, 0.7))
+        assert out.cov.tobytes() == expected.tobytes()
 
     def test_gaussian_mean_is_sequential(self):
         model, w, samples, params = gaussian_case()
