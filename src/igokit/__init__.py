@@ -12,7 +12,6 @@ from .algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
     Trace,
-    TraceStep,
     run,
 )
 from .diagnostics import (
@@ -52,6 +51,7 @@ from .selection import (
     rank_bounds,
     sample_weights,
 )
+from .traceio import TraceRecord
 from .updates import (
     blockwise_igo_ml_step,
     fitness_proportional_step,

@@ -31,8 +31,11 @@ a sampled rpp step draws no positive reward and so has no update.
 
 The state carried from step to step is the params object the update rule
 validated; it feeds sampling, enumeration, the KL divergence and the
-expected preference as it is, and the trace reads it through
-``model.to_eta``. An exact rpp run builds each state's support
+expected preference as it is. Each step is appended to ``trace.steps`` as
+one :class:`igokit.traceio.TraceRecord`: the state's ``model.to_eta``
+packed, the step's summaries, its real ``elapsed_ns`` and the entropy of
+the weights its rule used; ``traceio.trace_records`` is the view a trace
+file writes. An exact rpp run builds each state's support
 probabilities once, as the state's ``support_probs``: the new state's exact
 summaries build them and the next step reads them. The reward table on the
 support is the objective's ``support_values``, evaluated once per objective.
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -54,13 +58,13 @@ from .models import MAX_ENUM_DIM, Bernoulli, BernoulliParams, Gaussian, Gaussian
 from .objectives import OBJECTIVE_NAMES, Objective, make_objective
 from .oracle import enumerate_bernoulli, exact_quantile
 from .selection import SampleWeights, TabulatedScheme, TruncationScheme, sample_weights
+from .traceio import TraceRecord
 
 __all__ = [
     "ALGORITHMS",
     "AlgorithmConfig",
     "StepResult",
     "Trace",
-    "TraceStep",
     "run",
 ]
 
@@ -215,23 +219,9 @@ class StepResult:
     dt_used: tuple
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """Per-iteration log entry."""
-
-    step: int
-    eta: np.ndarray
-    best_f: float
-    emp_quantile: float
-    weight_entropy: float
-    kl_prev: float
-    elapsed_ns: int
-    j_estimate: Optional[float] = None
-
-
 @dataclass
 class Trace:
-    """A full run: per-step entries plus the outcome."""
+    """A full run: one ``TraceRecord`` per step plus the outcome."""
 
     config: AlgorithmConfig
     steps: list = field(default_factory=list)
@@ -252,7 +242,8 @@ class _ZeroRewardSample(InvalidInputError):
 
 
 def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[float], StepResult]:
-    """Draw the step's population once; return an applier over a dt scale.
+    """Draw the step's population and build its weights once; return an
+    applier over a dt scale.
 
     The population is drawn from (or the support enumerated under) the
     validated state ``params``, and the rule moves that same state. The
@@ -272,11 +263,11 @@ def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[fl
             fitness = rewards = objective.batch(samples)
             if not np.any(rewards > 0.0):
                 raise _ZeroRewardSample("rewards must not be all zero")
+        weights = SampleWeights(updates._reward_weights(rewards))
 
         def apply(scale: float) -> StepResult:
             dt = config.dt * scale
             params_next = updates.fitness_proportional_step(model, params, points, rewards, dt)
-            weights = SampleWeights(updates._reward_weights(rewards))
             return StepResult(params_next, samples, fitness, weights, (dt,))
 
         return apply
@@ -378,15 +369,15 @@ def run(config: AlgorithmConfig, objective: Optional[Objective] = None) -> Trace
         if config.estimate_j and scheme is not None:
             j_est = estimate_preference_mean(model, params, prev_params, objective, scheme, rng_aux)
         trace.steps.append(
-            TraceStep(
+            TraceRecord(
                 step=step_index,
-                eta=model.to_eta(params),
+                eta=array("d", model.to_eta(params).tobytes()),
                 best_f=best_f,
-                emp_quantile=float(emp_q),
-                weight_entropy=entropy,
+                emp_quantile_q=float(emp_q),
+                j_estimate=j_est,
                 kl_prev=kl_prev,
                 elapsed_ns=time.monotonic_ns() - t0,
-                j_estimate=j_est,
+                weight_entropy=entropy,
             )
         )
         if config.target_fitness is not None:

@@ -8,14 +8,17 @@ expectation-parameter snapshot ``eta_0 .. eta_{k-1}`` (fixed layout), then
 files parse back bit-exactly; a csv row is one ``%``-format of its values,
 and a record whose eta width differs from the first record's is refused.
 
-Repeated runs with one seed must produce byte-identical files, so the
-``elapsed_ns`` column serializes as 0 unless the run's ``timing`` flag is set;
-the in-memory trace always keeps real wall-clock values.
+A ``TraceRecord`` is the one record of a step: ``run`` appends it to
+``trace.steps`` as the step is taken, and :func:`trace_records` is its v1
+view. The in-memory step keeps its real ``elapsed_ns`` and its
+``weight_entropy``; v1 writes neither. Repeated runs with one seed must
+produce byte-identical files, so the view sets ``elapsed_ns`` to 0 unless
+the run's ``timing`` flag is set, and it drops the entropy, which has no
+v1 column. The view's records share each step's eta.
 
-A ``TraceRecord`` holds its eta snapshot packed, as an ``array('d')`` of
-8 bytes per value rather than a tuple of Python floats (about 32), so the
-records of a wide trace take about as much memory as the trace's own eta
-arrays. Records compare by value and are not hashable.
+A record holds its eta snapshot packed, as an ``array('d')`` of 8 bytes per
+value rather than a tuple of Python floats (about 32). Records compare by
+value and are not hashable.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import InvalidInputError
@@ -48,12 +51,14 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One serialized trace row.
+    """One step of a run, and one row of a trace file.
 
     ``eta`` is held packed, as an ``array('d')`` of 8 bytes per value;
     any sequence of floats given for it is converted. Records compare by
     value, so a record built from a tuple equals the same record read back
     from a file. An array is mutable, so records have no hash.
+    ``weight_entropy`` is the entropy of the weights the step's rule used;
+    the v1 format does not write it, so a record read back has None.
     """
 
     step: int
@@ -63,6 +68,7 @@ class TraceRecord:
     j_estimate: Optional[float]
     kl_prev: float
     elapsed_ns: int
+    weight_entropy: Optional[float] = None
 
     __hash__ = None
 
@@ -72,20 +78,15 @@ class TraceRecord:
 
 
 def trace_records(trace) -> list:
-    """Serializable rows of an in-memory trace, honouring the timing flag."""
+    """The v1 view of a trace's steps: what a written file reads back as.
+
+    ``elapsed_ns`` is 0 unless the run's ``timing`` flag is set, and the
+    entropy is dropped. Each view shares its step's eta, so no value is
+    copied.
+    """
     timing = trace.config.timing
-    return [
-        TraceRecord(
-            step=s.step,
-            eta=array("d", s.eta.tobytes()),
-            best_f=s.best_f,
-            emp_quantile_q=s.emp_quantile,
-            j_estimate=s.j_estimate,
-            kl_prev=s.kl_prev,
-            elapsed_ns=s.elapsed_ns if timing else 0,
-        )
-        for s in trace.steps
-    ]
+    return [replace(s, elapsed_ns=s.elapsed_ns if timing else 0, weight_entropy=None)
+            for s in trace.steps]
 
 
 def _eta_width(records, eta_dim: Optional[int]) -> int:

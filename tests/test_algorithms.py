@@ -13,7 +13,9 @@ from igokit import (
     GaussianParams,
     InvalidInputError,
     Objective,
+    SampleWeights,
     TruncationScheme,
+    algorithms,
     bernoulli_support,
     blockwise_igo_ml_step,
     enumerate_bernoulli,
@@ -342,6 +344,25 @@ class TestRpp:
                           make_objective("count-reward", 4), np.random.default_rng(8))
         assert result.samples.shape == (200, 4)
 
+    def test_sampled_step_builds_its_weights_once(self, monkeypatch):
+        # a halved attempt reuses the step's weights; they are built once
+        built = []
+
+        def counting(w):
+            built.append(SampleWeights(w))
+            return built[-1]
+
+        monkeypatch.setattr(algorithms, "SampleWeights", counting)
+        config = AlgorithmConfig(algorithm="rpp", objective="count-reward", dim=6, lam=5,
+                                 dt=1.0, rpp_exact=False, domain_exit="safeguard",
+                                 max_steps=10)
+        trace = run(config)
+        assert len(trace.steps) == 10 and trace.halvings > 0
+        assert len(built) == 10
+        apply = _prepare_step(config, Bernoulli(6), config.initial_params(), None,
+                              config.make_objective(), np.random.default_rng(3))
+        assert apply(0.5).weights is apply(0.25).weights is built[-1]
+
     def test_rpp_run_improves_expected_reward(self):
         cfg = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=6,
                               dt=0.5, max_steps=40, seed=4, objective_seed=9)
@@ -388,7 +409,7 @@ class TestExactRppEnumeration:
             after = enumerate_bernoulli(params_next)
             assert step.eta.tobytes() == params_next.probs.tobytes()
             assert step.best_f == float(np.sum(after.prob * rewards))
-            assert step.emp_quantile == exact_quantile(after, rewards, config.q).value
+            assert step.emp_quantile_q == exact_quantile(after, rewards, config.q).value
             assert step.kl_prev == model.kl_divergence(params, params_next)
             params = params_next
         assert trace.final_eta.tobytes() == params.probs.tobytes()

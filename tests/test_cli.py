@@ -21,7 +21,7 @@ from igokit.cli import (
     read_config_file,
 )
 from igokit.objectives import OBJECTIVE_NAMES
-from igokit.traceio import TRACE_HEADER, read_trace
+from igokit.traceio import TRACE_HEADER, read_trace, trace_records
 
 
 def run_cli(argv):
@@ -165,18 +165,38 @@ class TestRunCommand:
         assert len(records) == 7
         assert records[0].elapsed_ns == 0  # timing off by default
 
-    def test_csv_parses_back_losslessly(self, tmp_path):
-        out = tmp_path / "t.csv"
-        assert run_cli(trace_args(out, **{"--steps": "12"})) == 0
+    @pytest.mark.parametrize("timing", [False, True], ids=["untimed", "timed"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("algo", [
+        {"--algo": "pbil", "--steps": "12"},
+        {"--algo": "cma_rank_mu", "--objective": "ellipsoid", "--dim": "5", "--lambda": "20",
+         "--q": "0.5", "--steps": "12"},
+    ], ids=["pbil", "cma_rank_mu"])
+    def test_csv_parses_back_losslessly(self, tmp_path, monkeypatch, algo, fmt, timing):
+        # the file reads back as the v1 view of the very trace the run made
+        traces = []
+
+        def recording_run(config):
+            traces.append(igokit.run(config))
+            return traces[-1]
+
+        monkeypatch.setattr(igokit.cli, "run", recording_run)
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text(f"timing={'true' if timing else 'false'}\n")
+        out = tmp_path / f"t.{fmt}"
+        assert run_cli(trace_args(out, **algo, **{"--format": fmt, "--config": str(cfg)})) == 0
+        (trace,) = traces
         records = read_trace(out)
-        assert len(records) == 12
-        # floats survive the 17-digit round trip bit for bit
-        from igokit import AlgorithmConfig, run as run_algo
-        from igokit.traceio import trace_records
-        cfg = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=16, lam=200,
-                              q=0.25, dt=0.5, max_steps=12, seed=42)
-        direct = trace_records(run_algo(cfg))
-        assert direct == records
+        assert len(records) == len(trace.steps) == 12
+        # floats survive the round trip bit for bit
+        assert records == trace_records(trace)
+        assert [r.weight_entropy for r in records] == [None] * 12
+        written = [r.elapsed_ns for r in records]
+        elapsed = [s.elapsed_ns for s in trace.steps]
+        assert written == (elapsed if timing else [0] * 12)
+        # the run's own steps keep real times and their weights' entropy
+        assert 0 < elapsed[0] and elapsed == sorted(elapsed)
+        assert all(s.weight_entropy > 0.0 for s in trace.steps)
 
 
 class TestConfigFile:

@@ -470,6 +470,42 @@ class TestExactStep:
             )
 
 
+class TestPastUnitStep:
+    """Where quantile improvement stops being guaranteed: the theorem covers
+    0 < dt <= 1, and the exact step accepts any dt >= 0."""
+
+    def test_a_long_step_can_raise_the_quantile(self):
+        # the one rise found in a search of random d <= 3 tables: the exact
+        # 0.25-quantile goes 0 -> 1 between dt = 1.9436 and 1.95
+        params = BernoulliParams([0.6152869164770326, 0.5737720629568847, 0.5508101883295818])
+        f = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        scheme = TruncationScheme(0.25)
+
+        def quantile_after(dt):
+            params_next = exact_infinite_population_step(params, f, scheme, dt)
+            return exact_quantile(enumerate_bernoulli(params_next), f, 0.25).value
+
+        assert exact_quantile(enumerate_bernoulli(params), f, 0.25).value == 0.0
+        for dt in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 1.9436):
+            assert quantile_after(dt) == 0.0, dt
+        for dt in (1.95, 2.0):
+            assert quantile_after(dt) == 1.0, dt
+
+    def test_a_step_past_one_leaves_the_domain(self):
+        # all preference sits on x = (1, 1), so p_W = (1, 1): the step lands
+        # on that vertex at dt = 1 and passes it beyond
+        params = BernoulliParams([0.5, 0.3])
+        f = np.array([3.0, 2.0, 1.0, 0.0])
+        scheme = TruncationScheme(0.1)
+        inside = exact_infinite_population_step(params, f, scheme, 0.999)
+        assert np.allclose(inside.probs, [0.9995, 0.9993], rtol=0.0, atol=1e-15)
+        with pytest.raises(DomainExitError, match="coordinate 0 = 1.0 left"):
+            exact_infinite_population_step(params, f, scheme, 1.0)
+        for dt in (1.001, 1.5):
+            with pytest.raises(DomainExitError, match="left the open interval"):
+                exact_infinite_population_step(params, f, scheme, dt)
+
+
 class TestExactFunctionals:
     def test_j_at_base_is_one(self):
         rng = np.random.default_rng(9)

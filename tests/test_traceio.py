@@ -1,6 +1,7 @@
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,17 +89,18 @@ trace_floats = st.one_of(
 
 
 @st.composite
-def trace_rows(draw):
+def trace_rows(draw, floats=trace_floats):
     width = draw(st.integers(0, 6))
     record = st.builds(
         TraceRecord,
         step=st.integers(0, 10**9),
-        eta=st.lists(trace_floats, min_size=width, max_size=width).map(tuple),
-        best_f=trace_floats,
-        emp_quantile_q=trace_floats,
-        j_estimate=st.none() | trace_floats,
-        kl_prev=trace_floats,
+        eta=st.lists(floats, min_size=width, max_size=width).map(tuple),
+        best_f=floats,
+        emp_quantile_q=floats,
+        j_estimate=st.none() | floats,
+        kl_prev=floats,
         elapsed_ns=st.integers(0, 2**63 - 1),
+        weight_entropy=st.none() | floats,
     )
     return draw(st.lists(record, min_size=1, max_size=5))
 
@@ -113,6 +115,15 @@ def test_csv_row_is_the_per_value_join(records):
                          f"{r.kl_prev:.17g}", str(r.elapsed_ns)])
 
     assert render_trace(records, "csv").split("\n")[2:-1] == [row(r) for r in records]
+
+
+@given(trace_rows(trace_floats.filter(lambda v: v == v)), st.sampled_from(["csv", "jsonl"]))
+@settings(max_examples=300, deadline=None)
+def test_drawn_rows_round_trip_without_their_entropy(records, fmt):
+    # v1 has no entropy column, so a row reads back with none; NaN is left
+    # out only because it equals nothing
+    expected = [replace(r, weight_entropy=None) for r in records]
+    assert read_text(render_trace(records, fmt)) == expected
 
 
 def test_a_record_of_another_width_is_refused():
@@ -145,10 +156,12 @@ def test_reading_holds_one_line_at_a_time():
 
 
 def test_records_hold_eta_packed():
-    # about 8 bytes per eta value, not a tuple of Python floats (about 32)
+    # a run's steps are the records, each eta packed at 8 bytes per value,
+    # and the v1 view shares them: it keeps no copy of any eta value
     config = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=2000, lam=10,
                              q=0.3, dt=0.2, max_steps=10, seed=1)
     trace = run(config)
+    assert all(isinstance(s, TraceRecord) and s.weight_entropy > 0.0 for s in trace.steps)
     tracemalloc.start()
     try:
         records = trace_records(trace)
@@ -157,8 +170,8 @@ def test_records_hold_eta_packed():
         tracemalloc.stop()
     values = sum(len(r.eta) for r in records)
     assert values == config.max_steps * config.dim
-    assert kept <= 10 * values
-    assert [list(r.eta) for r in records] == [s.eta.tolist() for s in trace.steps]
+    assert kept < values
+    assert all(r.eta is s.eta for r, s in zip(records, trace.steps))
 
 
 def test_records_compare_by_value_and_have_no_hash():
