@@ -1,9 +1,10 @@
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import pytest
 
 from igokit import Bernoulli, BernoulliParams, Gaussian
+from igokit.verify import run_suite
 
 
 @pytest.fixture
@@ -55,3 +56,10 @@ def checks_run(monkeypatch):
         return checked
 
     return watch
+
+
+@pytest.fixture(scope="session")
+def suite_report():
+    """``suite_report(name)``: the suite's report at seed 1 on the small
+    grid, built on first request and shared by the whole session."""
+    return cache(lambda name: run_suite(name, grid="small", seed=1))

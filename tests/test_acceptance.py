@@ -6,12 +6,8 @@ deferred to later calibration.
 """
 
 import json
-import time
-
-import pytest
 
 from igokit.cli import main as cli_main
-from igokit.verify import run_suite
 
 
 def _verdict(number, title, passed, detail=""):
@@ -26,13 +22,8 @@ def _round_trips(report):
     return payload["suite"] == report.suite and payload["cases_total"] == len(report.cases)
 
 
-@pytest.fixture(scope="module")
-def quantile_report():
-    return run_suite("quantile-improvement", grid="small", seed=1)
-
-
-def test_criterion_01_exact_quantile_improvement(quantile_report):
-    rep = quantile_report
+def test_criterion_01_exact_quantile_improvement(suite_report):
+    rep = suite_report("quantile-improvement")
     worst = max(c.detail["max_q_increase"] for c in rep.cases)
     steps = sum(c.detail["steps_executed"] for c in rep.cases)
     ok = rep.passed and worst <= 1e-12 and len(rep.cases) == 200
@@ -45,8 +36,9 @@ def test_criterion_01_exact_quantile_improvement(quantile_report):
     )
 
 
-def test_criterion_02_equality_clause(quantile_report):
-    unexplained = sum(c.detail["unexplained_stalls"] for c in quantile_report.cases)
+def test_criterion_02_equality_clause(suite_report):
+    cases = suite_report("quantile-improvement").cases
+    unexplained = sum(c.detail["unexplained_stalls"] for c in cases)
     assert _verdict(
         2,
         "every quantile stall explained (unchanged state or mass at the level)",
@@ -55,8 +47,8 @@ def test_criterion_02_equality_clause(quantile_report):
     )
 
 
-def test_criterion_03_three_way_equivalence():
-    rep = run_suite("equivalence", grid="small", seed=1)
+def test_criterion_03_three_way_equivalence(suite_report):
+    rep = suite_report("equivalence")
     worst = max(c.detail["max_discrepancy"] for c in rep.cases)
     ok = rep.passed and len(rep.cases) == 2000 and worst <= 1e-10
     assert _verdict(
@@ -67,8 +59,8 @@ def test_criterion_03_three_way_equivalence():
     )
 
 
-def test_criterion_04_rank_mu_recovery():
-    rep = run_suite("cma-recovery", grid="small", seed=1)
+def test_criterion_04_rank_mu_recovery(suite_report):
+    rep = suite_report("cma-recovery")
     worst = max(c.detail["max_err"] for c in rep.cases)
     ok = rep.passed and len(rep.cases) == 500 and worst <= 1e-12
     assert _verdict(
@@ -79,8 +71,8 @@ def test_criterion_04_rank_mu_recovery():
     )
 
 
-def test_criterion_05_blockwise_quantile_improvement():
-    rep = run_suite("blockwise-improvement", grid="small", seed=1)
+def test_criterion_05_blockwise_quantile_improvement(suite_report):
+    rep = suite_report("blockwise-improvement")
     worst = max(c.detail["max_q_increase"] for c in rep.cases)
     assert _verdict(
         5,
@@ -90,8 +82,8 @@ def test_criterion_05_blockwise_quantile_improvement():
     )
 
 
-def test_criterion_06_fitness_proportional_improvement():
-    rep = run_suite("fitness-improvement", grid="small", seed=1)
+def test_criterion_06_fitness_proportional_improvement(suite_report):
+    rep = suite_report("fitness-improvement")
     worst_drop = max(c.detail["worst_drop"] for c in rep.cases)
     full_errs = [
         c.detail["full_step_err"]
@@ -107,8 +99,8 @@ def test_criterion_06_fitness_proportional_improvement():
     )
 
 
-def test_criterion_07_progress_bound():
-    rep = run_suite("progress-bound", grid="small", seed=1)
+def test_criterion_07_progress_bound(suite_report):
+    rep = suite_report("progress-bound")
     worked = next(c for c in rep.cases if c.name == "worked-instance")
     violations = sum(c.detail.get("bound_violations", 0) for c in rep.cases)
     ok = (
@@ -128,8 +120,8 @@ def test_criterion_07_progress_bound():
     )
 
 
-def test_criterion_08_kl_expansion():
-    rep = run_suite("kl-expansion", grid="small", seed=1)
+def test_criterion_08_kl_expansion(suite_report):
+    rep = suite_report("kl-expansion")
     worst_ratio = 0.0
     for c in rep.cases:
         errs = c.detail["errs"]
@@ -143,8 +135,8 @@ def test_criterion_08_kl_expansion():
     )
 
 
-def test_criterion_09_natural_gradient_identity():
-    rep = run_suite("natural-gradient", grid="small", seed=1)
+def test_criterion_09_natural_gradient_identity(suite_report):
+    rep = suite_report("natural-gradient")
     # a case whose step left the domain reports no error (None)
     worst = max(float("inf") if c.detail["rel_err"] is None else c.detail["rel_err"]
                 for c in rep.cases)
@@ -157,10 +149,9 @@ def test_criterion_09_natural_gradient_identity():
     )
 
 
-def test_criterion_10_finite_population_improvement():
-    t0 = time.monotonic()
-    rep = run_suite("finite-population", grid="small", seed=1)
-    elapsed = time.monotonic() - t0
+def test_criterion_10_finite_population_improvement(suite_report):
+    rep = suite_report("finite-population")
+    elapsed = rep.elapsed_s
     detail = rep.cases[0].detail
     ok = rep.passed and detail["improvement_rate"] >= 0.9 and elapsed < 120.0
     ok = ok and _round_trips(rep)
