@@ -19,16 +19,10 @@ check compares formulas that share no code.
 
 A Bernoulli state owns its exact distribution on ``{0,1}^d``,
 ``BernoulliParams.support_probs``: built on first read, then kept read-only.
-Bernoulli points are checked to be 0/1 valued on every call, except the last
-read-only float64 array owning its data that passed (the oracle's cached
-support, handed to every exact step): that one is checked once. A draw of
-``Bernoulli.sample`` is 0/1 by construction; it is returned read-only and
-recorded as that passed array, so the sampled step does not scan it. The
-memo, ``_check_binary``, holds its array by weak reference and keeps none
-alive. It stays while the benchmark's ``sampled-runs`` workload has the run
-loop pass its draw through ``batch_sufficient_statistics`` (the
-``must_call`` list in ``bench/workload.py``); a step that took the draw as
-trusted would need no memo.
+Bernoulli points are bool arrays: the oracle's support and every draw of
+``Bernoulli.sample`` are read-only bool, 0/1 by type, and a rule takes a
+bool array as it is, without a scan. Points of any other dtype become
+float64 and are checked to be 0/1 on every call.
 
 The parameter domain is the *open* interior: Bernoulli probabilities strictly
 inside ``(0, 1)``, covariances strictly positive definite. Boundary values are
@@ -48,7 +42,6 @@ and importing it does not load ``numpy.random``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +66,9 @@ __all__ = [
 # 2^16 = 65536 support points keeps the whole verification grid in seconds.
 MAX_ENUM_DIM = 16
 
+# Uniforms per scratch block of ``Bernoulli.sample`` (256 KB of float64).
+_DRAW_BLOCK = 1 << 15
+
 
 def _owns_frozen(a) -> bool:
     """Whether ``a`` is a read-only float64 array that owns its data, so that
@@ -85,47 +81,22 @@ def _owns_frozen(a) -> bool:
     )
 
 
-class _CheckedOnce:
-    """``check(a)``, skipped for the last array that passed it if that array
-    is read-only float64 and owns its data (:func:`_owns_frozen`): it cannot
-    have changed since. Any other array is checked on every call, and a
-    failed check keeps nothing. The kept array is held by one weak
-    reference, replaced by one assignment, so the memo never keeps an array
-    alive."""
-
-    def __init__(self, check):
-        self.check = check
-        self.passed = None
-
-    def __call__(self, a):
-        passed = self.passed
-        if passed is not None and passed() is a:
-            return
-        self.check(a)
-        if _owns_frozen(a):
-            self.passed = weakref.ref(a)
-
-    def record(self, a) -> None:
-        """Keep ``a`` as passed without running the check: for a frozen
-        array its builder made to pass it."""
-        self.passed = weakref.ref(a)
-
-
 def _binary(pts: np.ndarray) -> None:
     if not ((pts == 0.0) | (pts == 1.0)).all():
         raise InvalidInputError("Bernoulli points must be 0/1 valued")
 
 
-# The exact oracle hands the cached support to every step; it is checked once.
-# ``Bernoulli.sample`` records its own draws as checked.
-_check_binary = _CheckedOnce(_binary)
-
 def _points_array(points, dim: int) -> np.ndarray:
-    """``points`` as an ``(n, dim)`` float64 array; anything else is refused."""
-    try:
-        pts = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError):  # a value numpy cannot convert
-        pts = None
+    """``points`` as an ``(n, dim)`` array: a bool array as it is, anything
+    else as float64; any other shape, or a value numpy cannot convert, is
+    refused. A family that computes in floats converts a bool array itself."""
+    if isinstance(points, np.ndarray) and points.dtype == np.bool_:
+        pts = points
+    else:
+        try:
+            pts = np.asarray(points, dtype=np.float64)
+        except (TypeError, ValueError):  # a value numpy cannot convert
+            pts = None
     if pts is None or pts.ndim != 2 or pts.shape[1] != dim:
         got = type(points).__name__ if pts is None else pts.shape
         raise InvalidInputError(f"points must have shape (n, {dim}), got {got}")
@@ -272,14 +243,17 @@ class Bernoulli:
         return eta
 
     def _check_points(self, points) -> np.ndarray:
+        """An ``(n, d)`` array of 0/1 points: a bool array as it is, without
+        a scan; any other becomes float64 and is scanned."""
         pts = _points_array(points, self.dim)
-        _check_binary(pts)
+        if pts.dtype != np.bool_:
+            _binary(pts)
         return pts
 
     def batch_sufficient_statistics(self, points) -> np.ndarray:
         """Stack of T(x) rows for an ``(n, d)`` array of points. Since
-        ``T(x) = x`` this is the checked points array itself, not a copy:
-        callers read it and never write to it."""
+        ``T(x) = x`` this is the checked points array itself, bool as given,
+        not a copy: callers read it and never write to it."""
         return self._check_points(points)
 
     # -- parameter conversions ------------------------------------------
@@ -314,22 +288,24 @@ class Bernoulli:
         return float(np.sum(np.where(x == 1.0, np.log(p), np.log1p(-p))))
 
     def sample(self, params: BernoulliParams, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` i.i.d. draws as a read-only ``(count, d)`` 0/1 float array.
+        """``count`` i.i.d. draws as a read-only ``(count, d)`` bool array.
 
-        The uniforms are drawn into the result and thresholded in place,
-        ``1.0`` where ``u < p``, in the calling thread: the draw allocates
-        only its result, and gives the bits (and leaves the generator in the
-        state) of ``(rng.random((count, d)) < p).astype(np.float64)``, for
-        every bit generator. The result is recorded as passing the 0/1
-        check, so the update rule of a sampled step does not scan it
-        again."""
+        The uniforms are drawn about ``_DRAW_BLOCK`` floats at a time, whole
+        rows, into one reused scratch block and thresholded into the
+        result, ``True`` where ``u < p``, in the calling thread: the draw
+        allocates its result and the block, and gives the bits (and leaves
+        the generator in the state) of ``rng.random((count, d)) < p``, for
+        every bit generator."""
         count = _check_integer("count", count, 1, "must be a positive integer")
         probs = self._check_params(params).probs
-        out = np.empty((count, self.dim))
-        rng.random(out=out)
-        np.less(out, probs, out=out)
+        out = np.empty((count, self.dim), dtype=np.bool_)
+        rows = max(1, min(count, _DRAW_BLOCK // self.dim))
+        block = np.empty((rows, self.dim))
+        for start in range(0, count, rows):
+            u = block[:min(rows, count - start)]
+            rng.random(out=u)
+            np.less(u, probs, out=out[start:start + len(u)])
         out.setflags(write=False)
-        _check_binary.record(out)
         return out
 
     # -- divergence and information --------------------------------------
@@ -419,10 +395,11 @@ class Gaussian:
         return eta
 
     def _check_points(self, points) -> np.ndarray:
-        """An ``(n, d)`` float array of finite points. A NaN or infinite
-        point is refused, so the update rules may drop rows of zero weight
-        from their sums exactly (see :mod:`igokit.updates`)."""
-        pts = _points_array(points, self.dim)
+        """An ``(n, d)`` float64 array of finite points (a bool array is
+        converted). A NaN or infinite point is refused, so the update rules
+        may drop rows of zero weight from their sums exactly (see
+        :mod:`igokit.updates`)."""
+        pts = _points_array(points, self.dim).astype(np.float64, copy=False)
         if not np.isfinite(pts).all():
             raise InvalidInputError("Gaussian points must be finite")
         return pts

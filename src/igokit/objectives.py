@@ -1,9 +1,11 @@
 """Benchmark objectives for both search spaces, phrased as minimization.
 
-Binary objectives take 0/1 rows, continuous ones real rows. Reward objectives
-(direction ``"max"``, non-negative values) exist for the reward-proportional
-update path, which maximizes; everything else is minimized. Random tables are
-reproducible from ``(seed, dim)`` alone.
+Binary objectives take 0/1 rows, as a bool array or as numbers, continuous
+ones real rows. No binary objective widens a bool array of the support's
+size except binval, whose ``1 - x`` is float64 as it always was. Reward
+objectives (direction ``"max"``, non-negative values) exist for the
+reward-proportional update path, which maximizes; everything else is
+minimized. Random tables are reproducible from ``(seed, dim)`` alone.
 
 A binary objective of enumerable dimension evaluates its whole support once,
 on first use of :attr:`Objective.support_values`; every exact computation
@@ -96,7 +98,7 @@ def _leadingones(dim, seed):
         dim=dim,
         space="binary",
         direction="min",
-        fn=lambda pts: dim - np.cumprod(pts, axis=1).sum(axis=1),
+        fn=lambda pts: dim - np.logical_and.accumulate(pts, axis=1).sum(axis=1),
         optimum=0.0,
         optimizer=np.ones(dim),
     )
@@ -131,9 +133,11 @@ def _ellipsoid(dim, seed):
 
 
 def _point_index(pts: np.ndarray) -> np.ndarray:
-    dim = pts.shape[1]
-    codes = 2.0 ** np.arange(dim - 1, -1, -1)
-    return (pts @ codes).astype(np.int64)
+    """Each row's position in the oracle's order: its bits read as a binary
+    number, leftmost coordinate most significant. An integer einsum casts a
+    bool array in small buffered chunks, so it is never widened whole."""
+    codes = 1 << np.arange(pts.shape[1] - 1, -1, -1)
+    return np.einsum("ij,j->i", pts, codes).astype(np.int64, copy=False)
 
 
 def _table_objective(name, dim, seed, direction):
@@ -153,7 +157,7 @@ def _table_objective(name, dim, seed, direction):
         direction=direction,
         fn=lambda pts: table[_point_index(pts)],
         optimum=float(table[best]),
-        optimizer=support[best].copy(),
+        optimizer=support[best].astype(np.float64),
     )
 
 

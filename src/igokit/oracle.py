@@ -14,9 +14,11 @@ rewards ``P(x) r(x)``. Expectations
 are numpy reductions (``np.sum(p * f)``), never a BLAS dot product, so exact
 results do not depend on the BLAS thread count.
 
-The support is built once per dimension and shared, read-only, by every
-distribution :func:`enumerate_bernoulli` builds. A state's probabilities on
-it are the state's own :attr:`~igokit.models.BernoulliParams.support_probs`,
+The support is a bool array, 0/1 by type, built once per dimension and
+shared, read-only, by every distribution :func:`enumerate_bernoulli` builds
+(1 MiB at ``d = 16``); the update rules take it without a scan. A state's
+probabilities on it are the state's own
+:attr:`~igokit.models.BernoulliParams.support_probs`,
 built once per state from probabilities validated in (0, 1), so enumeration
 neither copies nor checks them; a caller's :class:`FiniteDist` takes checked
 copies. :func:`exact_quantile` and :func:`~igokit.selection.preference_exact`
@@ -68,8 +70,9 @@ class FiniteDist:
     Probabilities are non-negative and sum to 1 within 1e-12; the support is
     kept in the order given (enumeration uses the fixed lexicographic order of
     ``{0,1}^d``). Both arrays are checked, read-only float64 copies of the
-    inputs; :func:`enumerate_bernoulli` alone builds one around arrays it
-    trusts, without the copies and the check.
+    inputs, a bool support included; :func:`enumerate_bernoulli` alone builds
+    one around arrays it trusts, the bool support and the state's
+    probabilities, without the copies and the check.
     """
 
     support: np.ndarray
@@ -106,7 +109,8 @@ class QuantileReport:
 
 def bernoulli_support(dim: int) -> np.ndarray:
     """All points of ``{0,1}^dim`` in lexicographic order, leftmost coordinate
-    most significant. Cached and write-protected."""
+    most significant, as a ``(2^dim, dim)`` bool array. Cached and
+    write-protected."""
     dim = _check_integer("dim", dim, 1, "must be a positive integer")
     if dim > MAX_ENUM_DIM:
         raise CapacityError(
@@ -119,12 +123,12 @@ def bernoulli_support(dim: int) -> np.ndarray:
 def _support(dim: int) -> np.ndarray:
     # Filled in place, by doubling: rows [2^k, 2^(k+1)) are a copy of rows
     # [0, 2^k) with coordinate dim-1-k set to 1.
-    pts = np.empty((2**dim, dim))
-    pts[0] = 0.0
+    pts = np.empty((2**dim, dim), dtype=np.bool_)
+    pts[0] = False
     for k in range(dim):
         half = 1 << k
         pts[half:2 * half] = pts[:half]
-        pts[half:2 * half, dim - 1 - k] = 1.0
+        pts[half:2 * half, dim - 1 - k] = True
     pts.setflags(write=False)
     return pts
 

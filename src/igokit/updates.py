@@ -38,15 +38,16 @@ goes through one kernel, ``_weighted_sum``. It adds the rounded products
 ``w_i * r_ij`` to a running total row after row, in index order, so results
 are bit-reproducible for a given sample, and tier-1 tests
 (``TestSummationOrder``) pin every rule to a row-by-row reference. With
-``k >= 2`` columns the sum is ``np.einsum("i,ij->j", w, rows)``, which
-accumulates that way without forming ``w_i * r_i``. Centred rows are formed
-one block of about 2^15 floats at a time in one reused buffer, whose first
-row carries the running total in with weight 1.0 (exact), so the blocks
-chain in index order and the exact step on the 2^16-point support writes no
-``(2^16, d)`` temporary. A block's centred rows are one subtraction of two
-contiguous arrays, its rows less a block-sized copy of the centre filled
-once per call, so numpy runs one flat loop over the block's floats instead
-of one loop of ``k`` per row; each entry is still ``r - c``. A single
+``k >= 2`` columns the sum is ``np.einsum("i,ij->j", w, rows)`` over one
+block of about 2^15 floats at a time, which accumulates that way without
+forming ``w_i * r_i``. Each block of rows is copied into one reused float
+buffer, bool Bernoulli points converted exactly on the way, and centred
+there in place by one subtraction of a block-sized copy of the centre
+filled once per call, so numpy runs one flat loop over the block's floats
+(each entry is still ``r - c``). The buffer's first row carries the
+running total in with weight 1.0 (exact), so the blocks chain in index
+order, a float sum is the sum of the same rows given as bool, and the exact
+step on the 2^16-point support writes no ``(2^16, d)`` temporary. A single
 column (``k = 1``) is summed as ``np.sum(w[:, None] * r, axis=0)``, which
 numpy adds pairwise; einsum does not match those bits. A numpy whose einsum
 fused the multiply and the add (FMA) would move result bits, and
@@ -69,7 +70,7 @@ the kept rows. ``_weighted_sum`` drops them when
 they are at least half the rows, where the copy costs no more than the sum
 it spares: a sampled population under truncation weights is summed over its
 winners, and a support with a few zero-reward points is summed whole,
-without a copy. The drop is exact: zero times a finite entry is ``+-0``,
+with no compressed copy. The drop is exact: zero times a finite entry is ``+-0``,
 and adding ``+-0`` to a running total that starts at ``+0`` leaves it as it
 was, bit for bit, so an all-zero weight vector still sums to ``+0.0``. The
 rows must be finite for that, and the points a rule accepts are: Bernoulli
@@ -113,34 +114,35 @@ _BLOCK = 1 << 15
 
 def _weighted_sum(w: np.ndarray, rows, center=None) -> np.ndarray:
     """``sum_i w[i] * (rows[i] - center)``, or ``sum_i w[i] * rows[i]``
-    without a centre, over an ``(n, k)`` array, rows added in index order.
+    without a centre, over an ``(n, k)`` float or bool array, rows added in
+    index order.
 
-    See the module docstring: for ``k >= 2`` einsum, the rows of zero weight
-    dropped when they are at least half, the centred rows formed one block
-    at a time, less a copy of the centre, with the running total as the
-    block's first row; numpy's pairwise sum over every row for a single
-    column.
+    See the module docstring: for ``k >= 2`` the rows of zero weight
+    dropped when they are at least half, then einsum over one block of rows
+    at a time, copied into a float buffer (and less a copy of the centre),
+    with the running total as the block's first row; numpy's pairwise sum
+    over every row for a single column.
     """
-    rows = np.ascontiguousarray(rows)
     if rows.shape[1] == 1:
         return np.sum(w[:, None] * (rows if center is None else rows - center), axis=0)
     nz = w != 0.0
     if 2 * np.count_nonzero(nz) <= nz.size:
         w, rows = w.compress(nz), rows.compress(nz, axis=0)
     n, k = rows.shape
-    if center is None:
-        return np.einsum("i,ij->j", w, rows)
     step = max(1, min(n, _BLOCK // k))
     block = np.empty((step + 1, k))
     block_w = np.empty(step + 1)
     block_w[0] = 1.0
-    centers = np.empty((step, k))
-    centers[:] = center
+    if center is not None:
+        centers = np.empty((step, k))
+        centers[:] = center
     total = np.zeros(k)
     for start in range(0, n, step):
         m = min(step, n - start)
         block[0] = total
-        np.subtract(rows[start:start + m], centers[:m], out=block[1:m + 1])
+        block[1:m + 1] = rows[start:start + m]
+        if center is not None:
+            np.subtract(block[1:m + 1], centers[:m], out=block[1:m + 1])
         block_w[1:m + 1] = w[start:start + m]
         total = np.einsum("i,ij->j", block_w[:m + 1], block[:m + 1])
     return total

@@ -3,7 +3,7 @@ from functools import cache, cached_property
 import numpy as np
 import pytest
 
-from igokit import Bernoulli, BernoulliParams, Gaussian
+from igokit import Bernoulli, BernoulliParams, Gaussian, models
 from igokit.verify import run_suite
 
 
@@ -39,23 +39,18 @@ def support_prob_builds(monkeypatch):
 
 
 @pytest.fixture
-def checks_run(monkeypatch):
-    """``checks_run(memo)`` empties a ``models._CheckedOnce`` memo and
-    returns the list of arrays its check then really runs on, in order."""
+def binary_scans(monkeypatch):
+    """Every points array ``models._binary`` scans for 0/1 values while the
+    test runs, in order."""
+    scanned = []
+    scan = models._binary
 
-    def watch(memo):
-        checked = []
-        check = memo.check
+    def counting(pts):
+        scanned.append(pts)
+        return scan(pts)
 
-        def counting(a, *args):
-            checked.append(a)
-            return check(a, *args)
-
-        monkeypatch.setattr(memo, "check", counting)
-        monkeypatch.setattr(memo, "passed", None)
-        return checked
-
-    return watch
+    monkeypatch.setattr(models, "_binary", counting)
+    return scanned
 
 
 @pytest.fixture(scope="session")

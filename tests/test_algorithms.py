@@ -23,7 +23,6 @@ from igokit import (
     igo_ml_step,
     igo_step,
     make_objective,
-    models,
     run,
     updates,
 )
@@ -453,12 +452,11 @@ class TestExactRppEnumeration:
             rewards = objective.batch(result.samples)
         assert result.weights.w.tobytes() == (rewards / np.sum(rewards)).tobytes()
 
-    def test_support_is_checked_once(self, checks_run):
-        checked = checks_run(models._check_binary)
+    def test_an_exact_run_scans_no_support(self, binary_scans):
         config = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=10, dt=0.5,
                                  max_steps=10)
         assert len(run(config).steps) == 10
-        assert sum(a is bernoulli_support(10) for a in checked) == 1
+        assert binary_scans == []
 
 
 # sha256 of the rendered csv trace, unchanged since the rules' sums were

@@ -1,4 +1,3 @@
-import gc
 import math
 import os
 import re
@@ -23,7 +22,6 @@ from igokit import (
     Gaussian,
     GaussianParams,
     InvalidInputError,
-    models,
     run,
     updates,
 )
@@ -203,34 +201,42 @@ def frozen(a):
     return out
 
 
-class TestPointsCheckedOnce:
-    """The 0/1 check of a points array is skipped only for the last frozen
-    array that passed it; the exact-run count is in ``test_algorithms``."""
+class TestPointsScan:
+    """A bool points array is 0/1 by type and never scanned; any other is
+    converted to float64 and scanned on every call. Whole runs scan nothing
+    (``TestDrawsAreBool`` and ``test_algorithms``)."""
 
-    def test_frozen_points_are_checked_once(self, checks_run):
-        checked = checks_run(models._check_binary)
-        points = frozen([[0.0, 1.0], [1.0, 1.0]])
+    def test_bool_points_are_taken_as_they_are(self, binary_scans):
+        points = np.array([[False, True], [True, True]])
         for _ in range(3):
             assert Bernoulli(2).batch_sufficient_statistics(points) is points
-        assert len(checked) == 1
+        assert binary_scans == []
 
-    def test_writable_points_are_checked_on_every_call(self, checks_run):
-        checked = checks_run(models._check_binary)
-        points = np.array([[0.0, 1.0], [1.0, 1.0]])
+    @pytest.mark.parametrize("make", [frozen, np.array], ids=["frozen", "writable"])
+    def test_float_points_are_scanned_on_every_call(self, make, binary_scans):
+        points = make([[0.0, 1.0], [1.0, 1.0]])
         for _ in range(3):
-            Bernoulli(2).batch_sufficient_statistics(points)
-        assert len(checked) == 3
-        points[0, 0] = 0.5
-        with pytest.raises(InvalidInputError, match="0/1"):
-            Bernoulli(2).batch_sufficient_statistics(points)
+            assert Bernoulli(2).batch_sufficient_statistics(points) is points
+        assert len(binary_scans) == 3
 
-    def test_frozen_invalid_points_are_refused_on_every_call(self, checks_run):
-        checked = checks_run(models._check_binary)
-        points = frozen([[0.0, 1.0], [2.0, 1.0]])
+    def test_integer_points_become_float(self, binary_scans):
+        stats = Bernoulli(2).batch_sufficient_statistics([[0, 1], [1, 1]])
+        assert stats.dtype == np.float64 and np.array_equal(stats, [[0, 1], [1, 1]])
+        assert len(binary_scans) == 1
+
+    @pytest.mark.parametrize("make", [frozen, np.array], ids=["frozen", "writable"])
+    def test_invalid_points_are_refused_on_every_call(self, make, binary_scans):
+        points = make([[0.0, 1.0], [2.0, 1.0]])
         for _ in range(3):
             with pytest.raises(InvalidInputError, match="0/1"):
                 Bernoulli(2).batch_sufficient_statistics(points)
-        assert len(checked) == 3 and models._check_binary.passed is None
+        assert len(binary_scans) == 3
+
+    def test_gaussian_takes_bool_points_as_floats(self):
+        points = np.array([[False, True], [True, True]])
+        stats = Gaussian(2).batch_sufficient_statistics(points)
+        assert stats.dtype == np.float64
+        assert np.array_equal(stats, Gaussian(2).batch_sufficient_statistics(points * 1.0))
 
 
 class TestParamConvert:
@@ -408,7 +414,8 @@ class TestSampling:
             for g in (rng, reference):
                 g.integers(2**32, dtype=np.uint32)
         draws = Bernoulli(d).sample(p, rng, n)
-        assert draws.tobytes() == (reference.random((n, d)) < p.probs).astype(np.float64).tobytes()
+        assert draws.dtype == np.bool_ and draws.shape == (n, d)
+        assert draws.tobytes() == (reference.random((n, d)) < p.probs).tobytes()
         assert rng.random() == reference.random()
         assert rng.integers(2**32, dtype=np.uint32) == reference.integers(2**32, dtype=np.uint32)
 
@@ -432,15 +439,15 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * n * d * 8
+        # the bool result and one scratch block of 2^15 uniforms
+        assert peak <= 1.1 * n * d + 2**18
 
 
-class TestDrawIsBornChecked:
-    """``Bernoulli.sample`` returns its draw read-only and records it as
-    passing the 0/1 check, by weak reference; the update rule of a sampled
-    step does not scan it again."""
+class TestDrawsAreBool:
+    """``Bernoulli.sample`` returns its draw as a read-only bool array, so
+    the update rule of a sampled step takes it without a scan."""
 
-    def test_a_sampled_run_scans_no_draw(self, monkeypatch, checks_run):
+    def test_a_sampled_run_scans_no_draw(self, monkeypatch, binary_scans):
         drawn = []
         sample = Bernoulli.sample
 
@@ -449,27 +456,17 @@ class TestDrawIsBornChecked:
             return drawn[-1]
 
         monkeypatch.setattr(Bernoulli, "sample", keeping)
-        checked = checks_run(models._check_binary)
         config = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=50, lam=200,
                                  q=0.25, dt=0.5, max_steps=10)
         assert len(run(config).steps) == 10
-        assert len(drawn) == 10
-        assert not any(a is x for a in checked for x in drawn)
+        assert len(drawn) == 10 and all(a.dtype == np.bool_ for a in drawn)
+        assert binary_scans == []
 
     def test_a_draw_is_read_only(self):
         draws = Bernoulli(3).sample(BernoulliParams([0.2, 0.5, 0.8]),
                                     np.random.default_rng(2), 4)
         with pytest.raises(ValueError, match="read-only"):
-            draws[0, 0] = 0.5
-
-    def test_the_memo_does_not_keep_a_draw_alive(self):
-        draws = Bernoulli(1000).sample(BernoulliParams(np.full(1000, 0.5)),
-                                       np.random.default_rng(2), 1000)
-        kept = models._check_binary.passed
-        assert kept() is draws
-        del draws
-        gc.collect()
-        assert kept() is None
+            draws[0, 0] = True
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():

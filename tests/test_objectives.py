@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,23 @@ def test_support_values_are_one_read_only_table(name):
     assert obj.support_values is values
     with pytest.raises(ValueError):
         values[0] = 1.0
+
+
+# binval's (1 - x) @ weights widens the support to float64, as it always did
+@pytest.mark.parametrize(
+    "name", ["onemax", "leadingones", "random-table", "random-reward", "count-reward"]
+)
+def test_support_values_write_no_support_sized_temporary(name):
+    bernoulli_support(16)
+    obj = make_objective(name, 16, seed=3)
+    tracemalloc.start()
+    try:
+        obj.support_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a quarter of the d = 16 support as float64, as in test_updates
+    assert peak < 2**16 * 16 * 8 / 4
 
 
 def test_support_values_need_a_binary_objective():

@@ -21,6 +21,7 @@ from igokit import (
     exact_blockwise_coordinate_step,
     exact_infinite_population_step,
     exact_quantile,
+    fitness_proportional_step,
     make_objective,
     preference_exact,
     progress_bound,
@@ -28,6 +29,7 @@ from igokit import (
 )
 from igokit import oracle
 from igokit.oracle import _sup_quantile_index
+from igokit.verify import FIXED_POINT_GUARD, QUANTILE_TOL
 
 UNIFORM = TabulatedScheme((1.0,))
 
@@ -69,8 +71,11 @@ class TestEnumerate:
         for d in range(1, 17):
             codes = np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)
             support = bernoulli_support(d)
-            assert support.dtype == np.float64 and not support.flags.writeable
-            assert support.tobytes() == (codes & 1).astype(np.float64).tobytes()
+            assert support.dtype == np.bool_ and not support.flags.writeable
+            assert support.tobytes() == (codes & 1).astype(np.bool_).tobytes()
+
+    def test_the_largest_support_takes_one_mib(self):
+        assert bernoulli_support(16).nbytes == 2**20
 
     def test_finitedist_validation(self):
         with pytest.raises(InvalidInputError):
@@ -504,6 +509,91 @@ class TestPastUnitStep:
         for dt in (1.001, 1.5):
             with pytest.raises(DomainExitError, match="left the open interval"):
                 exact_infinite_population_step(params, f, scheme, dt)
+
+
+@st.composite
+def exact_instances(draw, min_dt=0.0):
+    """A d <= 4 state, a table of 2^d values with at most 2^d - 1 distinct
+    ones (so some points tie), q in (0, 1) and dt in (min_dt, 1]."""
+    d = draw(st.integers(1, 4))
+    probs = draw(st.lists(st.floats(0.01, 0.99), min_size=d, max_size=d))
+    table = draw(st.lists(st.integers(0, 2**d - 2), min_size=2**d, max_size=2**d))
+    q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    dt = draw(st.floats(min_dt, 1.0, exclude_min=True))
+    return BernoulliParams(probs), np.array(table, dtype=np.float64), q, dt
+
+
+class TestTheoremsAsProperties:
+    """The guarantees the exact suites check on their grids, for any state,
+    tied table, q and dt in (0, 1], with the suites' own tolerances. A step
+    that leaves the domain ends the check there, as it ends a suite case."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_instances())
+    def test_the_exact_quantile_never_rises(self, instance):
+        params, f, q, dt = instance
+        try:
+            params_next = exact_infinite_population_step(params, f, TruncationScheme(q), dt)
+        except DomainExitError:
+            return
+        before = exact_quantile(enumerate_bernoulli(params), f, q).value
+        after = exact_quantile(enumerate_bernoulli(params_next), f, q).value
+        assert after <= before + QUANTILE_TOL
+
+    # dt above the suites' smallest step, 0.1: for smaller steps the computed
+    # KL of two nearby states is rounding noise (~1e-17) that the bound
+    # multiplies by (1 - dt) / dt, past QUANTILE_TOL by dt = 1e-10
+    @settings(max_examples=300, deadline=None)
+    @given(exact_instances(min_dt=0.1))
+    def test_the_progress_bound_holds_off_fixed_points(self, instance):
+        params, f, q, dt = instance
+        scheme = TruncationScheme(q)
+        try:
+            params_next = exact_infinite_population_step(params, f, scheme, dt)
+        except DomainExitError:
+            return
+        report = progress_bound(params, params_next, f, scheme, dt)
+        move = float(np.abs(params_next.probs - params.probs).max())
+        if report.fixed_point:
+            return
+        if move > FIXED_POINT_GUARD:
+            assert report.satisfied
+        else:  # the suite's margin test under its fixed-point guard
+            assert report.j_value - report.bound >= -QUANTILE_TOL
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_instances())
+    def test_exact_rpp_never_lowers_the_expected_reward(self, instance):
+        params, f, _, dt = instance
+        rewards = f + 1.0  # r > 0
+        dist = enumerate_bernoulli(params)
+        try:
+            params_next = fitness_proportional_step(
+                Bernoulli(params.dim), params, dist.support, dist.prob * rewards, dt
+            )
+        except DomainExitError:
+            return
+        before = float(np.sum(dist.prob * rewards))
+        after = float(np.sum(params_next.support_probs * rewards))
+        assert after >= before - 1e-12  # the fitness-improvement suite's drop tolerance
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_instances(), st.data())
+    def test_a_step_toward_a_vertex_leaves_the_domain_only_past_one(self, instance, data):
+        # one best point x* and q <= P(x*): all preference sits on x*, so
+        # p_W = x* and the step is eta + dt (x* - eta)
+        params, f, _, _ = instance
+        best = data.draw(st.integers(0, f.size - 1))
+        f = f + 1.0
+        f[best] = 0.0
+        q = params.support_probs[best] * data.draw(st.floats(0.001, 1.0))
+        scheme = TruncationScheme(q)
+        dt = data.draw(st.floats(0.0, 0.99, exclude_min=True))
+        params_next = exact_infinite_population_step(params, f, scheme, dt)
+        assert np.all((params_next.probs > 0.0) & (params_next.probs < 1.0))
+        dt = data.draw(st.floats(1.001, 2.0))
+        with pytest.raises(DomainExitError):
+            exact_infinite_population_step(params, f, scheme, dt)
 
 
 class TestExactFunctionals:
