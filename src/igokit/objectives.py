@@ -2,10 +2,10 @@
 
 Binary objectives take 0/1 rows, as a bool array or as numbers, continuous
 ones real rows. No binary objective widens a bool array of the support's
-size except binval, whose ``1 - x`` is float64 as it always was. Reward
-objectives (direction ``"max"``, non-negative values) exist for the
-reward-proportional update path, which maximizes; everything else is
-minimized. Random tables are reproducible from ``(seed, dim)`` alone.
+size except binval, whose ``1 - x`` is float64. Reward objectives
+(direction ``"max"``, non-negative values) exist for the reward-proportional
+update path, which maximizes; everything else is minimized. Random tables
+are reproducible from ``(seed, dim)`` alone.
 
 A binary objective of enumerable dimension evaluates its whole support once,
 on first use of :attr:`Objective.support_values`; every exact computation

@@ -70,15 +70,15 @@ the kept rows. ``_weighted_sum`` drops them when
 they are at least half the rows, where the copy costs no more than the sum
 it spares: a sampled population under truncation weights is summed over its
 winners, and a support with a few zero-reward points is summed whole,
-with no compressed copy. The drop is exact: zero times a finite entry is ``+-0``,
-and adding ``+-0`` to a running total that starts at ``+0`` leaves it as it
-was, bit for bit, so an all-zero weight vector still sums to ``+0.0``. The
-rows must be finite for that, and the points a rule accepts are: Bernoulli
-points are 0/1, and Gaussian points are refused unless finite. (The
-statistics of a finite Gaussian point beyond about 1e154 overflow; such a
-row at zero weight gives NaN if kept and nothing if dropped.) A single
-column keeps every row, because dropping terms regroups numpy's pairwise
-tree.
+with no compressed copy. The drop is exact: zero times a finite entry is
+``+-0``, and adding ``+-0`` to a running total that starts at ``+0`` leaves
+it as it was, bit for bit, so an all-zero weight vector still sums to
+``+0.0``. The rows must be finite for that, and the points a rule accepts
+are: Bernoulli points are 0/1, and Gaussian points are refused unless
+finite. (The statistics of a finite Gaussian point beyond about 1e154
+overflow; such a row at zero weight gives NaN if kept and nothing if
+dropped.) A single column keeps every row, because dropping terms regroups
+numpy's pairwise tree.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def test_support_values_are_one_read_only_table(name):
         values[0] = 1.0
 
 
-# binval's (1 - x) @ weights widens the support to float64, as it always did
+# binval's (1 - x) @ weights is float64 at the support's size
 @pytest.mark.parametrize(
     "name", ["onemax", "leadingones", "random-table", "random-reward", "count-reward"]
 )

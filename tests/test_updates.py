@@ -84,8 +84,8 @@ def sequential_sum(rows):
     return acc
 
 
-# The d = 16 support as float64 (8 MiB), the unit a support-sized temporary
-# is measured in; the support itself is now 1 MiB of bool.
+# The d = 16 support as float64 (8 MiB): the fixed unit a support-sized
+# temporary is measured in, whatever the support's own dtype.
 FLOAT_SUPPORT_BYTES = 2**16 * 16 * 8
 
 
