@@ -83,7 +83,7 @@ def _owns_frozen(a) -> bool:
 
 def _binary(pts: np.ndarray) -> None:
     if not ((pts == 0.0) | (pts == 1.0)).all():
-        raise InvalidInputError("Bernoulli points must be 0/1 valued")
+        raise InvalidInputError("binary points must be 0/1 valued")
 
 
 def _points_array(points, dim: int) -> np.ndarray:
@@ -100,6 +100,15 @@ def _points_array(points, dim: int) -> np.ndarray:
     if pts is None or pts.ndim != 2 or pts.shape[1] != dim:
         got = type(points).__name__ if pts is None else pts.shape
         raise InvalidInputError(f"points must have shape (n, {dim}), got {got}")
+    return pts
+
+
+def _binary_points(points, dim: int) -> np.ndarray:
+    """``points`` as an ``(n, dim)`` array of 0/1 points: a bool array as it
+    is, without a scan; any other becomes float64 and is scanned."""
+    pts = _points_array(points, dim)
+    if pts.dtype != np.bool_:
+        _binary(pts)
     return pts
 
 
@@ -245,10 +254,7 @@ class Bernoulli:
     def _check_points(self, points) -> np.ndarray:
         """An ``(n, d)`` array of 0/1 points: a bool array as it is, without
         a scan; any other becomes float64 and is scanned."""
-        pts = _points_array(points, self.dim)
-        if pts.dtype != np.bool_:
-            _binary(pts)
-        return pts
+        return _binary_points(points, self.dim)
 
     def batch_sufficient_statistics(self, points) -> np.ndarray:
         """Stack of T(x) rows for an ``(n, d)`` array of points. Since

@@ -1,8 +1,11 @@
 """Benchmark objectives for both search spaces, phrased as minimization.
 
 Binary objectives take 0/1 rows, as a bool array or as numbers, continuous
-ones real rows. No binary objective widens a bool array of the support's
-size except binval, whose ``1 - x`` is float64. Reward objectives
+ones real rows. A binary objective refuses any other value with
+``InvalidInputError``, by the check a Bernoulli rule makes: a bool array is
+taken unscanned, numbers are scanned on every call. No binary objective
+widens a bool array of the support's size except binval, whose ``1 - x`` is
+float64. Reward objectives
 (direction ``"max"``, non-negative values) exist for the reward-proportional
 update path, which maximizes; everything else is minimized. Random tables
 are reproducible from ``(seed, dim)`` alone.
@@ -21,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, _check_integer
-from .models import _frozen_array, _points_array
+from .models import _binary_points, _frozen_array, _points_array
 from .oracle import MAX_ENUM_DIM, bernoulli_support
 
 __all__ = ["Objective", "OBJECTIVE_NAMES", "make_objective"]
@@ -40,8 +43,10 @@ class Objective:
     optimizer: Optional[np.ndarray] = None
 
     def batch(self, points) -> np.ndarray:
-        """Objective values of an ``(n, d)`` array of points."""
-        return np.asarray(self.fn(_points_array(points, self.dim)), dtype=np.float64)
+        """Objective values of an ``(n, d)`` array of points; a binary
+        objective refuses a point that is not 0/1."""
+        check = _binary_points if self.space == "binary" else _points_array
+        return np.asarray(self.fn(check(points, self.dim)), dtype=np.float64)
 
     @cached_property
     def support_values(self) -> np.ndarray:
@@ -64,7 +69,7 @@ class Objective:
             raise InvalidInputError(
                 f"point must have shape ({self.dim},), got {x.shape}"
             )
-        return float(self.fn(x[None, :])[0])
+        return float(self.batch(x[None, :])[0])
 
 
 def _onemax(dim, seed):

@@ -16,6 +16,10 @@ produce byte-identical files, so the view sets ``elapsed_ns`` to 0 unless
 the run's ``timing`` flag is set, and it drops the entropy, which has no
 v1 column. The view's records share each step's eta.
 
+Both formats and both sinks share one line source. :func:`render_trace`
+holds one copy of the text, grown in place; :func:`write_trace` holds one
+row at a time and never the whole text.
+
 A record holds its eta snapshot packed, as an ``array('d')`` of 8 bytes per
 value rather than a tuple of Python floats (about 32). Records compare by
 value and are not hashable.
@@ -89,42 +93,38 @@ def trace_records(trace) -> list:
             for s in trace.steps]
 
 
-def _eta_width(records, eta_dim: Optional[int]) -> int:
+def _trace_lines(records, fmt: str, eta_dim: Optional[int]):
+    """The trace's lines in order, each ending in ``"\n"``: for csv the
+    header and the column line, then one row per record. Every record's
+    width and the format are checked before the first line is yielded."""
     if records:
-        return len(records[0].eta)
-    if eta_dim is None:
+        width = len(records[0].eta)
+    elif eta_dim is None:
         raise InvalidInputError("eta_dim is required to render an empty trace")
-    return eta_dim
-
-
-def render_trace(records, fmt: str = "csv", eta_dim: Optional[int] = None) -> str:
-    """Render records to the csv or jsonl wire format."""
-    width = _eta_width(records, eta_dim)
+    else:
+        width = eta_dim
+    for r in records:
+        if len(r.eta) != width:
+            raise InvalidInputError(
+                f"step {r.step}: {len(r.eta)} eta entries in a trace of {width}"
+            )
     if fmt == "csv":
-        cols = (
+        yield TRACE_HEADER + "\n"
+        yield ",".join(
             ["step"]
             + [f"eta_{i}" for i in range(width)]
             + ["best_f", "emp_quantile_q", "j_estimate", "kl_prev", "elapsed_ns"]
-        )
-        lines = [TRACE_HEADER, ",".join(cols)]
+        ) + "\n"
         # One format per row: "%.17g" % x is f"{x:.17g}", "%s" is str().
-        row = "%s," + "%.17g," * width + "%.17g,%.17g,%s,%.17g,%s"
+        row = "%s," + "%.17g," * width + "%.17g,%.17g,%s,%.17g,%s\n"
         for r in records:
-            if len(r.eta) != width:
-                raise InvalidInputError(
-                    f"step {r.step}: {len(r.eta)} eta entries in a trace of {width}"
-                )
             j_estimate = "" if r.j_estimate is None else _fmt(r.j_estimate)
-            lines.append(row % (r.step, *r.eta, r.best_f, r.emp_quantile_q, j_estimate,
-                                r.kl_prev, r.elapsed_ns))
-        # The final newline joins in: "+" would copy the whole text once more.
-        lines.append("")
-        return "\n".join(lines)
-    if fmt == "jsonl":
+            yield row % (r.step, *r.eta, r.best_f, r.emp_quantile_q, j_estimate,
+                         r.kl_prev, r.elapsed_ns)
+    elif fmt == "jsonl":
         # json writes a float's shortest repr, which parses back to the same
         # float, as a 17-digit one would; float() turns ints into floats,
         # and a packed eta holds floats already.
-        lines = []
         for r in records:
             obj = {
                 "step": r.step,
@@ -135,15 +135,34 @@ def render_trace(records, fmt: str = "csv", eta_dim: Optional[int] = None) -> st
                 "kl_prev": float(r.kl_prev),
                 "elapsed_ns": r.elapsed_ns,
             }
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
-    raise InvalidInputError(f"unknown trace format {fmt!r}")
+            yield json.dumps(obj, separators=(",", ":")) + "\n"
+    else:
+        raise InvalidInputError(f"unknown trace format {fmt!r}")
+
+
+def render_trace(records, fmt: str = "csv", eta_dim: Optional[int] = None) -> str:
+    """Render records to the csv or jsonl wire format.
+
+    The text grows by ``+=`` on one local string, which CPython resizes in
+    place, so rendering holds one copy of the text, not its rows beside it.
+    Other interpreters may copy the text at each ``+=`` (PEP 8's caveat).
+    """
+    text = ""
+    for line in _trace_lines(records, fmt, eta_dim):
+        text += line
+    return text
 
 
 def write_trace(records, path, fmt: str = "csv", eta_dim: Optional[int] = None) -> None:
-    text = render_trace(records, fmt=fmt, eta_dim=eta_dim)
+    """Write the text :func:`render_trace` gives to ``path``, a line at a
+    time, never holding the whole text. A trace that is refused leaves no
+    file and an existing file unchanged: every record is checked before
+    the file is opened."""
+    lines = _trace_lines(records, fmt, eta_dim)
+    first = next(lines, "")  # the checks run before the first line
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write(first)
+        fh.writelines(lines)
 
 
 def read_trace(path) -> list:

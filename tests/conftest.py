@@ -55,6 +55,7 @@ def binary_scans(monkeypatch):
 
 @pytest.fixture(scope="session")
 def suite_report():
-    """``suite_report(name)``: the suite's report at seed 1 on the small
-    grid, built on first request and shared by the whole session."""
-    return cache(lambda name: run_suite(name, grid="small", seed=1))
+    """``suite_report(name, seed=1)``: the suite's report on the small grid,
+    built on first request and shared by the whole session."""
+    build = cache(lambda name, seed: run_suite(name, grid="small", seed=seed))
+    return lambda name, seed=1: build(name, seed)

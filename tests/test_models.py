@@ -445,7 +445,8 @@ class TestSampling:
 
 class TestDrawsAreBool:
     """``Bernoulli.sample`` returns its draw as a read-only bool array, so
-    the update rule of a sampled step takes it without a scan."""
+    the objective and the update rule of a sampled step take it without a
+    scan."""
 
     def test_a_sampled_run_scans_no_draw(self, monkeypatch, binary_scans):
         drawn = []

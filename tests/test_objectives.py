@@ -124,3 +124,31 @@ def test_support_values_need_a_binary_objective():
 def test_support_values_need_an_enumerable_dimension():
     with pytest.raises(CapacityError):
         make_objective("onemax", MAX_ENUM_DIM + 1).support_values
+
+
+# each was evaluated as if it were a point of {0,1}^3, or raised a raw
+# IndexError, before binary objectives checked their points
+@pytest.mark.parametrize(
+    "name, point",
+    [
+        ("random-table", [0.5, 0, 0]),
+        ("random-table", [2, 0, 0]),
+        ("onemax", [0.5, 7, 0]),
+        ("leadingones", [0.5, 7, 0]),
+        ("binval", [0.5, 7, 0]),
+    ],
+)
+def test_a_binary_objective_refuses_a_point_off_the_cube(name, point):
+    obj = make_objective(name, 3)
+    with pytest.raises(InvalidInputError, match="0/1"):
+        obj.batch([point])
+    with pytest.raises(InvalidInputError, match="0/1"):
+        obj(point)
+
+
+def test_bool_points_are_evaluated_unscanned(binary_scans):
+    obj = make_objective("random-table", 3)
+    support = bernoulli_support(3)
+    assert obj.batch(support).tobytes() == obj.batch(support.astype(np.float64)).tobytes()
+    assert len(binary_scans) == 1 and binary_scans[0].dtype == np.float64
+    assert obj(support[5]) == obj.support_values[5]

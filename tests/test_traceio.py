@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igokit import AlgorithmConfig, InvalidInputError, run
-from igokit.traceio import TRACE_HEADER, TraceRecord, read_trace, render_trace, trace_records
+from igokit.traceio import (
+    TRACE_HEADER,
+    TraceRecord,
+    read_trace,
+    render_trace,
+    trace_records,
+    write_trace,
+)
 
 RECORDS = [
     TraceRecord(step=1, eta=(0.25, 0.75), best_f=1.0, emp_quantile_q=2.0,
@@ -120,10 +127,18 @@ def test_csv_row_is_the_per_value_join(records):
 @given(trace_rows(trace_floats.filter(lambda v: v == v)), st.sampled_from(["csv", "jsonl"]))
 @settings(max_examples=300, deadline=None)
 def test_drawn_rows_round_trip_without_their_entropy(records, fmt):
-    # v1 has no entropy column, so a row reads back with none; NaN is left
-    # out only because it equals nothing
+    # a written file holds the rendered text; v1 has no entropy column, so a
+    # row reads back with none; NaN is left out only because it equals nothing
     expected = [replace(r, weight_entropy=None) for r in records]
-    assert read_text(render_trace(records, fmt)) == expected
+    fd, path = tempfile.mkstemp(suffix=".trace")
+    os.close(fd)
+    try:
+        write_trace(records, path, fmt)
+        with open(path, "rb") as fh:
+            assert fh.read() == render_trace(records, fmt).encode()
+        assert read_trace(path) == expected
+    finally:
+        os.unlink(path)
 
 
 def test_a_record_of_another_width_is_refused():
@@ -132,11 +147,55 @@ def test_a_record_of_another_width_is_refused():
         render_trace(ragged, "csv")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_ragged_trace_is_written_nowhere(fmt, tmp_path):
+    ragged = [RECORDS[0], TraceRecord(3, (0.5,), 0.0, 0.0, None, 0.0, 0)]
+    path = tmp_path / "trace"
+    with pytest.raises(InvalidInputError, match="1 eta entries in a trace of 2"):
+        write_trace(ragged, path, fmt)
+    assert not path.exists()
+    path.write_bytes(b"kept")
+    with pytest.raises(InvalidInputError, match="1 eta entries in a trace of 2"):
+        write_trace(ragged, path, fmt)
+    assert path.read_bytes() == b"kept"
+
+
+def _large_records():
+    rng = np.random.default_rng(0)
+    return [TraceRecord(i, tuple(rng.random(500).tolist()), 1.0, 2.0, None, 0.5, 0)
+            for i in range(200)]
+
+
+def test_rendering_holds_one_copy_of_the_text():
+    # the text grows in place: no list of rows and no join beside it
+    records = _large_records()
+    tracemalloc.start()
+    try:
+        text = render_trace(records, "csv")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= len(text)
+    assert peak - kept <= len(text) / 4
+
+
+def test_writing_holds_one_row_at_a_time(tmp_path):
+    records = _large_records()
+    text = render_trace(records, "csv")
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_trace(records, path, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == text
+    assert peak <= len(text) / 4
+
+
 def test_reading_holds_one_line_at_a_time():
     # beyond the records it returns, a read holds a line, not the whole text
-    rng = np.random.default_rng(0)
-    records = [TraceRecord(i, tuple(rng.random(500).tolist()), 1.0, 2.0, None, 0.5, 0)
-               for i in range(200)]
+    records = _large_records()
     text = render_trace(records, "csv")
     fd, path = tempfile.mkstemp(suffix=".trace")
     try:
