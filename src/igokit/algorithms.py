@@ -38,7 +38,8 @@ the weights its rule used; ``traceio.trace_records`` is the view a trace
 file writes. An exact rpp run builds each state's support
 probabilities once, as the state's ``support_probs``: the new state's exact
 summaries build them and the next step reads them. The reward table on the
-support is the objective's ``support_values``, evaluated once per objective.
+support is the objective's ``support_values``, evaluated at most once per
+objective (a table objective's are its table).
 """
 
 from __future__ import annotations
@@ -248,8 +249,10 @@ def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[fl
     The population is drawn from (or the support enumerated under) the
     validated state ``params``, and the rule moves that same state. The
     rewards on the support are the objective's ``support_values``, evaluated
-    once per objective; the exact reward step runs its rule on the support
-    with rewards ``P(x) r(x)``.
+    at most once per objective; the exact reward step runs its rule on the
+    support with rewards ``P(x) r(x)``. A reward step builds its weights on
+    its first successful apply, once the rule has freed the normalised
+    rewards it made for itself, so no two 2^d weight vectors are alive.
     """
     algo = config.algorithm
     if algo == "rpp":
@@ -263,11 +266,15 @@ def _prepare_step(config, model, params, scheme, objective, rng) -> Callable[[fl
             fitness = rewards = objective.batch(samples)
             if not np.any(rewards > 0.0):
                 raise _ZeroRewardSample("rewards must not be all zero")
-        weights = SampleWeights(updates._reward_weights(rewards))
+        weights = None
 
         def apply(scale: float) -> StepResult:
+            nonlocal weights
             dt = config.dt * scale
             params_next = updates.fitness_proportional_step(model, params, points, rewards, dt)
+            # built once, after the rule has freed its own normalised rewards
+            if weights is None:
+                weights = SampleWeights(updates._reward_weights(rewards))
             return StepResult(params_next, samples, fitness, weights, (dt,))
 
         return apply

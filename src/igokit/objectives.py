@@ -13,6 +13,8 @@ are reproducible from ``(seed, dim)`` alone.
 A binary objective of enumerable dimension evaluates its whole support once,
 on first use of :attr:`Objective.support_values`; every exact computation
 that reads the fitness of all of ``{0,1}^d`` shares that one read-only table.
+A table objective's support values are its table, which row ``i`` of the
+support indexes at ``i``: nothing is evaluated and nothing copied.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class Objective:
     def support_values(self) -> np.ndarray:
         """Objective values of every point of ``{0,1}^dim`` in the oracle's
         lexicographic order: ``batch(bernoulli_support(dim))``, evaluated on
-        first use and then kept, read-only.
+        first use and then kept, read-only. A table objective is built with
+        its table kept here.
 
         Raises ``InvalidInputError`` for a continuous objective and
         ``CapacityError`` when ``dim > MAX_ENUM_DIM``.
@@ -155,7 +158,7 @@ def _table_objective(name, dim, seed, direction):
     table.setflags(write=False)
     support = bernoulli_support(dim)
     best = int(np.argmin(table) if direction == "min" else np.argmax(table))
-    return Objective(
+    objective = Objective(
         name=name,
         dim=dim,
         space="binary",
@@ -164,6 +167,9 @@ def _table_objective(name, dim, seed, direction):
         optimum=float(table[best]),
         optimizer=support[best].astype(np.float64),
     )
+    # row i of the support has index i, so its values are the table itself
+    objective.__dict__["support_values"] = table
+    return objective
 
 
 def _random_table(dim, seed):

@@ -22,12 +22,12 @@ probabilities on it are the state's own
 built once per state from probabilities validated in (0, 1), so enumeration
 neither copies nor checks them; a caller's :class:`FiniteDist` takes checked
 copies. :func:`exact_quantile` and :func:`~igokit.selection.preference_exact`
-share the level pass that :mod:`igokit.selection` keeps with the preference
-last computed from it; its docstring describes that memo. A fixed fitness
-table (an objective's ``support_values``) is ranked once, each state is
-checked and weighed against it once, and :func:`exact_J` at the base of a
-step, asked before the quantile of the next state, reuses the preference
-the step kept.
+share the level pass that :mod:`igokit.selection` keeps, while its table
+lives, with the preference last computed from it; its docstring describes
+that memo. A fixed fitness table (an objective's ``support_values``) is
+ranked once, each state is checked and weighed against it once, and
+:func:`exact_J` at the base of a step, asked before the quantile of the
+next state, reuses the preference the step kept.
 
 A state comes in as trusted :class:`~igokit.models.BernoulliParams`, and
 the exact steps return the next state as the update rules validated it, so

@@ -41,6 +41,13 @@ that is such an array too, and the scheme and read-only preference that
   kept preference back, so a step's progress bound, asked before the next
   state's quantile, reuses the preference the step used.
 
+The entry holds its table by a weak reference, so a kept entry dies with its
+table: when the last caller drops the table, the entry's probabilities,
+pass, scheme and preference go with it, and the next table is ranked with
+no dead entry alive. Every hit survives, since a caller that can pass the
+table again holds it. The weak reference is made when the table changes, so
+a pass over a kept table pays one dereference.
+
 It pays for itself: the pass and the preference on the benchmark's
 ``verify-exact`` workload, the ranking on ``exact-d16``. It stays while the
 benchmark's ``must_call`` lists (``bench/workload.py``) have those calls
@@ -48,12 +55,16 @@ take raw arrays. Any other input is checked and computed afresh on every
 call.
 
 The entry is replaced by a single assignment of one tuple, so a thread reads
-either the old entry or the new one, never a mix. Every function here is
+either the old entry or the new one, never a mix. A dead table's callback
+clears the entry only while the entry still holds that table's reference; a
+thread that stores a new entry between that test and the clearing loses it,
+which costs a miss and never a wrong result. Every function here is
 otherwise pure over immutable inputs and safe for parallel use.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,22 +184,33 @@ def rank_bounds(fitness):
 
 @dataclass(frozen=True, eq=False)
 class SampleWeights:
-    """Normalized per-sample selection weights: non-negative, summing to 1."""
+    """Normalized per-sample selection weights: non-negative, summing to 1.
+
+    A read-only float64 array that owns its data is checked and kept as it
+    is (no view can change it; the trust rule of ``_last_pass``); any other
+    input is checked as a read-only float64 copy.
+    """
 
     w: np.ndarray
 
     def __post_init__(self):
-        w = _check_weights(np.array(self.w, dtype=np.float64))
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        w = self.w
+        if not _owns_frozen(w):
+            w = np.array(w, dtype=np.float64)
+            w.setflags(write=False)
+        object.__setattr__(self, "w", _check_weights(w))
 
     def __len__(self):
         return self.w.size
 
     def entropy(self) -> float:
-        """Shannon entropy of the weights, with 0 log 0 = 0."""
-        pos = self.w[self.w > 0.0]
-        return float(-np.sum(pos * np.log(pos)))
+        """Shannon entropy of the weights, with 0 log 0 = 0: the sum of
+        ``w log w`` over the positive weights, in index order."""
+        w = self.w
+        pos = w if w.all() else w[w > 0.0]
+        terms = np.log(pos)
+        terms *= pos
+        return float(-np.sum(terms))
 
 
 def _check_weights(w: np.ndarray) -> np.ndarray:
@@ -239,10 +261,20 @@ def _check_distribution(p: np.ndarray, name: str = "probabilities") -> None:
         raise InvalidInputError(f"{name} must sum to 1 within 1e-12")
 
 
-# The last level pass over a frozen table, with its ``prob`` when that is
-# frozen too (else None), and the scheme and frozen preference last computed
-# from that pass (else None); replaced whole, by one assignment.
-_last_pass = (None, None, None, None, None)
+# The last level pass over a frozen table: its ``prob`` when that is frozen
+# too (else None), a weak reference to the table, the pass, and the scheme
+# and frozen preference last computed from that pass (else None); replaced
+# whole, by one assignment, and cleared when its table dies.
+_NO_PASS = (None, None, None, None, None)
+_last_pass = _NO_PASS
+
+
+def _drop_pass(table_ref) -> None:
+    """The callback of a kept table's weak reference: clear the entry if it
+    still belongs to that table."""
+    global _last_pass
+    if _last_pass[1] is table_ref:
+        _last_pass = _NO_PASS
 
 
 def _level_pass(p: np.ndarray, f: np.ndarray):
@@ -259,7 +291,8 @@ def _level_pass(p: np.ndarray, f: np.ndarray):
     new ``p`` over the same table object reuses its ranking.
     """
     global _last_pass
-    kept_prob, kept_table, kept, _, _ = _last_pass
+    kept_prob, table_ref, kept, _, _ = _last_pass
+    kept_table = None if table_ref is None else table_ref()
     if p is kept_prob and f is kept_table:
         return kept
     if p.ndim != 1 or p.size < 1:
@@ -280,7 +313,9 @@ def _level_pass(p: np.ndarray, f: np.ndarray):
     if _owns_frozen(f):
         for a in result:
             a.setflags(write=False)
-        _last_pass = (p if _owns_frozen(p) else None, f, result, None, None)
+        if f is not kept_table:
+            table_ref = weakref.ref(f, _drop_pass)
+        _last_pass = (p if _owns_frozen(p) else None, table_ref, result, None, None)
     return result
 
 
@@ -302,13 +337,17 @@ def preference_exact(prob, fitness, scheme) -> np.ndarray:
     global _last_pass
     p = np.asarray(prob, dtype=np.float64)
     f = np.asarray(fitness, dtype=np.float64)
-    kept_prob, kept_table, _, kept_scheme, kept = _last_pass
-    if p is kept_prob and f is kept_table and scheme is kept_scheme:
+    kept_prob, table_ref, _, kept_scheme, kept = _last_pass
+    if p is kept_prob and scheme is kept_scheme and f is table_ref():
         return kept
     level_pass = _level_pass(p, f)
     _, idx, mass, q_plus = level_pass
     w = _tie_average(scheme, q_plus - mass, q_plus, mass)[idx]
     if _owns_frozen(p) and _owns_frozen(f):
         w.setflags(write=False)
-        _last_pass = (p, f, level_pass, scheme, w)
+        # the table's reference is the one kept with this pass, unless
+        # another thread has since replaced the entry
+        entry = _last_pass
+        table_ref = entry[1] if entry[2] is level_pass else weakref.ref(f, _drop_pass)
+        _last_pass = (p, table_ref, level_pass, scheme, w)
     return w

@@ -271,8 +271,11 @@ def fitness_proportional_step(model, params, points, rewards, dt: float):
 
 
 def _reward_weights(rewards: np.ndarray) -> np.ndarray:
-    """The weights of a reward-proportional step, ``r_i / sum r``."""
-    return rewards / float(np.sum(rewards))
+    """The weights of a reward-proportional step, ``r_i / sum r``, as a new
+    read-only array, which :class:`SampleWeights` keeps without a copy."""
+    w = rewards / float(np.sum(rewards))
+    w.setflags(write=False)
+    return w
 
 
 def safeguarded_step(step, dt: float, max_halvings: int = 30):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -422,9 +423,31 @@ class TestExactRppEnumeration:
         trace = run(config)
         states = [config.initial_params(), BernoulliParams(trace.steps[0].eta)]
         for step, params in zip(trace.steps, states):
-            w = params.support_probs * rewards / np.sum(params.support_probs * rewards)
-            assert step.weight_entropy == pytest.approx(-np.sum(w * np.log(w)), rel=1e-12)
+            r = params.support_probs * rewards
+            w = r / r.sum()
+            assert step.weight_entropy == float(-np.sum(w * np.log(w)))
         assert trace.steps[0].weight_entropy != pytest.approx(trace.steps[1].weight_entropy)
+
+    def test_a_run_starts_with_no_earlier_runs_pass_alive(self):
+        # exact-d16's order at d = 14: an exact rpp run right after a pbil
+        # estimate_j run. The pbil run's kept pass dies with its table, and
+        # the rpp step holds each 2^14 vector once; the traced peak of the rpp
+        # run is 12.34 vectors of 2^14 floats, and was 14.34 while the pbil
+        # run's entry outlived it and the step copied its weights.
+        pbil = AlgorithmConfig(algorithm="pbil", objective="onemax", dim=14, lam=50, q=0.25,
+                               dt=0.5, max_steps=2, estimate_j=True)
+        rpp = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=14, dt=1.0,
+                              max_steps=3)
+        run(rpp)  # the d = 14 support and every lazy import are made before tracing
+        tracemalloc.start()
+        try:
+            run(pbil)
+            tracemalloc.reset_peak()
+            run(rpp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13.3 * 2**14 * 8
 
     def test_sampled_weight_entropy_is_that_of_the_normalised_rewards(self):
         config = AlgorithmConfig(algorithm="rpp", objective="random-reward", dim=8, dt=0.5,

@@ -58,13 +58,14 @@ def test_traced_exact_d16_run_exits_zero():
 
     The round evaluates the objective on 100 safeguarded pbil steps of
     lambda = 200 samples (20 000 rows), plus the 2^16 = 65 536-row support
-    once per run for each of its two configs: exact rpp reads its reward
-    table and pbil's ``estimate_j`` its exact preferences from
-    ``Objective.support_values``. 20 000 + 2 * 65 536 = 151 072. Evaluating
-    the support on every ``estimate_j`` step instead would add 99 * 65 536.
+    once, for pbil's ``estimate_j``, which reads its exact preferences from
+    ``Objective.support_values``. Exact rpp reads its reward table there
+    too, but random-reward's support values are its table, with nothing
+    evaluated. 20 000 + 65 536 = 85 536. Evaluating the support on every
+    ``estimate_j`` step instead would add 99 * 65 536.
     """
     metrics = _traced_run("exact-d16")["metrics"]
-    assert metrics["objectives.batch.rows"]["value"] == 20_000 + 2 * 2**16
+    assert metrics["objectives.batch.rows"]["value"] == 20_000 + 2**16
 
 
 @pytest.mark.slow

@@ -1,7 +1,8 @@
-"""The package's modules import one another without a cycle, and none
-imports a way to start threads or processes.
+"""The package's modules import one another without a cycle, none imports
+a way to start threads or processes, and the module state they hold (a
+``global`` statement, a memo decorator) is the census's and no more.
 
-Both are read from the source with ``ast``; nothing is imported. An import
+All three are read from the source with ``ast``; nothing is imported. An import
 inside a function body runs when the function is called, not when the
 module loads, so it is not an edge of the graph; it does count as a
 threading import.
@@ -111,3 +112,75 @@ def test_threading_imports_are_found_in_function_bodies():
               "class A:\n    def g(self):\n        from concurrent.futures import Executor\n"
               "import multiprocessing.pool\nfrom _thread import start_new_thread\n")
     assert _absolute_imports(ast.parse(source)) >= THREADING
+
+
+# Module state the package may hold, each with its owner. A memo outside this
+# list keeps arrays alive past their last reader; a new one must say why here.
+ALLOWED_GLOBALS = {"selection._last_pass"}
+ALLOWED_MEMOS = {
+    "lru_cache": {"oracle._support"},
+    "cache": set(),
+    "cached_property": {"models.BernoulliParams.support_probs",
+                        "objectives.Objective.support_values"},
+}
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state(module, tree):
+    """``(globals, memos)``: each ``module.name`` a ``global`` statement
+    names, and each ``module.qualname`` of a function under a memo
+    decorator, as ``{decorator: {qualname}}``."""
+    names, memos = set(), {name: set() for name in ALLOWED_MEMOS}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                names.update(f"{module}.{name}" for name in child.names)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = f"{prefix}.{child.name}"
+                for decorator in child.decorator_list:
+                    found = _decorator_name(decorator)
+                    if found in memos:
+                        memos[found].add(qualname)
+                visit(child, qualname)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return names, memos
+
+
+def test_module_state_is_the_census():
+    names, memos = set(), {name: set() for name in ALLOWED_MEMOS}
+    for path in PACKAGE.glob("*.py"):
+        found_names, found_memos = module_state(path.stem, ast.parse(path.read_text("utf-8")))
+        names |= found_names
+        for name, owners in found_memos.items():
+            memos[name] |= owners
+    extra = sorted(names - ALLOWED_GLOBALS)
+    assert not extra, f"global module state outside the census: {extra}"
+    for name, owners in memos.items():
+        extra = sorted(owners - ALLOWED_MEMOS[name])
+        assert not extra, f"@{name} outside the census: {extra}"
+    # the reader sees the package's real state, so an empty read cannot pass
+    assert names == ALLOWED_GLOBALS
+    assert memos == ALLOWED_MEMOS
+
+
+def test_module_state_finds_a_planted_memo():
+    source = ("import functools\n_seen = {}\n"
+              "def f():\n    global _seen, _other\n"
+              "class A:\n    @functools.lru_cache(maxsize=4)\n    def g(self):\n        pass\n"
+              "    class B:\n        @cached_property\n        def h(self):\n            pass\n"
+              "@cache\ndef k():\n    pass\n")
+    names, memos = module_state("m", ast.parse(source))
+    assert names == {"m._seen", "m._other"}
+    assert memos == {"lru_cache": {"m.A.g"}, "cache": {"m.k"},
+                     "cached_property": {"m.A.B.h"}}

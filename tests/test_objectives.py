@@ -99,6 +99,19 @@ def test_support_values_are_one_read_only_table(name):
         values[0] = 1.0
 
 
+@pytest.mark.parametrize("dim", [1, 5, 16])
+@pytest.mark.parametrize("name", ["random-table", "random-reward"])
+def test_a_table_objectives_support_values_are_its_table(name, dim):
+    # row i of the support has index i: the table is kept, never evaluated
+    obj = make_objective(name, dim, seed=3)
+    closure = dict(zip(obj.fn.__code__.co_freevars,
+                       (cell.cell_contents for cell in obj.fn.__closure__)))
+    values = obj.support_values
+    assert values is closure["table"]
+    assert not values.flags.writeable and values.flags.owndata
+    assert values.tobytes() == obj.batch(bernoulli_support(dim)).tobytes()
+
+
 # binval's (1 - x) @ weights is float64 at the support's size
 @pytest.mark.parametrize(
     "name", ["onemax", "leadingones", "random-table", "random-reward", "count-reward"]

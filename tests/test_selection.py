@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igokit import selection
 from igokit import (
     Bernoulli,
     BernoulliParams,
@@ -223,6 +226,30 @@ class TestSampleWeights:
             SampleWeights(np.array([0.6, 0.3]))  # sums to 0.9
         with pytest.raises(InvalidInputError):
             SampleWeights(np.array([1.2, -0.2]))
+        # a frozen array that owns its data is kept, but still checked
+        with pytest.raises(InvalidInputError):
+            SampleWeights(frozen([0.6, 0.3]))
+
+    def test_frozen_owned_weights_are_kept_and_others_copied(self):
+        kept = frozen([0.25, 0.75])
+        assert SampleWeights(kept).w is kept
+        writable = np.array([0.25, 0.75])
+        copied = SampleWeights(writable).w
+        assert copied is not writable and not copied.flags.writeable
+        assert writable.flags.writeable
+        # a read-only view of a writable base could still change under it
+        view = writable[:]
+        view.setflags(write=False)
+        assert SampleWeights(view).w is not view
+
+    @pytest.mark.parametrize("fitness", [[3.0, 1.0, 2.0, 5.0, 1.0, 4.0, 0.5, 2.0], [1.0, 2.0]],
+                             ids=["zero-weights", "all-positive"])
+    def test_entropy_has_the_bits_of_the_masked_formula(self, fitness):
+        # truncation at q = 0.5 gives some weights 0; the uniform scheme none
+        for scheme in (TruncationScheme(0.5), UNIFORM):
+            w = sample_weights(fitness, scheme).w
+            pos = w[w > 0.0]
+            assert sample_weights(fitness, scheme).entropy() == float(-np.sum(pos * np.log(pos)))
 
 
 def brute_force_preference(prob, fitness, scheme):
@@ -351,7 +378,7 @@ def fresh_bits(prob, f, scheme, q):
 class TestLevels:
     """One ranking per fixed table: the level pass keeps the ranking of the
     last read-only table that owns its data for every state weighed against
-    it, and ranks every other table afresh."""
+    it while the table lives, and ranks every other table afresh."""
 
     def test_equals_unique(self, rankings):
         # the levels are ``np.unique``'s, for a frozen table and a writable one
@@ -495,6 +522,40 @@ class TestLevels:
                         assert (preference_exact(p, t, scheme).tobytes(),
                                 quantile_bits(exact_quantile(dist, t, q))) == bits
                         assert preference_exact(dist.prob, t, scheme).tobytes() == bits[0]
+
+    def test_kept_entry_dies_with_its_table(self, rankings):
+        # while the table lives it gets every hit; once it is dropped, the
+        # entry's probabilities, pass and preference go with it
+        table = frozen(np.random.default_rng(4).random(32))
+        scheme = TruncationScheme(0.3)
+        states = [frozen(np.full(32, 1 / 32)), frozen(np.arange(1, 33) / 528)]
+        expected = [fresh_bits(prob, table, scheme, 0.3) for prob in states]
+        rankings.clear()
+        for prob, bits in zip(states, expected):
+            kept = preference_exact(prob, table, scheme)
+            assert preference_exact(prob, table, scheme) is kept
+            dist = FiniteDist(np.zeros((32, 1)), prob)
+            assert (kept.tobytes(), quantile_bits(exact_quantile(dist, table, 0.3))) == bits
+        assert len(rankings) == 1 and rankings[0] is table
+        rankings.clear()
+        del table, kept
+        gc.collect()
+        assert all(field is None for field in selection._last_pass)
+
+    def test_an_old_tables_callback_leaves_a_new_entry(self, rankings):
+        scheme = TruncationScheme(0.5)
+        prob = frozen([0.25] * 4)
+        old, new = frozen([1.0, 0.0, 2.0, 0.0]), frozen([3.0, 1.0, 1.0, 2.0])
+        preference_exact(prob, old, scheme)
+        kept = preference_exact(prob, new, scheme)
+        rankings[0] = None
+        old_ref = weakref.ref(old)
+        del old
+        gc.collect()
+        assert old_ref() is None  # its callback has run
+        assert selection._last_pass[1]() is new
+        assert preference_exact(prob, new, scheme) is kept
+        assert len(rankings) == 2 and rankings[1] is new
 
     def test_kept_preference_is_read_only(self):
         prob, f = frozen([0.25, 0.5, 0.25]), frozen([1.0, 0.0, 1.0])
